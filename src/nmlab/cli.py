@@ -7,7 +7,8 @@ floats) plus a JSON manifest recording parameters, package version and
 sha256 checksums. All physical parameters must be present in the config;
 documented templates live in the repository's configs/ directory.
 
-Exit codes: 0 success, 2 config error, 3 IO error, 4 domain singularity.
+Exit codes: 0 success, 2 config or input-file content error, 3 IO error,
+4 domain singularity.
 """
 
 from __future__ import annotations
@@ -30,6 +31,20 @@ EXIT_IO = 3
 EXIT_SINGULAR = 4
 
 SCENARIOS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "classify", "synth")
+
+
+class InputFileError(Exception):
+    """An input CSV that was read but whose content is malformed or invalid."""
+
+
+def _read_input(reader, path):
+    """reader(path), with content errors (not IO errors) as InputFileError."""
+    try:
+        return reader(path)
+    except KeyError as exc:
+        raise InputFileError(f"{path}: missing column {exc}") from exc
+    except (TypeError, ValueError, csv.Error) as exc:
+        raise InputFileError(f"{path}: {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -288,7 +303,7 @@ def _run_fig5(params, out: Path):
 
 
 def _run_fig6(params, out: Path):
-    profile = spectra.read_profile_csv(params["spectrum_csv"])
+    profile = _read_input(spectra.read_profile_csv, params["spectrum_csv"])
     two_pi = bool(params["two_pi"])
     t = np.linspace(0, params["t_max"], int(params["n_t"]))
     kappa = spectra.kappa_numeric(profile, params["delta_n"], t, two_pi=two_pi)
@@ -336,7 +351,7 @@ def _run_classify(params, out: Path):
 
 
 def _run_synth(params, out: Path):
-    traj = spectra.read_trajectory_csv(params["kappa_csv"])
+    traj = _read_input(spectra.read_trajectory_csv, params["kappa_csv"])
     result = spectra.synthesize_spectrum(traj, params["delta_n"], two_pi=params["two_pi"])
     path = out / "synth_spectrum.csv"
     spectra.write_profile_csv(result.profile, path)
@@ -370,6 +385,10 @@ def run(scenario: str, params: dict, out_dir) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         result = _RUNNERS[scenario](params, out)
+    except InputFileError as exc:
+        print(json.dumps({"error": "invalid input file", "violations": [str(exc)]}),
+              file=sys.stderr)
+        return EXIT_CONFIG
     except SingularChannelError as exc:
         print(json.dumps({"error": "singular channel", "detail": str(exc)}),
               file=sys.stderr)

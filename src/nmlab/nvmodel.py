@@ -153,7 +153,7 @@ def rdja_p0(params: NVParams, phi: float, cfg: RDJAConfig) -> float:
     """
     s = 1.0 if is_balanced(cfg.gate) else -1.0
     k = rdja_kappa_eff(params, phi, cfg.t, cfg.tau)
-    return 0.5 * (1 + s * k.real)
+    return float(0.5 * (1 + s * k.real))
 
 
 def rdja_contrast(params: NVParams, phi: float, t: float, tau: float) -> float:

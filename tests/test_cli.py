@@ -24,6 +24,10 @@ def patch_paths(scenario, params, tmp_path):
     return params
 
 
+def each_row(f):
+    return lambda rows: [f(r) for r in rows]
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -102,6 +106,44 @@ class TestRun:
         assert cli.main(["fig2", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "fig2.csv").exists()
 
+    @pytest.mark.parametrize(
+        "scenario, header, transform",
+        [
+            ("fig6", "omega,density", None),
+            ("fig6", "omega,density,phase", each_row(lambda r: [r[0], 2 * r[1], r[2]])),
+            ("fig6", "omega,density,phase", each_row(lambda r: [r[0], -r[1], r[2]])),
+            ("fig6", "omega,density,phase", each_row(lambda r: [r[0] ** 3, r[1], r[2]])),
+            ("fig6", "omega,density,phase", each_row(lambda r: r[:2])),
+            ("fig6", "omega,density,phase", lambda rows: [["x" * 200_000] + rows[0][1:]] + rows[1:]),
+            ("synth", "t,re_kappa", None),
+            ("synth", "t,re_kappa,im_kappa", each_row(lambda r: [r[0], 2.0, 0.0])),
+        ],
+        ids=["missing_column", "unnormalized", "negative", "nonuniform", "short_row", "huge_field",
+             "kappa_missing_column", "kappa_above_one"],
+    )
+    def test_invalid_input_file_exit_code(self, scenario, header, transform, tmp_path, capsys):
+        if scenario == "fig6":
+            p = spectra.read_profile_csv(CONFIGS / "fig6_spectrum.csv")
+            rows = np.column_stack([p.omega, p.density, p.phase]).tolist()
+            key = "spectrum_csv"
+        else:
+            k = spectra.read_trajectory_csv(CONFIGS / "synth_kappa.csv")
+            rows = np.column_stack([k.t, k.kappa.real, k.kappa.imag]).tolist()
+            key = "kappa_csv"
+        if transform is not None:
+            rows = transform(rows)
+        width = header.count(",") + 1
+        path = tmp_path / "input.csv"
+        path.write_text(header + "\n" + "".join(
+            ",".join(repr(v) for v in r[:width]) + "\n" for r in rows))
+        params = dict(load_config(scenario), **{key: str(path)})
+        assert cli.run(scenario, params, tmp_path / "out") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        report = json.loads(err[0])
+        assert report["error"] == "invalid input file"
+        assert str(path) in report["violations"][0]
+
     def test_main_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -130,6 +172,14 @@ class TestOutputs:
         rows = read_rows(tmp_path / "fig4.csv")
         alice_only = [float(r["mi_4state_alice_only"]) for r in rows]
         assert all(b <= a + 1e-9 for a, b in zip(alice_only, alice_only[1:]))
+
+    def test_fig5_cells_are_float_literals(self, tmp_path):
+        assert cli.run("fig5", load_config("fig5"), tmp_path) == 0
+        rows = read_rows(tmp_path / "fig5.csv")
+        assert rows
+        for row in rows:
+            for cell in row.values():
+                float(cell)
 
     def test_synth_manifest_reports_roundtrip(self, tmp_path):
         params = patch_paths("synth", load_config("synth"), tmp_path)

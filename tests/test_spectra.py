@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmlab import qcore, spectra
 from nmlab.spectra import (
@@ -20,6 +22,26 @@ PLUS = qcore.pure_state(np.array([1, 1]) / np.sqrt(2))
 
 def make_spec(a_theta=1.0, sigma=1.0, delta_omega=4.0, delta_n=1.0):
     return DoubleGaussianSpec(a_theta, sigma, delta_omega, delta_n)
+
+
+def dense_kappa(profile, delta_n, t, two_pi=False):
+    """Oracle: the plain trapezoid sum, a few hundred rows of phases at a time."""
+    scale = 2 * np.pi * delta_n if two_pi else delta_n
+    weights = np.full(profile.omega.size, profile.step)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    g = profile.density * np.exp(1j * profile.phase) * weights
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return np.concatenate(
+        [np.exp(1j * scale * np.outer(t[i:i + 256], profile.omega)) @ g
+         for i in range(0, t.size, 256)]
+    )
+
+
+def random_profile(rng, omega):
+    density = rng.uniform(0.1, 1.0, omega.size)
+    density /= np.trapezoid(density, omega)
+    return SpectralProfile(omega, density, rng.uniform(-np.pi, np.pi, omega.size))
 
 
 class TestClosedForm:
@@ -96,11 +118,83 @@ class TestKappaNumeric:
     def test_scalar_time(self):
         profile = double_gaussian_profile(make_spec())
         assert isinstance(kappa_numeric(profile, 1.0, 0.0), complex)
+        value = kappa_numeric(profile, 1.3, 0.7)
+        assert abs(value - dense_kappa(profile, 1.3, 0.7)[0]) < 1e-14
 
     def test_nonuniform_grid_rejected(self):
         omega = np.array([0.0, 1.0, 3.0])
         with pytest.raises(ValueError):
             SpectralProfile(omega, np.array([0.5, 0.25, 0.25]), np.zeros(3))
+
+
+@pytest.fixture
+def no_chirp(monkeypatch):
+    def fail(*args):
+        raise AssertionError("chirp-z kernel used where the dense sum must run")
+
+    monkeypatch.setattr(spectra, "_kappa_chirp", fail)
+
+
+class TestChirpKernel:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_t=st.integers(2, 4096),
+        n_w=st.integers(2, 4096),
+        log_phase=st.floats(-2, np.log10(0.99 * spectra.CHIRP_PHASE_MAX)),
+        t_span=st.floats(0.1, 20),
+        t0_frac=st.floats(0, 0.5),
+        w0_frac=st.floats(0.25, 0.75),
+        delta_n=st.floats(0.1, 2) | st.floats(-2, -0.1),
+        two_pi=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_oracle(self, n_t, n_w, log_phase, t_span, t0_frac, w0_frac,
+                                  delta_n, two_pi, seed):
+        # Grids are built from the largest chirp phase |a| (n_t + n_w)^2 / 2,
+        # so every draw up to the guard takes the chirp-z path.
+        rng = np.random.default_rng(seed)
+        scale = 2 * np.pi * delta_n if two_pi else delta_n
+        t0 = t0_frac * t_span
+        t = np.linspace(t0, t0 + t_span, n_t)
+        dt = t_span / (n_t - 1)
+        d_omega = 2 * 10**log_phase / ((n_t + n_w) ** 2 * abs(scale) * dt)
+        width = d_omega * (n_w - 1)
+        omega = np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w)
+        profile = random_profile(rng, omega)
+        assert spectra._chirp_grids(t, omega, scale) is not None
+        kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
+        assert np.max(np.abs(kappa - dense_kappa(profile, delta_n, t, two_pi))) < 1e-11
+        assert np.max(np.abs(kappa)) <= 1 + 1e-9
+
+    def test_nonuniform_time_takes_blocked_dense_path(self, monkeypatch, rng, no_chirp):
+        profile = random_profile(rng, np.linspace(-3, 5, 300))
+        t = np.sort(rng.uniform(0, 4, 200))
+        assert spectra._chirp_grids(t, profile.omega, 1.0) is None
+        # Blocks of 7 rows: the last block is partial.
+        monkeypatch.setattr(spectra, "_DENSE_BLOCK_CELLS", 7 * profile.omega.size)
+        kappa = kappa_numeric(profile, 1.0, t)
+        assert np.max(np.abs(kappa - dense_kappa(profile, 1.0, t))) < 1e-14
+
+    def test_phase_guard_sends_large_chirp_to_dense(self, rng, no_chirp):
+        omega = np.linspace(-1, 1, 64)
+        t = np.linspace(0, 1, 64)
+        # a = delta_n * dt * d_omega; guard at |a| (64 + 64)^2 / 2 = CHIRP_PHASE_MAX.
+        a_max = 2 * spectra.CHIRP_PHASE_MAX / 128**2
+        step_product = (t[1] - t[0]) * (omega[1] - omega[0])
+        below, above = 0.99 * a_max / step_product, 1.01 * a_max / step_product
+        assert spectra._chirp_grids(t, omega, below) is not None
+        assert spectra._chirp_grids(t, omega, above) is None
+        profile = random_profile(rng, omega)
+        kappa = kappa_numeric(profile, above, t)
+        assert np.max(np.abs(kappa - dense_kappa(profile, above, t))) < 1e-11
+
+    def test_uniform_fit_accepts_linspace_rejects_jitter(self):
+        t = np.linspace(0.3, 17.0, 1001)
+        assert spectra._uniform_fit(t) is not None
+        jittered = t.copy()
+        jittered[500] += 1e-9
+        assert spectra._uniform_fit(jittered) is None
+        assert spectra._uniform_fit(np.array([1.0])) is None
 
 
 class TestDephasingChannel:
