@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,22 +66,42 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _number(value, kind=float):
+    """value as a finite float, or as an int if kind is int and value is integral.
+
+    Raises TypeError for booleans and ValueError for non-finite or
+    non-integral values: float() and int() would accept them silently.
+    """
+    if isinstance(value, bool):
+        raise TypeError("boolean is not a number")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("not finite")
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ValueError("not integral")
+    return value if isinstance(value, int) else int(number)
+
+
+_EXPECTED = {float: "a finite number", int: "an integer", list: "a list of finite numbers",
+             str: "a string"}
+
+
 def _require(params: dict, violations: list, key: str, kind=float, check=None, msg=None):
     if key not in params:
         violations.append(f"{key}: required key missing")
         return None
     value = params[key]
     try:
-        if kind is float:
-            value = float(value)
-        elif kind is int:
-            value = int(value)
-        elif kind is list:
-            value = [float(v) for v in value]
+        if kind is list:
+            value = [_number(v) for v in value]
         elif kind is str:
             value = str(value)
+        else:
+            value = _number(value, kind)
     except (TypeError, ValueError):
-        violations.append(f"{key}: expected {kind.__name__}")
+        violations.append(f"{key}: expected {_EXPECTED[kind]}")
         return None
     if check is not None and not check(value):
         violations.append(f"{key}: {msg}")
@@ -352,7 +373,10 @@ def _run_classify(params, out: Path):
 
 def _run_synth(params, out: Path):
     traj = _read_input(spectra.read_trajectory_csv, params["kappa_csv"])
-    result = spectra.synthesize_spectrum(traj, params["delta_n"], two_pi=params["two_pi"])
+    try:
+        result = spectra.synthesize_spectrum(traj, params["delta_n"], two_pi=params["two_pi"])
+    except ValueError as exc:  # the time grid is non-uniform or too short
+        raise InputFileError(f"{params['kappa_csv']}: {exc}") from exc
     path = out / "synth_spectrum.csv"
     spectra.write_profile_csv(result.profile, path)
     extra = {

@@ -148,12 +148,12 @@ def find_transition(tol: float = 1e-10) -> float:
 def entanglement_dynamics(eps: float) -> tuple[float, float]:
     """Concurrence with an ancilla after collision one and two.
 
-    One half of a maximally entangled pair goes through the collisions;
-    C(1) = max(0, 1-4eps) and C(2) = (1-4eps)^2, computed here through the
-    channels and the concurrence of the evolved states.
+    One half of a maximally entangled pair goes through the collisions.
+    Both maps are Pauli-diagonal, so the evolved states are Bell-diagonal
+    and qcore.bell_concurrence gives C = max(0, 2 q_max - 1) from their
+    Kraus weights: C(1) = max(0, 1-4eps) and C(2) = (1-4eps)^2.
     """
-    eps = _check_eps(eps)
-    bell = qcore.bell_state("phi_plus")
-    rho1 = qcore.apply_channel_one_sided(first_collision_channel(eps), bell)
-    rho2 = qcore.apply_channel_one_sided(two_collision_channel(eps), bell)
-    return qcore.concurrence(rho1), qcore.concurrence(rho2)
+    return (
+        qcore.bell_concurrence(first_collision_channel(eps)),
+        qcore.bell_concurrence(two_collision_channel(eps)),
+    )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .spectra import blp_from_magnitudes
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,10 @@ def nm_measure_phi(params: NVParams, phi_grid, t_grid) -> list[tuple[float, floa
     t_grid = np.asarray(t_grid, dtype=float)
     if phi_grid.size == 0 or t_grid.size < 2:
         raise ValueError("phi_grid must be nonempty and t_grid have >= 2 points")
-    out = []
-    for phi in phi_grid:
-        r = bloch_magnitude(params, phi, t_grid)
-        inc = np.diff(r)
-        out.append((float(phi), float(np.sum(inc[inc > 0]))))
-    return out
+    return [
+        (float(phi), blp_from_magnitudes(bloch_magnitude(params, phi, t_grid)))
+        for phi in phi_grid
+    ]
 
 
 # --- refined single-qubit constant/balanced discrimination -----------------

@@ -128,15 +128,6 @@ class PauliChannel:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.lam_x, self.lam_y, self.lam_z)
 
-    def matrix(self) -> np.ndarray:
-        """4x4 superoperator acting on vectorized 2x2 matrices (column stacking)."""
-        q = kraus_weights(self)
-        ops = [IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z]
-        out = np.zeros((4, 4), dtype=complex)
-        for w, op in zip(q, ops):
-            out += w * np.kron(op.conj(), op)
-        return out
-
 
 class KrausWeights(NamedTuple):
     """Choi eigenvalue quadruple (q_I, q_x, q_y, q_z) of a Pauli-diagonal map."""
@@ -188,6 +179,21 @@ def apply_channel_one_sided(ch: PauliChannel, rho: np.ndarray) -> np.ndarray:
     return sum(w * (np.kron(op, IDENTITY) @ rho @ np.kron(op, IDENTITY)) for w, op in zip(q, ops))
 
 
+def bell_concurrence(ch: PauliChannel) -> float:
+    """Concurrence of (ch x identity)(|Phi+><Phi+|) for a CP Pauli channel.
+
+    The output is Bell-diagonal with the Kraus weights as its Bell-state
+    weights (q_I on Phi+, q_x on Psi+, q_y on Psi-, q_z on Phi-), and the
+    Wootters concurrence of a Bell-diagonal state is max(0, 2 q_max - 1).
+    In Bloch eigenvalues, 2 q_I - 1 and 2 q_z - 1 are (lz - 1 +- (lx + ly))/2
+    and 2 q_x - 1, 2 q_y - 1 are (-lz - 1 +- (lx - ly))/2; grouping lz - 1
+    keeps the relative precision of a small concurrence (for dephasing by
+    kappa, C = kappa exactly).
+    """
+    lx, ly, lz = ch.as_tuple()
+    return max(0.0, float(abs(lx + ly) + (lz - 1)) / 2, float(abs(lx - ly) - (lz + 1)) / 2)
+
+
 def is_cp(ch: PauliChannel, tol: float = 1e-10) -> bool:
     """Complete positivity: all four Choi eigenvalues >= -tol."""
     if tol < 0:
@@ -195,32 +201,17 @@ def is_cp(ch: PauliChannel, tol: float = 1e-10) -> bool:
     return all(q >= -tol for q in kraus_weights(ch))
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic quasi-uniform grid of n unit vectors."""
-    k = np.arange(n)
-    z = 1 - (2 * k + 1) / n
-    phi = np.pi * (3 - np.sqrt(5)) * k
-    r = np.sqrt(np.maximum(0.0, 1 - z * z))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-
-
-def is_positive(ch: PauliChannel, tol: float = 1e-10, grid_points: int = 200) -> bool:
+def is_positive(ch: PauliChannel, tol: float = 1e-10) -> bool:
     """Positivity of a Pauli-diagonal map.
 
-    Exact criterion for unital qubit maps: max |lam_i| <= 1 + tol. A
-    deterministic Fibonacci-sphere grid of pure states is checked as well,
-    guarding against implementation errors in the analytic shortcut.
+    Exact criterion for unital qubit maps: a pure state with Bloch vector r
+    goes to lam * r (componentwise), whose smallest eigenvalue
+    (1 - |lam * r|)/2 is negative for some unit r iff max |lam_i| > 1, so
+    the map is positive iff max |lam_i| <= 1 + tol.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    analytic = max(abs(l) for l in ch.as_tuple()) <= 1 + tol
-    lam = np.array(ch.as_tuple())
-    for r in _fibonacci_sphere(grid_points):
-        out = lam * r
-        # Output eigenvalues are (1 +- |r'|)/2.
-        if (1 - np.linalg.norm(out)) / 2 < -tol:
-            return False
-    return analytic
+    return max(abs(l) for l in ch.as_tuple()) <= 1 + tol
 
 
 def compose_channels(later: PauliChannel, earlier: PauliChannel) -> PauliChannel:

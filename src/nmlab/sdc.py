@@ -19,20 +19,9 @@ from . import qcore
 PAULI_4 = ("I", "X", "Y", "Z")
 PAULI_3 = ("I", "X", "Z")
 
-# Basis-state action of each Pauli: index map and phase, P|a> = phase[a] |perm[a]>.
-_PAULI_ACTION = {
-    "I": ((0, 1), (1.0, 1.0)),
-    "X": ((1, 0), (1.0, 1.0)),
-    "Y": ((1, 0), (1j, -1j)),
-    "Z": ((0, 1), (1.0, -1.0)),
-}
-
-_BELL_VECTORS = {
-    "phi_plus": np.array([1, 0, 0, 1]) / np.sqrt(2),
-    "phi_minus": np.array([1, 0, 0, -1]) / np.sqrt(2),
-    "psi_plus": np.array([0, 1, 1, 0]) / np.sqrt(2),
-    "psi_minus": np.array([0, 1, -1, 0]) / np.sqrt(2),
-}
+# Bell outcome indices in (phi+, phi-, psi+, psi-) order: the outcome each
+# encoding turns Phi+ into, then its phase partner.
+_BELL_OUTCOMES = {"I": (0, 1), "Z": (1, 0), "X": (2, 3), "Y": (3, 2)}
 
 
 @dataclass(frozen=True)
@@ -91,57 +80,34 @@ def capacity(c_a: float, correlation: float) -> float:
 
 
 def concurrence_at_encoding(spec: CorrelatedSpectrum, t_a: float) -> float:
-    """Shared concurrence after Alice-side dephasing of a Bell pair."""
+    """Shared concurrence after Alice-side dephasing of a Bell pair.
+
+    The dephasing map is Pauli-diagonal, so this is the closed form
+    qcore.bell_concurrence, which equals the marginal kappa.
+    """
     from .spectra import dephasing_channel
 
-    bell = qcore.bell_state("phi_plus")
-    ch = dephasing_channel(marginal_kappa(spec, t_a)).as_pauli()
-    return qcore.concurrence(qcore.apply_channel_one_sided(ch, bell))
-
-
-def _dephasing_factor(spec: CorrelatedSpectrum, s1: int, s2: int, t_a: float, t_b: float) -> float:
-    # Element-wise factor for relative-phase labels s1, s2 in {-1, 0, +1}:
-    # E[exp(i dn (s1 w1 t_a + s2 w2 t_b))] for the zero-mean bivariate Gaussian.
-    quad = (s1 * t_a) ** 2 + (s2 * t_b) ** 2 + 2 * spec.correlation * (s1 * t_a) * (s2 * t_b)
-    return float(np.exp(-0.5 * spec.delta_n**2 * spec.sigma**2 * quad))
-
-
-def noisy_encoded_state(
-    spec: CorrelatedSpectrum, t_a: float, t_b: float, encoding: str
-) -> np.ndarray:
-    """Two-qubit state after Alice noise, Alice's Pauli, and Bob noise.
-
-    Each density matrix element carries relative-phase labels from the
-    polarizations it held during the two noise segments; the labels on
-    Alice's side are fixed before her encoding permutes the indices, and
-    the correlated Gaussian average couples the two segments.
-    """
-    perm, ph = _PAULI_ACTION[encoding]
-    rho0 = qcore.bell_state("phi_plus")
-    out = np.zeros((4, 4), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    val = rho0[2 * a + b, 2 * c + d]
-                    if val == 0:
-                        continue
-                    factor = _dephasing_factor(spec, a - c, b - d, t_a, t_b)
-                    amp = ph[a] * np.conj(ph[c]) * factor * val
-                    out[2 * perm[a] + b, 2 * perm[c] + d] += amp
-    return out
+    return qcore.bell_concurrence(dephasing_channel(marginal_kappa(spec, t_a)).as_pauli())
 
 
 def bell_probabilities(
     spec: CorrelatedSpectrum, t_a: float, t_b: float, encoding: str
 ) -> np.ndarray:
-    """Bell-measurement outcome probabilities (phi+, phi-, psi+, psi-)."""
-    rho = noisy_encoded_state(spec, t_a, t_b, encoding)
-    probs = np.array(
-        [np.real(v.conj() @ rho @ v) for v in _BELL_VECTORS.values()]
-    )
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    """Bell-measurement outcome probabilities (phi+, phi-, psi+, psi-).
+
+    Both noises are dephasing and the encoding is a Pauli, so the state
+    before the measurement is Bell-diagonal: the only surviving coherence
+    of Phi+ is |00><11|, damped by f = joint_kappa(t_a, t_b). The encoded
+    Bell outcome (I->phi+, Z->phi-, X->psi+, Y->psi-) has probability
+    (1 + f)/2 and its phase partner (1 - f)/2.
+    """
+    # f can exceed 1 by an ulp where t_a ~ t_b and K ~ -1.
+    f = min(1.0, joint_kappa(spec, t_a, t_b))
+    hit, partner = _BELL_OUTCOMES[encoding]
+    probs = np.zeros(4)
+    probs[hit] = (1 + f) / 2
+    probs[partner] = (1 - f) / 2
+    return probs
 
 
 def mutual_information(cond_probs: np.ndarray) -> float:

@@ -341,8 +341,8 @@ def synthesize_spectrum(
     """
     t = traj.t
     dt = t[1] - t[0]
-    if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
-        raise ValueError("time grid must be uniform")
+    if not dt > 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
+        raise ValueError("time grid must be uniform and increasing")
     if t.size < 3:
         raise ValueError("need at least 3 time samples")
     scale = _kernel_scale(delta_n, two_pi)

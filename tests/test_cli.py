@@ -54,6 +54,36 @@ class TestValidate:
     def test_unknown_scenario(self):
         assert cli.validate("fig9", {}) != []
 
+    @pytest.mark.parametrize(
+        "scenario, key, value",
+        [
+            ("fig4", "K", True),
+            ("fig1", "a_theta_values", [0.5, True]),
+            ("fig4", "delta_n", float("nan")),
+            ("fig1", "t_max", float("inf")),
+            ("fig4", "sigma", float("-inf")),
+            ("fig1", "a_theta_values", [0.5, float("inf")]),
+            ("fig4", "n_t", 2.9),
+        ],
+        ids=["bool_float", "bool_list_entry", "nan", "inf", "minus_inf", "inf_list_entry",
+             "nonintegral_int"],
+    )
+    def test_strict_scalars_rejected(self, scenario, key, value, tmp_path, capsys):
+        params = dict(load_config(scenario), **{key: value})
+        assert any(v.startswith(f"{key}: expected") for v in cli.validate(scenario, params))
+        assert cli.run(scenario, params, tmp_path) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid config"
+        assert not list(tmp_path.iterdir())
+
+    def test_nan_literal_in_config_file_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(load_config("fig1")).replace('"delta_n": 1.0', '"delta_n": NaN'))
+        assert "NaN" in cfg.read_text()
+        assert cli.main(["fig1", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_integral_float_accepted_as_int(self):
+        assert cli.validate("fig4", dict(load_config("fig4"), n_t=5.0)) == []
+
     def test_all_templates_valid(self):
         for scenario in cli.SCENARIOS:
             assert cli.validate(scenario, load_config(scenario)) == [], scenario
@@ -117,9 +147,14 @@ class TestRun:
             ("fig6", "omega,density,phase", lambda rows: [["x" * 200_000] + rows[0][1:]] + rows[1:]),
             ("synth", "t,re_kappa", None),
             ("synth", "t,re_kappa,im_kappa", each_row(lambda r: [r[0], 2.0, 0.0])),
+            ("synth", "t,re_kappa,im_kappa",
+             lambda rows: [[t] + r[1:] for t, r in zip([0.0, 1.0, 2.5, 4.0, 6.0], rows)]),
+            ("synth", "t,re_kappa,im_kappa", lambda rows: rows[:2]),
+            ("synth", "t,re_kappa,im_kappa", lambda rows: [[0.0] + r[1:] for r in rows[:3]]),
         ],
         ids=["missing_column", "unnormalized", "negative", "nonuniform", "short_row", "huge_field",
-             "kappa_missing_column", "kappa_above_one"],
+             "kappa_missing_column", "kappa_above_one", "kappa_nonuniform_t", "kappa_two_rows",
+             "kappa_constant_t"],
     )
     def test_invalid_input_file_exit_code(self, scenario, header, transform, tmp_path, capsys):
         if scenario == "fig6":

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nmlab import qcore
@@ -70,6 +70,29 @@ class TestConcurrence:
             rho = bell_diagonal(q)
             expected = max(0.0, 2 * np.max(q) - 1)
             assert qcore.concurrence(rho) == pytest.approx(expected, abs=1e-10)
+
+
+cp_weights = st.tuples(*[st.floats(0, 1) for _ in range(4)]).filter(lambda q: sum(q) > 1e-9)
+
+
+class TestBellConcurrence:
+    @settings(max_examples=300, deadline=None)
+    @given(cp_weights)
+    def test_matches_wootters_on_evolved_state(self, raw):
+        q = np.array(raw) / sum(raw)
+        ch = qcore.channel_from_weights(KrausWeights(*q))
+        c = qcore.bell_concurrence(ch)
+        rho = qcore.apply_channel_one_sided(ch, qcore.bell_state("phi_plus"))
+        assert abs(c - qcore.concurrence(rho)) <= 1e-12
+        assert 0 <= c <= 1
+
+    def test_dephasing_keeps_small_kappa_exact(self):
+        for kappa in (1e-3, 3.9e-15, 1e-300):
+            assert qcore.bell_concurrence(PauliChannel(kappa, kappa, 1.0)) == kappa
+
+    def test_returns_python_float(self):
+        ch = PauliChannel(*np.array([0.8, 0.6, 0.8]))
+        assert type(qcore.bell_concurrence(ch)) is float
 
 
 class TestApplyChannel:
@@ -173,12 +196,40 @@ class TestPredicates:
             qcore.is_positive(PauliChannel.identity(), -1)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.tuples(*[st.floats(0, 1) for _ in range(4)]).filter(lambda q: sum(q) > 1e-9))
+    @given(cp_weights)
     def test_cp_channels_pass_both_predicates(self, raw):
         q = np.array(raw) / sum(raw)
         ch = qcore.channel_from_weights(KrausWeights(*q))
         assert qcore.is_cp(ch, 1e-10)
         assert qcore.is_positive(ch, 1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(-1.5, 1.5) for _ in range(3)]))
+    def test_is_positive_matches_sphere_oracle(self, lam):
+        # Each axis has a grid point with |r_i| >= 0.995, so the grid finds every
+        # violation with max |lam_i| >= 1.01; below that one can fall between points.
+        assume(not 1 + 1e-10 < max(map(abs, lam)) < 1.01)
+        ch = PauliChannel(*lam)
+        assert qcore.is_positive(ch, 1e-10) == sphere_is_positive(ch, 1e-10)
+
+
+def fibonacci_sphere(n):
+    """Deterministic quasi-uniform grid of n unit vectors."""
+    k = np.arange(n)
+    z = 1 - (2 * k + 1) / n
+    phi = np.pi * (3 - np.sqrt(5)) * k
+    r = np.sqrt(np.maximum(0.0, 1 - z * z))
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def sphere_is_positive(ch, tol, grid_points=200):
+    """Oracle: no pure input state on a sphere grid gets a negative output eigenvalue.
+
+    An input with Bloch vector r leaves with lam * r and output eigenvalues
+    (1 +- |lam * r|)/2.
+    """
+    out = np.linalg.norm(fibonacci_sphere(grid_points) * np.array(ch.as_tuple()), axis=1)
+    return bool(np.all((1 - out) / 2 >= -tol))
 
 
 class TestDivision:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmlab import qcore, sdc, spectra
 from nmlab.sdc import CorrelatedSpectrum
@@ -9,6 +11,63 @@ from nmlab.sdc import CorrelatedSpectrum
 
 def make_spec(correlation, sigma=1.0, delta_n=1.0):
     return CorrelatedSpectrum(sigma=sigma, correlation=correlation, delta_n=delta_n)
+
+
+# Brute-force oracle for sdc.bell_probabilities: the full 4x4 state after
+# Alice noise, Alice's Pauli and Bob noise, projected on the Bell vectors.
+
+# Basis-state action of each Pauli: index map and phase, P|a> = phase[a] |perm[a]>.
+_PAULI_ACTION = {
+    "I": ((0, 1), (1.0, 1.0)),
+    "X": ((1, 0), (1.0, 1.0)),
+    "Y": ((1, 0), (1j, -1j)),
+    "Z": ((0, 1), (1.0, -1.0)),
+}
+
+_BELL_VECTORS = {
+    "phi_plus": np.array([1, 0, 0, 1]) / np.sqrt(2),
+    "phi_minus": np.array([1, 0, 0, -1]) / np.sqrt(2),
+    "psi_plus": np.array([0, 1, 1, 0]) / np.sqrt(2),
+    "psi_minus": np.array([0, 1, -1, 0]) / np.sqrt(2),
+}
+
+
+def _dephasing_factor(spec, s1, s2, t_a, t_b):
+    # Element-wise factor for relative-phase labels s1, s2 in {-1, 0, +1}:
+    # E[exp(i dn (s1 w1 t_a + s2 w2 t_b))] for the zero-mean bivariate Gaussian.
+    quad = (s1 * t_a) ** 2 + (s2 * t_b) ** 2 + 2 * spec.correlation * (s1 * t_a) * (s2 * t_b)
+    return float(np.exp(-0.5 * spec.delta_n**2 * spec.sigma**2 * quad))
+
+
+def noisy_encoded_state(spec, t_a, t_b, encoding):
+    """Two-qubit state after Alice noise, Alice's Pauli, and Bob noise.
+
+    Each density matrix element carries relative-phase labels from the
+    polarizations it held during the two noise segments; the labels on
+    Alice's side are fixed before her encoding permutes the indices, and
+    the correlated Gaussian average couples the two segments.
+    """
+    perm, ph = _PAULI_ACTION[encoding]
+    rho0 = qcore.bell_state("phi_plus")
+    out = np.zeros((4, 4), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            for c in range(2):
+                for d in range(2):
+                    val = rho0[2 * a + b, 2 * c + d]
+                    if val == 0:
+                        continue
+                    factor = _dephasing_factor(spec, a - c, b - d, t_a, t_b)
+                    amp = ph[a] * np.conj(ph[c]) * factor * val
+                    out[2 * perm[a] + b, 2 * perm[c] + d] += amp
+    return out
+
+
+def brute_force_bell_probabilities(spec, t_a, t_b, encoding):
+    rho = noisy_encoded_state(spec, t_a, t_b, encoding)
+    probs = np.array([np.real(v.conj() @ rho @ v) for v in _BELL_VECTORS.values()])
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
 
 
 class TestJointKappa:
@@ -130,6 +189,34 @@ class TestProtocol:
             probs = sdc.bell_probabilities(spec, 0.9, 0.7, encoding)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs >= 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sigma=st.floats(1e-3, 5.0),
+        correlation=st.floats(-1.0, 1.0),
+        delta_n=st.floats(-5.0, 5.0),
+        t_a=st.floats(0.0, 10.0),
+        t_b=st.floats(0.0, 10.0),
+        encoding=st.sampled_from(sdc.PAULI_4),
+    )
+    def test_closed_form_matches_brute_force_state(
+        self, sigma, correlation, delta_n, t_a, t_b, encoding
+    ):
+        spec = CorrelatedSpectrum(sigma=sigma, correlation=correlation, delta_n=delta_n)
+        probs = sdc.bell_probabilities(spec, t_a, t_b, encoding)
+        oracle = brute_force_bell_probabilities(spec, t_a, t_b, encoding)
+        assert np.max(np.abs(probs - oracle)) <= 1e-12
+        assert np.all(probs >= 0)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_anticorrelated_rounding_keeps_probabilities_nonnegative(self):
+        # Rounding makes t_a^2 + t_b^2 - 2 t_a t_b slightly negative here, so
+        # joint_kappa exceeds 1 by an ulp.
+        spec = make_spec(-1.0)
+        t_a, t_b = 1.6487810630191784, 1.648781063019178
+        assert sdc.joint_kappa(spec, t_a, t_b) > 1.0
+        for encoding in sdc.PAULI_4:
+            assert np.all(sdc.bell_probabilities(spec, t_a, t_b, encoding) >= 0)
 
     def test_invariant_under_output_relabeling(self, rng):
         spec = make_spec(0.2)
