@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore
-
 PAULI_4 = ("I", "X", "Y", "Z")
 PAULI_3 = ("I", "X", "Z")
 
@@ -82,12 +80,10 @@ def capacity(c_a: float, correlation: float) -> float:
 def concurrence_at_encoding(spec: CorrelatedSpectrum, t_a: float) -> float:
     """Shared concurrence after Alice-side dephasing of a Bell pair.
 
-    The dephasing map is Pauli-diagonal, so this is the closed form
-    qcore.bell_concurrence, which equals the marginal kappa.
+    Dephasing by a real kappa is the Pauli channel (kappa, kappa, 1), whose
+    concurrence on one half of Phi+ (qcore.bell_concurrence) is exactly kappa.
     """
-    from .spectra import dephasing_channel
-
-    return qcore.bell_concurrence(dephasing_channel(marginal_kappa(spec, t_a)).as_pauli())
+    return marginal_kappa(spec, t_a)
 
 
 def bell_probabilities(

@@ -16,7 +16,9 @@ instead. Both appear in the photonic-dephasing literature.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -377,40 +379,54 @@ def synthesize_spectrum(
 
 # --- CSV interchange -------------------------------------------------------
 
-def write_profile_csv(profile: SpectralProfile, path) -> None:
+PROFILE_COLUMNS = ("omega", "density", "phase")
+TRAJECTORY_COLUMNS = ("t", "re_kappa", "im_kappa")
+_WRITE_BLOCK_ROWS = 1 << 10
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV with a header row and LF endings.
+
+    Each column (all numbers or all strings) of a block of rows is
+    converted as one numpy array, so every float cell, numpy scalars
+    included, is written as repr(float(v)) and reads back exactly. Blocks
+    bound the memory of the conversion.
+    """
+    rows = iter(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["omega", "density", "phase"])
-        for w, d, p in zip(profile.omega, profile.density, profile.phase):
-            writer.writerow([repr(float(w)), repr(float(d)), repr(float(p))])
+        writer.writerow(header)
+        while block := list(itertools.islice(rows, _WRITE_BLOCK_ROWS)):
+            writer.writerows(zip(*(np.asarray(column).tolist() for column in zip(*block))))
+
+
+def _read_columns(path, names) -> np.ndarray:
+    """The float columns `names` of a CSV with a header row, one array row each.
+
+    A missing column raises KeyError, a short row TypeError and a
+    non-numeric cell ValueError. The cells stream through C-level iterators
+    into one array: Python code run per row or per cell parses a large
+    spectrum measurably slower.
+    """
+    get = operator.itemgetter(*names)
+    with open(path, newline="", encoding="utf-8") as fh:
+        cells = itertools.chain.from_iterable(map(get, csv.DictReader(fh)))
+        return np.fromiter(map(float, cells), dtype=float).reshape(-1, len(names)).T.copy()
+
+
+def write_profile_csv(profile: SpectralProfile, path) -> None:
+    write_csv(path, PROFILE_COLUMNS, zip(profile.omega, profile.density, profile.phase))
 
 
 def read_profile_csv(path) -> SpectralProfile:
-    omega, density, phase = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            omega.append(float(row["omega"]))
-            density.append(float(row["density"]))
-            phase.append(float(row["phase"]))
-    return SpectralProfile(
-        omega=np.array(omega), density=np.array(density), phase=np.array(phase)
-    )
+    omega, density, phase = _read_columns(path, PROFILE_COLUMNS)
+    return SpectralProfile(omega=omega, density=density, phase=phase)
 
 
 def write_trajectory_csv(traj: DecoherenceTrajectory, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "re_kappa", "im_kappa"])
-        for t, k in zip(traj.t, traj.kappa):
-            writer.writerow([repr(float(t)), repr(float(k.real)), repr(float(k.imag))])
+    write_csv(path, TRAJECTORY_COLUMNS, zip(traj.t, traj.kappa.real, traj.kappa.imag))
 
 
 def read_trajectory_csv(path) -> DecoherenceTrajectory:
-    ts, ks = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            ts.append(float(row["t"]))
-            ks.append(float(row["re_kappa"]) + 1j * float(row["im_kappa"]))
-    return DecoherenceTrajectory(t=np.array(ts), kappa=np.array(ks))
+    t, re_kappa, im_kappa = _read_columns(path, TRAJECTORY_COLUMNS)
+    return DecoherenceTrajectory(t=t, kappa=re_kappa + 1j * im_kappa)

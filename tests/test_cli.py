@@ -9,6 +9,7 @@ from nmlab import cli, spectra
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def load_config(name):
@@ -64,9 +65,15 @@ class TestValidate:
             ("fig4", "sigma", float("-inf")),
             ("fig1", "a_theta_values", [0.5, float("inf")]),
             ("fig4", "n_t", 2.9),
+            ("fig4", "n_t", 10**400),
+            ("fig1", "sigma", "1.5"),
+            ("fig2", "eps_step", "0.01"),
+            ("fig4", "sigma", "1.5"),
+            ("classify", "epsilon", "0.26"),
         ],
         ids=["bool_float", "bool_list_entry", "nan", "inf", "minus_inf", "inf_list_entry",
-             "nonintegral_int"],
+             "nonintegral_int", "int_beyond_float", "fig1_numeric_string",
+             "fig2_numeric_string", "fig4_numeric_string", "classify_numeric_string"],
     )
     def test_strict_scalars_rejected(self, scenario, key, value, tmp_path, capsys):
         params = dict(load_config(scenario), **{key: value})
@@ -87,6 +94,10 @@ class TestValidate:
     def test_all_templates_valid(self):
         for scenario in cli.SCENARIOS:
             assert cli.validate(scenario, load_config(scenario)) == [], scenario
+
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    def test_template_keys_match_schema(self, scenario):
+        assert set(load_config(scenario)) == set(cli.SCENARIOS[scenario].schema)
 
 
 class TestRun:
@@ -237,3 +248,44 @@ class TestOutputs:
         raw = (tmp_path / "fig2.csv").read_bytes()
         assert b"\r" not in raw
         assert raw.split(b"\n", 1)[0] == b"epsilon,C1,C2,C2_minus_C1,classification"
+
+
+def read_columns(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, list(zip(*rows))
+
+
+def without_checksums(manifest):
+    outputs = [{k: v for k, v in o.items() if k != "sha256"} for o in manifest["outputs"]]
+    return dict(manifest, outputs=outputs)
+
+
+class TestGolden:
+    """The shipped configs reproduce the outputs locked in tests/golden/."""
+
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    def test_outputs_match_golden(self, scenario, tmp_path, monkeypatch):
+        monkeypatch.chdir(REPO)  # the templates' input paths are repo-relative
+        assert cli.run(scenario, load_config(scenario), tmp_path) == 0
+        got, want = (without_checksums(json.loads((d / f"{scenario}_manifest.json").read_text()))
+                     for d in (tmp_path, GOLDEN))
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert abs(got[key] - value) <= 1e-12, key
+            else:
+                assert got[key] == value, key
+        for entry in want["outputs"]:
+            got_header, got_cols = read_columns(tmp_path / entry["file"])
+            want_header, want_cols = read_columns(GOLDEN / entry["file"])
+            assert got_header == want_header
+            assert len(got_cols) == len(want_cols)
+            for column, g, w in zip(want_header, got_cols, want_cols):
+                try:
+                    expected = np.array(w, dtype=float)
+                except ValueError:  # classifications and other strings
+                    assert g == w, column
+                    continue
+                np.testing.assert_allclose(np.array(g, dtype=float), expected, rtol=0, atol=1e-12,
+                                           err_msg=f"{entry['file']}:{column}")
