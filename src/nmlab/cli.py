@@ -10,9 +10,10 @@ or a boolean) and the check bounds the converted value. Numeric parameters
 must be JSON numbers: booleans, NaN, +-Infinity and numeric strings such as
 "1.5" are rejected. validate walks the schema; run hands the validated
 values, not the raw config, to the runner, which returns its outputs as
-(file name, header, rows). run alone writes them as deterministic CSV
+(file name, header, columns). run alone writes them as deterministic CSV
 (header row, LF endings, repr-exact floats), plus a JSON manifest recording
-parameters, package version and sha256 checksums. All physical parameters
+parameters, package version and the sha256 of each file, hashed while it is
+written. All physical parameters
 must be present in the config; documented templates live in the
 repository's configs/ directory.
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
@@ -111,6 +111,8 @@ EPSILON = (_real, lambda x: 0 <= x <= 0.5, "epsilon must be <= 0.5 and >= 0")
 GRID_SIZE = (_integer, lambda n: n >= 2, "must be >= 2")
 PATH = (str, None, None)
 FLAG = (_flag, None, None)
+# Largest fig2 epsilon grid, (eps_max - eps_min)/eps_step + 1 values.
+EPS_GRID_MAX = 100_000
 NV_KEYS = {
     "coupling": POSITIVE,
     "envelope_time": POSITIVE,
@@ -119,15 +121,15 @@ NV_KEYS = {
 }
 
 
-# --- runners: validated values -> ([(file name, header, rows)], manifest extras)
+# --- runners: validated values -> ([(file name, header, columns)], manifest extras)
 
 def _fig1(v):
     t, a_values = np.linspace(0, v["t_max"], v["n_t"]), v["a_theta_values"]
     specs = (spectra.DoubleGaussianSpec(a, v["sigma"], v["delta_omega"], v["delta_n"])
              for a in a_values)
     mags = np.concatenate([spectra.kappa_double_gaussian_mag(dg, t) for dg in specs])
-    rows = zip(np.tile(t, len(a_values)), np.repeat(a_values, t.size), mags)
-    return [("fig1.csv", ["t", "A_theta", "kappa_mag"], rows)], {}
+    columns = (np.tile(t, len(a_values)), np.repeat(a_values, t.size), mags)
+    return [("fig1.csv", ["t", "A_theta", "kappa_mag"], columns)], {}
 
 
 def _fig2(v):
@@ -136,15 +138,24 @@ def _fig2(v):
         eps = min(eps, 0.5)
         c1, c2 = collision.entanglement_dynamics(eps)
         rows.append((eps, c1, c2, c2 - c1, collision.classify(eps).classification.value))
-    return [("fig2.csv", ["epsilon", "C1", "C2", "C2_minus_C1", "classification"], rows)], {}
+    header = ["epsilon", "C1", "C2", "C2_minus_C1", "classification"]
+    return [("fig2.csv", header, list(zip(*rows)))], {}
+
+
+def _fig2_check(v):
+    if v["eps_max"] < v["eps_min"]:
+        return "eps_max: must be >= eps_min"
+    count = (v["eps_max"] - v["eps_min"]) / v["eps_step"] + 1
+    if count > EPS_GRID_MAX:
+        return f"eps_step: {count:.6g} epsilon values exceed the budget of {EPS_GRID_MAX}"
 
 
 def _fig3(v):
     nv = nvmodel.NVParams(**{key: v[key] for key in NV_KEYS})
     t, phis = np.linspace(0, v["t_max"], v["n_t"]), v["phi_values"]
-    r = np.concatenate([nvmodel.bloch_magnitude(nv, phi, t) for phi in phis])
-    bloch = zip(np.tile(t, len(phis)), np.repeat(phis, t.size), r)
-    nm = nvmodel.nm_measure_phi(nv, np.linspace(0, np.pi, v["n_phi"]), t)
+    bloch = (np.tile(t, len(phis)), np.repeat(phis, t.size),
+             nvmodel.bloch_magnitude(nv, phis, t).ravel())
+    nm = list(zip(*nvmodel.nm_measure_phi(nv, np.linspace(0, np.pi, v["n_phi"]), t)))
     return [("fig3_bloch.csv", ["t", "phi", "r"], bloch), ("fig3_nm.csv", ["phi", "nm"], nm)], {}
 
 
@@ -157,41 +168,38 @@ def _fig4(v):
                      sdc.simulate_protocol(spec, t, t, 3), sdc.simulate_protocol(spec, t, 0.0, 4),
                      sdc.capacity(c_a, spec.correlation)))
     header = ["t_a", "c_a", "mi_4state", "mi_3state", "mi_4state_alice_only", "capacity"]
-    return [("fig4.csv", header, rows)], {}
+    return [("fig4.csv", header, list(zip(*rows)))], {}
 
 
 def _fig5(v):
     nv = nvmodel.NVParams(**{key: v[key] for key in NV_KEYS})
-    rows = []
-    for tau in np.linspace(0, v["tau_max"], v["n_tau"]).tolist():
-        p1, p2, p3, p4 = (nvmodel.rdja_p0(nv, v["phi"], nvmodel.RDJAConfig(v["t_wait"], tau, g))
-                          for g in nvmodel.Gate)
-        rows.append((tau, p1, p2, p3, p4, p3 - p1))
-    return [("fig5.csv", ["tau", "p0_u1", "p0_u2", "p0_u3", "p0_u4", "contrast"], rows)], {}
+    tau = np.linspace(0, v["tau_max"], v["n_tau"])
+    p0 = nvmodel.rdja_p0_table(nv, v["phi"], v["t_wait"], tau)
+    columns = (tau, *p0.values(), p0[nvmodel.Gate.U3] - p0[nvmodel.Gate.U1])
+    return [("fig5.csv", ["tau", "p0_u1", "p0_u2", "p0_u3", "p0_u4", "contrast"], columns)], {}
 
 
 def _fig6(v):
     profile = _read_input(spectra.read_profile_csv, v["spectrum_csv"])
+    scale = abs(v["delta_n"]) * (2 * math.pi if v["two_pi"] else 1)
+    if not math.isfinite(scale * v["t_max"] * float(np.max(np.abs(profile.omega)))):
+        raise InputFileError(f"{v['spectrum_csv']}: phase |scale|*t_max*max|omega| is not finite")
     t = np.linspace(0, v["t_max"], v["n_t"])
     kappa = spectra.kappa_numeric(profile, v["delta_n"], t, two_pi=v["two_pi"])
     # hypot matches abs() of each complex scalar bit for bit; np.abs does not.
-    rows = zip(t, kappa.real, kappa.imag, np.hypot(kappa.real, kappa.imag))
-    return [("fig6.csv", ["t", "re_kappa", "im_kappa", "kappa_mag"], rows)], {}
+    columns = (t, kappa.real, kappa.imag, np.hypot(kappa.real, kappa.imag))
+    return [("fig6.csv", ["t", "re_kappa", "im_kappa", "kappa_mag"], columns)], {}
 
 
 def _classify(v):
     eps = v["epsilon"]
     verdict = collision.classify(eps)
-    if verdict.classification is collision.Classification.SINGULAR:
-        raise SingularChannelError(
-            "intermediate map undefined at eps = 0.25 (first collision is singular)"
-        )
-    mid = collision.intermediate_channel(eps)
+    mid = collision.intermediate_channel(eps)  # raises SingularChannelError at eps = 1/4
     header = ["epsilon", "lambda_x", "lambda_y", "lambda_z", "min_choi_eigenvalue",
               "max_abs_bloch_eigenvalue", "classification"]
     row = (eps, mid.lam_x, mid.lam_y, mid.lam_z, verdict.min_choi_eigenvalue,
            verdict.max_abs_bloch_eigenvalue, verdict.classification.value)
-    return [("classify.csv", header, [row])], {}
+    return [("classify.csv", header, [(cell,) for cell in row])], {}
 
 
 def _synth(v):
@@ -201,15 +209,14 @@ def _synth(v):
     except ValueError as exc:  # the time grid is non-uniform or too short
         raise InputFileError(f"{v['kappa_csv']}: {exc}") from exc
     p = result.profile
-    rows = zip(p.omega, p.density, p.phase)
     extra = {"roundtrip_error": result.roundtrip_error, "realizable": result.realizable}
-    return [("synth_spectrum.csv", spectra.PROFILE_COLUMNS, rows)], extra
+    return [("synth_spectrum.csv", spectra.PROFILE_COLUMNS, (p.omega, p.density, p.phase))], extra
 
 
 class Scenario(NamedTuple):
     schema: dict  # config key -> (kind, check, message); check and message may be None
     runner: Callable
-    check: tuple | None = None  # (predicate on all validated values, violation)
+    check: Callable | None = None  # all validated values -> violation or None
 
 
 SCENARIOS = {
@@ -219,10 +226,8 @@ SCENARIOS = {
         "sigma": POSITIVE, "delta_omega": NONNEGATIVE, "delta_n": NONZERO,
         "t_max": POSITIVE, "n_t": GRID_SIZE,
     }, _fig1),
-    "fig2": Scenario(
-        {"eps_min": EPSILON, "eps_max": EPSILON, "eps_step": POSITIVE}, _fig2,
-        (lambda v: v["eps_max"] >= v["eps_min"], "eps_max: must be >= eps_min"),
-    ),
+    "fig2": Scenario({"eps_min": EPSILON, "eps_max": EPSILON, "eps_step": POSITIVE}, _fig2,
+                     _fig2_check),
     "fig3": Scenario({
         **NV_KEYS,
         "phi_values": (_reals, lambda xs: len(xs) > 0 and all(0 <= x <= np.pi for x in xs),
@@ -268,8 +273,8 @@ def _validated(scenario: str, params) -> tuple[dict, list[str]]:
             continue
         values[key] = value
     # A check across parameters runs only once every parameter is valid.
-    if not violations and entry.check is not None and not entry.check[0](values):
-        violations.append(entry.check[1])
+    if not violations and entry.check is not None and (violation := entry.check(values)):
+        violations.append(violation)
     return values, violations
 
 
@@ -287,8 +292,8 @@ def run(scenario: str, params: dict, out_dir) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         outputs, extra = SCENARIOS[scenario].runner(values)
-        for name, header, rows in outputs:
-            spectra.write_csv(out / name, header, rows)
+        hashes = [{"file": name, "sha256": spectra.write_csv(out / name, header, columns)}
+                  for name, header, columns in outputs]
     except InputFileError as exc:
         return _fail(EXIT_CONFIG, "invalid input file", violations=[str(exc)])
     except SingularChannelError as exc:
@@ -299,8 +304,7 @@ def run(scenario: str, params: dict, out_dir) -> int:
         "scenario": scenario,
         "parameters": params,
         "version": __version__,
-        "outputs": [{"file": name, "sha256": hashlib.sha256((out / name).read_bytes()).hexdigest()}
-                    for name, _, _ in outputs],
+        "outputs": hashes,
         **extra,
     }
     manifest_path = out / f"{scenario}_manifest.json"

@@ -20,8 +20,6 @@ from .qcore import PauliChannel, SingularChannelError
 SINGULAR_EPS = 0.25
 SINGULAR_EPS_TOL = 1e-9
 
-OPERATOR_LABELS = ("0", "x", "z")
-
 
 def _check_eps(eps: float) -> float:
     eps = float(eps)
@@ -50,7 +48,7 @@ def joint_probabilities(eps: float) -> dict[tuple[str, str], float]:
     """Joint probabilities p[(i, j)] of applying O_i then O_j, i,j in {0,x,z}."""
     eps = _check_eps(eps)
     cross = (1 - 2 * eps) * eps
-    p = {
+    return {
         ("0", "0"): (1 - 2 * eps) ** 2,
         ("0", "x"): cross,
         ("0", "z"): cross,
@@ -61,18 +59,13 @@ def joint_probabilities(eps: float) -> dict[tuple[str, str], float]:
         ("x", "z"): 0.0,
         ("z", "x"): 0.0,
     }
-    return p
 
 
 def first_collision_channel(eps: float) -> PauliChannel:
     """Map after one collision: mix of I, x, z with weights (1-2eps, eps, eps)."""
     eps = _check_eps(eps)
     p0, px, pz = 1 - 2 * eps, eps, eps
-    return PauliChannel(
-        lam_x=p0 + px - pz,
-        lam_y=p0 - px - pz,
-        lam_z=p0 - px + pz,
-    )
+    return PauliChannel(p0 + px - pz, p0 - px - pz, p0 - px + pz)
 
 
 def two_collision_channel(eps: float) -> PauliChannel:

@@ -5,7 +5,8 @@ populations (cos^2(phi/2), sin^2(phi/2)) that imprint opposite hyperfine
 phases +-A t/2 on the electron coherence. The rest of the bath is
 coarse-grained into a deterministic envelope. On top of the free dephasing
 sits the single-qubit constant-vs-balanced phase-gate discrimination
-protocol with an echo pulse and delayed readout.
+protocol with an echo pulse and delayed readout. The Bloch length, its BLP
+revival and the echo readout are closed forms over arrays of phi or tau.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .spectra import blp_from_magnitudes
 
 
 @dataclass(frozen=True)
@@ -67,21 +67,47 @@ def nv_kappa(params: NVParams, phi: float, t):
     return complex(out) if out.ndim == 0 else out
 
 
-def bloch_magnitude(params: NVParams, phi: float, t):
-    """r(t) = |kappa(t)| for the equatorial Ramsey initial state."""
-    return np.abs(nv_kappa(params, phi, t))
+# Cells (phi rows x t points) per block of nm_measure_phi: bounds its memory.
+_PHI_BLOCK_CELLS = 1 << 16
+
+
+def _phase_terms(params: NVParams, t):
+    """(env(t), cos^2(At/2), sin^2(At/2)) on times t >= 0."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be >= 0")
+    half = params.coupling * t / 2
+    return envelope(params, t), np.cos(half) ** 2, np.sin(half) ** 2
+
+
+def bloch_magnitude(params: NVParams, phi, t):
+    """r(t) = |kappa(t)| for the equatorial Ramsey initial state.
+
+    Closed form: |c2 e^{iAt/2} + s2 e^{-iAt/2}| with c2 + s2 = 1 and
+    c2 - s2 = cos(phi) gives r = env(t) sqrt(cos^2(At/2) + cos^2(phi) sin^2(At/2)).
+    Scalar phi gives the shape of t; a 1-D array of phi gives one row per phi.
+    """
+    env, cos2, sin2 = _phase_terms(params, t)
+    return env * np.sqrt(cos2 + np.multiply.outer(np.cos(phi) ** 2, sin2))
 
 
 def nm_measure_phi(params: NVParams, phi_grid, t_grid) -> list[tuple[float, float]]:
-    """Non-Markovianity (total revival of r(t)) for each preparation angle."""
+    """Non-Markovianity (total revival of r(t)) for each preparation angle.
+
+    Positive increments of the bloch_magnitude closed form, summed in blocks
+    of phi rows of at most _PHI_BLOCK_CELLS cells (no n_phi x n_t array).
+    """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     t_grid = np.asarray(t_grid, dtype=float)
     if phi_grid.size == 0 or t_grid.size < 2:
         raise ValueError("phi_grid must be nonempty and t_grid have >= 2 points")
-    return [
-        (float(phi), blp_from_magnitudes(bloch_magnitude(params, phi, t_grid)))
-        for phi in phi_grid
-    ]
+    env, cos2, sin2 = _phase_terms(params, t_grid)
+    nm = np.empty(phi_grid.size)
+    rows = max(1, _PHI_BLOCK_CELLS // t_grid.size)
+    for i in range(0, phi_grid.size, rows):
+        inc = np.diff(env * np.sqrt(cos2 + np.cos(phi_grid[i:i + rows, None]) ** 2 * sin2), axis=1)
+        nm[i:i + rows] = np.sum(inc, axis=1, where=inc > 0)
+    return list(zip(phi_grid.tolist(), nm.tolist()))
 
 
 # --- refined single-qubit constant/balanced discrimination -----------------
@@ -93,7 +119,6 @@ class Gate(enum.Enum):
     U4 = "U4"
 
 
-CONSTANT_GATES = (Gate.U1, Gate.U2)
 BALANCED_GATES = (Gate.U3, Gate.U4)
 
 # y-rotation angle sandwiched between the two (-pi/2)_x rotations.
@@ -143,23 +168,31 @@ def rdja_kappa_eff(params: NVParams, phi: float, t: float, tau: float) -> comple
     return envelope(params, t + tau) * (c2 * np.exp(1j * phase) + s2 * np.exp(-1j * phase))
 
 
-def rdja_p0(params: NVParams, phi: float, cfg: RDJAConfig) -> float:
-    """Probability of reading |0> after gate, echo waits, and readout pulse.
+def rdja_p0_table(params: NVParams, phi: float, t: float, tau_grid) -> dict:
+    """P0 of every gate over readout delays tau: {Gate: array over tau}.
 
-    Closed form: P0 = (1 + s Re kappa_eff)/2 with s = +1 for balanced and
-    s = -1 for constant gates; the echo pi pulse flips the noiseless
-    outcome relative to the immediate-readout protocol.
+    Probability of reading |0> after gate, echo waits t and tau, and the
+    readout pulse. Closed form: P0 = (1 + s Re kappa_eff)/2 with s = +1 for
+    the balanced gates U3, U4 and s = -1 for the constant gates U1, U2; the
+    echo pi pulse flips the noiseless outcome relative to the
+    immediate-readout protocol. One rdja_kappa_eff broadcast over tau.
     """
-    s = 1.0 if is_balanced(cfg.gate) else -1.0
-    k = rdja_kappa_eff(params, phi, cfg.t, cfg.tau)
-    return float(0.5 * (1 + s * k.real))
+    tau = np.atleast_1d(np.asarray(tau_grid, dtype=float))
+    if t < 0 or np.any(tau < 0):
+        raise ValueError("t and tau must be >= 0")
+    re = rdja_kappa_eff(params, phi, t, tau).real
+    constant, balanced = 0.5 * (1 - re), 0.5 * (1 + re)
+    return {gate: balanced if is_balanced(gate) else constant for gate in Gate}
+
+
+def rdja_p0(params: NVParams, phi: float, cfg: RDJAConfig) -> float:
+    """P0 of one gate and echo timing (see rdja_p0_table)."""
+    return float(rdja_p0_table(params, phi, cfg.t, cfg.tau)[cfg.gate][0])
 
 
 def rdja_contrast(params: NVParams, phi: float, t: float, tau: float) -> float:
     """Success contrast P0(balanced) - P0(constant) at the given timing."""
-    balanced = rdja_p0(params, phi, RDJAConfig(t, tau, Gate.U3))
-    constant = rdja_p0(params, phi, RDJAConfig(t, tau, Gate.U1))
-    return balanced - constant
+    return rdja_success(params, phi, t, tau)[0][1]
 
 
 def rdja_success(params: NVParams, phi: float, t: float, tau_grid) -> list[tuple[float, float]]:
@@ -167,7 +200,8 @@ def rdja_success(params: NVParams, phi: float, t: float, tau_grid) -> list[tuple
     tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     if tau_grid.size == 0:
         raise ValueError("tau_grid must be nonempty")
-    return [(float(tau), rdja_contrast(params, phi, t, tau)) for tau in tau_grid]
+    p0 = rdja_p0_table(params, phi, t, tau_grid)
+    return list(zip(tau_grid.tolist(), (p0[Gate.U3] - p0[Gate.U1]).tolist()))
 
 
 def no_echo_contrast(params: NVParams, phi: float, t: float) -> float:

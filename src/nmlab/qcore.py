@@ -17,6 +17,7 @@ IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -44,13 +45,7 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """Bloch components (rx, ry, rz) of a 2x2 density matrix."""
     rho = np.asarray(rho, dtype=complex)
-    return np.array(
-        [
-            np.trace(rho @ SIGMA_X).real,
-            np.trace(rho @ SIGMA_Y).real,
-            np.trace(rho @ SIGMA_Z).real,
-        ]
-    )
+    return np.array([np.trace(rho @ sigma).real for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
 
 def density_from_bloch(r) -> np.ndarray:
@@ -141,22 +136,14 @@ class KrausWeights(NamedTuple):
 def kraus_weights(ch: PauliChannel) -> KrausWeights:
     """Choi eigenvalues of a Pauli channel; negative entries witness CP violation."""
     lx, ly, lz = ch.as_tuple()
-    return KrausWeights(
-        q_i=(1 + lx + ly + lz) / 4,
-        q_x=(1 + lx - ly - lz) / 4,
-        q_y=(1 - lx + ly - lz) / 4,
-        q_z=(1 - lx - ly + lz) / 4,
-    )
+    return KrausWeights((1 + lx + ly + lz) / 4, (1 + lx - ly - lz) / 4,
+                        (1 - lx + ly - lz) / 4, (1 - lx - ly + lz) / 4)
 
 
 def channel_from_weights(w: KrausWeights) -> PauliChannel:
     """Inverse of kraus_weights."""
     qi, qx, qy, qz = w
-    return PauliChannel(
-        lam_x=qi + qx - qy - qz,
-        lam_y=qi - qx + qy - qz,
-        lam_z=qi - qx - qy + qz,
-    )
+    return PauliChannel(qi + qx - qy - qz, qi - qx + qy - qz, qi - qx - qy + qz)
 
 
 def apply_channel(ch: PauliChannel, rho: np.ndarray) -> np.ndarray:
@@ -164,9 +151,7 @@ def apply_channel(ch: PauliChannel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"apply_channel needs a 2x2 state, got shape {rho.shape}")
-    q = kraus_weights(ch)
-    ops = [IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z]
-    return sum(w * (op @ rho @ op) for w, op in zip(q, ops))
+    return sum(w * (op @ rho @ op) for w, op in zip(kraus_weights(ch), PAULIS))
 
 
 def apply_channel_one_sided(ch: PauliChannel, rho: np.ndarray) -> np.ndarray:
@@ -174,9 +159,8 @@ def apply_channel_one_sided(ch: PauliChannel, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"one-sided application needs a 4x4 state, got shape {rho.shape}")
-    q = kraus_weights(ch)
-    ops = [IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z]
-    return sum(w * (np.kron(op, IDENTITY) @ rho @ np.kron(op, IDENTITY)) for w, op in zip(q, ops))
+    return sum(w * (np.kron(op, IDENTITY) @ rho @ np.kron(op, IDENTITY))
+               for w, op in zip(kraus_weights(ch), PAULIS))
 
 
 def bell_concurrence(ch: PauliChannel) -> float:
@@ -216,11 +200,7 @@ def is_positive(ch: PauliChannel, tol: float = 1e-10) -> bool:
 
 def compose_channels(later: PauliChannel, earlier: PauliChannel) -> PauliChannel:
     """Concatenation later∘earlier (componentwise eigenvalue product)."""
-    return PauliChannel(
-        later.lam_x * earlier.lam_x,
-        later.lam_y * earlier.lam_y,
-        later.lam_z * earlier.lam_z,
-    )
+    return PauliChannel(*(a * b for a, b in zip(later.as_tuple(), earlier.as_tuple())))
 
 
 def divide_channels(
@@ -236,8 +216,4 @@ def divide_channels(
             raise SingularChannelError(
                 f"earlier channel eigenvalue {l} is singular (tol {singular_tol})"
             )
-    return PauliChannel(
-        later.lam_x / earlier.lam_x,
-        later.lam_y / earlier.lam_y,
-        later.lam_z / earlier.lam_z,
-    )
+    return PauliChannel(*(a / b for a, b in zip(later.as_tuple(), earlier.as_tuple())))

@@ -121,11 +121,8 @@ def simulate_protocol(
     spec: CorrelatedSpectrum, t_a: float, t_b: float, n_states: int = 4
 ) -> float:
     """Mutual information of the full encode/noise/Bell-measure protocol."""
-    if n_states == 4:
-        encodings = PAULI_4
-    elif n_states == 3:
-        encodings = PAULI_3
-    else:
+    encodings = {4: PAULI_4, 3: PAULI_3}.get(n_states)
+    if encodings is None:
         raise ValueError("n_states must be 3 or 4")
     table = np.array([bell_probabilities(spec, t_a, t_b, e) for e in encodings])
     return mutual_information(table)

@@ -16,6 +16,7 @@ instead. Both appear in the photonic-dephasing literature.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import math
 import operator
@@ -68,12 +69,9 @@ class SpectralProfile:
     phase: np.ndarray
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        density = np.asarray(self.density, dtype=float)
-        phase = np.asarray(self.phase, dtype=float)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "phase", phase)
+        for name in ("omega", "density", "phase"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        omega, density, phase = self.omega, self.density, self.phase
         if omega.ndim != 1 or omega.size < 2:
             raise ValueError("omega grid must be 1-D with at least 2 points")
         if density.shape != omega.shape or phase.shape != omega.shape:
@@ -384,20 +382,29 @@ TRAJECTORY_COLUMNS = ("t", "re_kappa", "im_kappa")
 _WRITE_BLOCK_ROWS = 1 << 10
 
 
-def write_csv(path, header, rows) -> None:
-    """CSV with a header row and LF endings.
+def write_csv(path, header, columns) -> str:
+    """CSV with a header row and LF endings; returns the sha256 of its bytes.
 
-    Each column (all numbers or all strings) of a block of rows is
-    converted as one numpy array, so every float cell, numpy scalars
-    included, is written as repr(float(v)) and reads back exactly. Blocks
-    bound the memory of the conversion.
+    columns are equal-length sequences, each all numbers or all strings
+    whose cells need no CSV quoting. Each block of rows is converted with
+    one tolist() per column, so every float cell, numpy scalars included,
+    is written as repr(float(v)) and reads back exactly, and formatted with
+    one % operation ('%s' of a float is its repr). Blocks bound the memory
+    of the conversion; the bytes are hashed as they are written.
     """
-    rows = iter(rows)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        while block := list(itertools.islice(rows, _WRITE_BLOCK_ROWS)):
-            writer.writerows(zip(*(np.asarray(column).tolist() for column in zip(*block))))
+    columns = [np.asarray(column) for column in columns]
+    row = "%s," * (len(columns) - 1) + "%s\n"
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+        put(",".join(header) + "\n")
+        for i in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            block = [column[i:i + _WRITE_BLOCK_ROWS].tolist() for column in columns]
+            put(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
+    return digest.hexdigest()
 
 
 def _read_columns(path, names) -> np.ndarray:
@@ -415,7 +422,7 @@ def _read_columns(path, names) -> np.ndarray:
 
 
 def write_profile_csv(profile: SpectralProfile, path) -> None:
-    write_csv(path, PROFILE_COLUMNS, zip(profile.omega, profile.density, profile.phase))
+    write_csv(path, PROFILE_COLUMNS, (profile.omega, profile.density, profile.phase))
 
 
 def read_profile_csv(path) -> SpectralProfile:
@@ -424,7 +431,7 @@ def read_profile_csv(path) -> SpectralProfile:
 
 
 def write_trajectory_csv(traj: DecoherenceTrajectory, path) -> None:
-    write_csv(path, TRAJECTORY_COLUMNS, zip(traj.t, traj.kappa.real, traj.kappa.imag))
+    write_csv(path, TRAJECTORY_COLUMNS, (traj.t, traj.kappa.real, traj.kappa.imag))
 
 
 def read_trajectory_csv(path) -> DecoherenceTrajectory:

@@ -148,26 +148,30 @@ class TestRun:
         assert (out / "fig2.csv").exists()
 
     @pytest.mark.parametrize(
-        "scenario, header, transform",
+        "scenario, header, transform, overrides",
         [
-            ("fig6", "omega,density", None),
-            ("fig6", "omega,density,phase", each_row(lambda r: [r[0], 2 * r[1], r[2]])),
-            ("fig6", "omega,density,phase", each_row(lambda r: [r[0], -r[1], r[2]])),
-            ("fig6", "omega,density,phase", each_row(lambda r: [r[0] ** 3, r[1], r[2]])),
-            ("fig6", "omega,density,phase", each_row(lambda r: r[:2])),
-            ("fig6", "omega,density,phase", lambda rows: [["x" * 200_000] + rows[0][1:]] + rows[1:]),
-            ("synth", "t,re_kappa", None),
-            ("synth", "t,re_kappa,im_kappa", each_row(lambda r: [r[0], 2.0, 0.0])),
+            ("fig6", "omega,density", None, {}),
+            ("fig6", "omega,density,phase", each_row(lambda r: [r[0], 2 * r[1], r[2]]), {}),
+            ("fig6", "omega,density,phase", each_row(lambda r: [r[0], -r[1], r[2]]), {}),
+            ("fig6", "omega,density,phase", each_row(lambda r: [r[0] ** 3, r[1], r[2]]), {}),
+            ("fig6", "omega,density,phase", each_row(lambda r: r[:2]), {}),
+            ("fig6", "omega,density,phase",
+             lambda rows: [["x" * 200_000] + rows[0][1:]] + rows[1:], {}),
+            ("fig6", "omega,density,phase", None,
+             {"delta_n": 1e300, "t_max": 1e300, "two_pi": True, "n_t": 3}),
+            ("synth", "t,re_kappa", None, {}),
+            ("synth", "t,re_kappa,im_kappa", each_row(lambda r: [r[0], 2.0, 0.0]), {}),
             ("synth", "t,re_kappa,im_kappa",
-             lambda rows: [[t] + r[1:] for t, r in zip([0.0, 1.0, 2.5, 4.0, 6.0], rows)]),
-            ("synth", "t,re_kappa,im_kappa", lambda rows: rows[:2]),
-            ("synth", "t,re_kappa,im_kappa", lambda rows: [[0.0] + r[1:] for r in rows[:3]]),
+             lambda rows: [[t] + r[1:] for t, r in zip([0.0, 1.0, 2.5, 4.0, 6.0], rows)], {}),
+            ("synth", "t,re_kappa,im_kappa", lambda rows: rows[:2], {}),
+            ("synth", "t,re_kappa,im_kappa", lambda rows: [[0.0] + r[1:] for r in rows[:3]], {}),
         ],
         ids=["missing_column", "unnormalized", "negative", "nonuniform", "short_row", "huge_field",
-             "kappa_missing_column", "kappa_above_one", "kappa_nonuniform_t", "kappa_two_rows",
-             "kappa_constant_t"],
+             "phase_overflow", "kappa_missing_column", "kappa_above_one", "kappa_nonuniform_t",
+             "kappa_two_rows", "kappa_constant_t"],
     )
-    def test_invalid_input_file_exit_code(self, scenario, header, transform, tmp_path, capsys):
+    def test_invalid_input_file_exit_code(self, scenario, header, transform, overrides, tmp_path,
+                                          capsys):
         if scenario == "fig6":
             p = spectra.read_profile_csv(CONFIGS / "fig6_spectrum.csv")
             rows = np.column_stack([p.omega, p.density, p.phase]).tolist()
@@ -182,13 +186,31 @@ class TestRun:
         path = tmp_path / "input.csv"
         path.write_text(header + "\n" + "".join(
             ",".join(repr(v) for v in r[:width]) + "\n" for r in rows))
-        params = dict(load_config(scenario), **{key: str(path)})
+        params = dict(load_config(scenario), **{key: str(path)}, **overrides)
         assert cli.run(scenario, params, tmp_path / "out") == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         report = json.loads(err[0])
         assert report["error"] == "invalid input file"
         assert str(path) in report["violations"][0]
+
+    def test_fig2_grid_over_budget(self, tmp_path, capsys):
+        params = {"eps_min": 0, "eps_max": 0.5, "eps_step": 1e-300}
+        assert cli.run("fig2", params, tmp_path / "out") == 2
+        (violation,) = json.loads(capsys.readouterr().err)["violations"]
+        assert "5e+299" in violation and str(cli.EPS_GRID_MAX) in violation
+        assert not (tmp_path / "out").exists()
+
+    def test_fig2_scaled_grid_within_budget(self):
+        # Ten times the benchmark's largest (1001-point) grid.
+        assert cli.validate("fig2", {"eps_min": 0, "eps_max": 0.5, "eps_step": 0.5 / 10_000}) == []
+
+    @pytest.mark.parametrize("scenario", ["fig1", "fig5"])
+    def test_output_path_is_a_file(self, scenario, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert cli.run(scenario, load_config(scenario), target) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "io failure"
 
     def test_main_bad_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -263,6 +285,17 @@ def without_checksums(manifest):
 
 class TestGolden:
     """The shipped configs reproduce the outputs locked in tests/golden/."""
+
+    def test_golden_cells_are_finite(self):
+        for path in sorted(GOLDEN.glob("*.csv")):
+            _, columns = read_columns(path)
+            for column in columns:
+                for cell in column:
+                    try:
+                        value = float(cell)
+                    except ValueError:  # classifications
+                        continue
+                    assert np.isfinite(value), (path.name, cell)
 
     @pytest.mark.parametrize("scenario", cli.SCENARIOS)
     def test_outputs_match_golden(self, scenario, tmp_path, monkeypatch):

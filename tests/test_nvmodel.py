@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmlab import nvmodel, qcore, spectra
 from nmlab.nvmodel import Gate, NVParams, RDJAConfig
@@ -61,6 +63,93 @@ class TestNvKappa:
             ch = spectra.dephasing_channel(kappa)
             d = qcore.trace_distance(ch.apply(plus), ch.apply(minus))
             assert d == pytest.approx(nvmodel.bloch_magnitude(params, phi, t), abs=1e-12)
+
+
+def oracle_bloch_rows(params, phis, t):
+    """Oracle: r(t) = |kappa(t)| from the complex decoherence function, one phi at a time."""
+    return np.array([np.abs(nvmodel.nv_kappa(params, phi, t)) for phi in phis])
+
+
+def oracle_nm(params, phis, t):
+    """Oracle: the BLP revival of each oracle row, one phi at a time."""
+    return [(float(phi), spectra.blp_from_magnitudes(row))
+            for phi, row in zip(phis, oracle_bloch_rows(params, phis, t))]
+
+
+def oracle_p0(params, phi, t, taus):
+    """Oracle: P0 = (1 + s Re kappa_eff)/2 per gate and per tau, s = +1 balanced, -1 constant."""
+    return {gate: np.array([0.5 * (1 + (1.0 if nvmodel.is_balanced(gate) else -1.0)
+                                   * nvmodel.rdja_kappa_eff(params, phi, t, tau).real)
+                            for tau in taus])
+            for gate in Gate}
+
+
+nv_params = st.builds(
+    NVParams,
+    coupling=st.floats(0.1, 50.0),
+    envelope_time=st.floats(0.05, 100.0),
+    envelope_shape=st.sampled_from(["gaussian", "exponential"]),
+)
+angles = st.one_of(st.sampled_from([0.0, np.pi / 2, np.pi]), st.floats(0.0, np.pi))
+
+
+class TestArrayPath:
+    @settings(max_examples=60, deadline=None)
+    @given(params=nv_params, phis=st.lists(angles, min_size=1, max_size=6),
+           n_t=st.integers(2, 500), t_max=st.floats(1e-3, 50.0))
+    def test_bloch_rows_match_oracle(self, params, phis, n_t, t_max):
+        t = np.linspace(0, t_max, n_t)
+        rows = nvmodel.bloch_magnitude(params, phis, t)
+        assert rows.shape == (len(phis), n_t)
+        np.testing.assert_allclose(rows, oracle_bloch_rows(params, phis, t), rtol=0, atol=1e-12)
+        for phi, row in zip(phis, rows):
+            assert np.array_equal(nvmodel.bloch_magnitude(params, phi, t), row)
+
+    def test_scalar_phi_and_t(self):
+        params = nvmodel.default_params()
+        r = nvmodel.bloch_magnitude(params, 0.7, 1.3)
+        assert np.ndim(r) == 0
+        assert r == pytest.approx(abs(nvmodel.nv_kappa(params, 0.7, 1.3)), abs=1e-15)
+        with pytest.raises(ValueError):
+            nvmodel.bloch_magnitude(params, 0.7, [0.0, -1.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=nv_params, phis=st.lists(angles, min_size=1, max_size=13),
+           n_t=st.integers(2, 400), t_max=st.floats(1e-3, 50.0),
+           block_rows=st.integers(1, 4), spare=st.floats(0, 0.999))
+    def test_nm_matches_oracle_across_blocks(self, params, phis, n_t, t_max, block_rows, spare):
+        # Blocks of block_rows phi rows: len(phis) up to 13 crosses several block boundaries.
+        t = np.linspace(0, t_max, n_t)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nvmodel, "_PHI_BLOCK_CELLS", block_rows * n_t + int(spare * n_t))
+            got = nvmodel.nm_measure_phi(params, phis, t)
+        want = oracle_nm(params, phis, t)
+        assert [phi for phi, _ in got] == [phi for phi, _ in want]
+        np.testing.assert_allclose([nm for _, nm in got], [nm for _, nm in want],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_t", [2**15, 2**15 + 1, 2**16 + 1])
+    def test_nm_matches_oracle_at_shipped_block_size(self, n_t):
+        # 2 rows per block, then 1 row per block, then a single row above the cell budget.
+        params = nvmodel.default_params()
+        phis = np.linspace(0, np.pi, 5)
+        t = np.linspace(0, 3 * params.envelope_time, n_t)
+        np.testing.assert_allclose([nm for _, nm in nvmodel.nm_measure_phi(params, phis, t)],
+                                   [nm for _, nm in oracle_nm(params, phis, t)], rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=nv_params, phi=angles, t=st.floats(0.0, 20.0),
+           taus=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=40))
+    def test_p0_table_matches_oracle(self, params, phi, t, taus):
+        table = nvmodel.rdja_p0_table(params, phi, t, taus)
+        want = oracle_p0(params, phi, t, taus)
+        assert list(table) == list(Gate)
+        for gate in Gate:
+            np.testing.assert_allclose(table[gate], want[gate], rtol=0, atol=1e-15)
+
+    def test_p0_table_rejects_negative_delays(self):
+        with pytest.raises(ValueError):
+            nvmodel.rdja_p0_table(nvmodel.default_params(), 0.5, 0.1, [0.2, -0.1])
 
 
 class TestNmMeasure:

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,3 +359,23 @@ class TestCsvInterchange:
         assert np.array_equal(back.omega, profile.omega)
         assert np.array_equal(back.density, profile.density)
         assert path.read_text().splitlines()[0] == "omega,density,phase"
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["block_minus_1", "block", "block_plus_1"])
+    def test_writer_matches_csv_module(self, offset, tmp_path):
+        n = spectra._WRITE_BLOCK_ROWS + offset
+        rng = np.random.default_rng(n)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[:4] = [-0.0, 1e-300, 5e299, 0.1]
+        scalars = [np.float64(x) for x in rng.uniform(-1, 1, n)]  # numpy scalars, not floats
+        ints = rng.integers(-(10**12), 10**12, n)  # numpy ints
+        labels = [("markovian", "weak", "strong", "singular")[i % 4] for i in range(n)]
+        header = ["a", "b", "c", "d"]
+        digest = spectra.write_csv(tmp_path / "cols.csv", header, (floats, scalars, ints, labels))
+        with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(zip(floats, scalars, ints, labels))
+        got = (tmp_path / "cols.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert digest == hashlib.sha256(got).hexdigest()
+        assert got.split(b"\n")[1].startswith(b"-0.0,")
