@@ -133,13 +133,11 @@ def _fig1(v):
 
 
 def _fig2(v):
-    rows = []
-    for eps in np.arange(v["eps_min"], v["eps_max"] + v["eps_step"] / 2, v["eps_step"]).tolist():
-        eps = min(eps, 0.5)
-        c1, c2 = collision.entanglement_dynamics(eps)
-        rows.append((eps, c1, c2, c2 - c1, collision.classify(eps).classification.value))
+    eps = np.minimum(np.arange(v["eps_min"], v["eps_max"] + v["eps_step"] / 2, v["eps_step"]), 0.5)
+    c1, c2 = collision.entanglement_dynamics(eps)
+    labels = [collision.classify(e).classification.value for e in eps.tolist()]
     header = ["epsilon", "C1", "C2", "C2_minus_C1", "classification"]
-    return [("fig2.csv", header, list(zip(*rows)))], {}
+    return [("fig2.csv", header, (eps, c1, c2, c2 - c1, labels))], {}
 
 
 def _fig2_check(v):
@@ -161,14 +159,12 @@ def _fig3(v):
 
 def _fig4(v):
     spec = sdc.CorrelatedSpectrum(sigma=v["sigma"], correlation=v["K"], delta_n=v["delta_n"])
-    rows = []
-    for t in np.linspace(0, v["t_max"], v["n_t"]).tolist():
-        c_a = sdc.concurrence_at_encoding(spec, t)
-        rows.append((t, c_a, sdc.simulate_protocol(spec, t, t, 4),
-                     sdc.simulate_protocol(spec, t, t, 3), sdc.simulate_protocol(spec, t, 0.0, 4),
-                     sdc.capacity(c_a, spec.correlation)))
+    t = np.linspace(0, v["t_max"], v["n_t"])
+    c_a = sdc.concurrence_at_encoding(spec, t)
+    columns = (t, c_a, sdc.simulate_protocol(spec, t, t, 4), sdc.simulate_protocol(spec, t, t, 3),
+               sdc.simulate_protocol(spec, t, 0.0, 4), sdc.capacity(c_a, spec.correlation))
     header = ["t_a", "c_a", "mi_4state", "mi_3state", "mi_4state_alice_only", "capacity"]
-    return [("fig4.csv", header, list(zip(*rows)))], {}
+    return [("fig4.csv", header, columns)], {}
 
 
 def _fig5(v):

@@ -138,15 +138,16 @@ def find_transition(tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def entanglement_dynamics(eps: float) -> tuple[float, float]:
-    """Concurrence with an ancilla after collision one and two.
+def entanglement_dynamics(eps):
+    """Concurrence with an ancilla after collision one and two; broadcasts over eps.
 
     One half of a maximally entangled pair goes through the collisions.
     Both maps are Pauli-diagonal, so the evolved states are Bell-diagonal
-    and qcore.bell_concurrence gives C = max(0, 2 q_max - 1) from their
-    Kraus weights: C(1) = max(0, 1-4eps) and C(2) = (1-4eps)^2.
+    with C = max(0, 2 q_max - 1) (qcore.bell_concurrence of each channel):
+    C(1) = max(0, 1-4eps) and C(2) = (1-4eps)^2. Scalar eps gives floats.
     """
-    return (
-        qcore.bell_concurrence(first_collision_channel(eps)),
-        qcore.bell_concurrence(two_collision_channel(eps)),
-    )
+    eps = np.asarray(eps, dtype=float)
+    if not np.all((0 <= eps) & (eps <= 0.5)):
+        raise ValueError(f"eps must be in [0, 0.5], got {eps}")
+    c1, c2 = np.maximum(0.0, 1 - 4 * eps), (1 - 4 * eps) ** 2
+    return (float(c1), float(c2)) if eps.ndim == 0 else (c1, c2)

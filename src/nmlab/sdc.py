@@ -5,7 +5,8 @@ the two local noises share a bivariate Gaussian frequency distribution with
 correlation coefficient K. Anti-correlated frequencies (K = -1, equal noise
 times) recohere the doubly-off-diagonal Bell coherences, keeping the
 protocol at two bits even when the shared entanglement at encoding time is
-tiny.
+tiny. Every function broadcasts over its times (t, t_a, t_b) and c_a, with
+extra axes last; scalar inputs give a Python float.
 """
 
 from __future__ import annotations
@@ -38,46 +39,53 @@ class CorrelatedSpectrum:
             raise ValueError("correlation must be in [-1, 1]")
 
 
-def marginal_kappa(spec: CorrelatedSpectrum, t: float) -> float:
-    """Single-photon decoherence magnitude exp(-dn^2 sigma^2 t^2 / 2)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return float(np.exp(-0.5 * spec.delta_n**2 * spec.sigma**2 * t**2))
+def _float_if_scalar(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def joint_kappa(spec: CorrelatedSpectrum, t_a: float, t_b: float) -> float:
+def joint_kappa(spec: CorrelatedSpectrum, t_a, t_b):
     """Magnitude of the joint two-photon characteristic function."""
-    if t_a < 0 or t_b < 0:
+    t_a, t_b = np.asarray(t_a, dtype=float), np.asarray(t_b, dtype=float)
+    if np.any(t_a < 0) or np.any(t_b < 0):
         raise ValueError("times must be >= 0")
     quad = t_a**2 + t_b**2 + 2 * spec.correlation * t_a * t_b
-    return float(np.exp(-0.5 * spec.delta_n**2 * spec.sigma**2 * quad))
+    return _float_if_scalar(np.exp(-0.5 * spec.delta_n**2 * spec.sigma**2 * quad))
 
 
-def binary_entropy(x: float) -> float:
+def marginal_kappa(spec: CorrelatedSpectrum, t):
+    """Single-photon decoherence magnitude exp(-dn^2 sigma^2 t^2 / 2)."""
+    return joint_kappa(spec, t, 0.0)
+
+
+def _xlog2x(p):
+    """p log2 p, 0 at p = 0."""
+    return p * np.log2(np.where(p > 0, p, 1.0))
+
+
+def binary_entropy(x):
     """H(x) in bits, with H(0) = H(1) = 0."""
-    if not 0 <= x <= 1:
+    x = np.asarray(x, dtype=float)
+    if not np.all((0 <= x) & (x <= 1)):
         raise ValueError("x must be in [0, 1]")
-    if x == 0 or x == 1:
-        return 0.0
-    return float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
+    # + 0.0 turns the -0.0 of H(0) and H(1) into 0.0.
+    return _float_if_scalar(-(_xlog2x(x) + _xlog2x(1 - x)) + 0.0)
 
 
-def capacity(c_a: float, correlation: float) -> float:
+def capacity(c_a, correlation: float):
     """Dense coding capacity 2 - H((1 + c_a^{2(1+K)}) / 2).
 
     c_a is the concurrence at encoding time; the limit convention
     c_a^0 = 1 applies at (c_a = 0, K = -1).
     """
-    if not 0 <= c_a <= 1:
+    c_a = np.asarray(c_a, dtype=float)
+    if not np.all((0 <= c_a) & (c_a <= 1)):
         raise ValueError("c_a must be in [0, 1]")
     if not -1 <= correlation <= 1:
         raise ValueError("correlation must be in [-1, 1]")
-    exponent = 2 * (1 + correlation)
-    power = 1.0 if exponent == 0 else c_a**exponent
-    return 2 - binary_entropy((1 + power) / 2)
+    return 2 - binary_entropy((1 + c_a ** (2 * (1 + correlation))) / 2)
 
 
-def concurrence_at_encoding(spec: CorrelatedSpectrum, t_a: float) -> float:
+def concurrence_at_encoding(spec: CorrelatedSpectrum, t_a):
     """Shared concurrence after Alice-side dephasing of a Bell pair.
 
     Dephasing by a real kappa is the Pauli channel (kappa, kappa, 1), whose
@@ -86,10 +94,8 @@ def concurrence_at_encoding(spec: CorrelatedSpectrum, t_a: float) -> float:
     return marginal_kappa(spec, t_a)
 
 
-def bell_probabilities(
-    spec: CorrelatedSpectrum, t_a: float, t_b: float, encoding: str
-) -> np.ndarray:
-    """Bell-measurement outcome probabilities (phi+, phi-, psi+, psi-).
+def bell_probabilities(spec: CorrelatedSpectrum, t_a, t_b, encoding: str) -> np.ndarray:
+    """Bell-measurement outcome probabilities (phi+, phi-, psi+, psi-), last axis.
 
     Both noises are dephasing and the encoding is a Pauli, so the state
     before the measurement is Bell-diagonal: the only surviving coherence
@@ -98,44 +104,37 @@ def bell_probabilities(
     (1 + f)/2 and its phase partner (1 - f)/2.
     """
     # f can exceed 1 by an ulp where t_a ~ t_b and K ~ -1.
-    f = min(1.0, joint_kappa(spec, t_a, t_b))
+    f = np.minimum(1.0, joint_kappa(spec, t_a, t_b))
     hit, partner = _BELL_OUTCOMES[encoding]
-    probs = np.zeros(4)
-    probs[hit] = (1 + f) / 2
-    probs[partner] = (1 - f) / 2
+    probs = np.zeros(np.shape(f) + (4,))
+    probs[..., hit] = (1 + f) / 2
+    probs[..., partner] = (1 - f) / 2
     return probs
 
 
-def mutual_information(cond_probs: np.ndarray) -> float:
-    """I(X:Y) in bits for uniform inputs; rows are p(outcome | encoding)."""
-    cond_probs = np.asarray(cond_probs, dtype=float)
-    n = cond_probs.shape[0]
-    joint = cond_probs / n
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    mask = joint > 0
-    return float(np.sum(joint[mask] * np.log2(joint[mask] / np.outer(px, py)[mask])))
+def mutual_information(cond_probs):
+    """I(X:Y) = H(Y) - H(Y|X) in bits for uniform inputs.
+
+    The last two axes are p(outcome | encoding), one row per encoding.
+    """
+    cond = np.asarray(cond_probs, dtype=float)
+    h_y = -np.sum(_xlog2x(cond.mean(axis=-2)), axis=-1)
+    return _float_if_scalar(h_y + np.sum(_xlog2x(cond), axis=(-2, -1)) / cond.shape[-2])
 
 
-def simulate_protocol(
-    spec: CorrelatedSpectrum, t_a: float, t_b: float, n_states: int = 4
-) -> float:
+def simulate_protocol(spec: CorrelatedSpectrum, t_a, t_b, n_states: int = 4):
     """Mutual information of the full encode/noise/Bell-measure protocol."""
     encodings = {4: PAULI_4, 3: PAULI_3}.get(n_states)
     if encodings is None:
         raise ValueError("n_states must be 3 or 4")
-    table = np.array([bell_probabilities(spec, t_a, t_b, e) for e in encodings])
-    return mutual_information(table)
+    return mutual_information(
+        np.stack([bell_probabilities(spec, t_a, t_b, e) for e in encodings], axis=-2))
 
 
-def fig4_curve(
-    spec: CorrelatedSpectrum, n_states: int, t_grid
-) -> list[tuple[float, float]]:
+def fig4_curve(spec: CorrelatedSpectrum, n_states: int, t_grid) -> list[tuple[float, float]]:
     """Sweep of (concurrence at encoding, mutual information) with t_b = t_a."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
-    return [
-        (concurrence_at_encoding(spec, t), simulate_protocol(spec, t, t, n_states))
-        for t in t_grid
-    ]
+    return list(zip(concurrence_at_encoding(spec, t_grid).tolist(),
+                    simulate_protocol(spec, t_grid, t_grid, n_states).tolist()))

@@ -62,7 +62,7 @@ class DoubleGaussianSpec:
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """Uniform frequency grid with probability density and phase values."""
+    """Uniform frequency grid with finite probability density and phase values."""
 
     omega: np.ndarray
     density: np.ndarray
@@ -71,6 +71,8 @@ class SpectralProfile:
     def __post_init__(self):
         for name in ("omega", "density", "phase"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         omega, density, phase = self.omega, self.density, self.phase
         if omega.ndim != 1 or omega.size < 2:
             raise ValueError("omega grid must be 1-D with at least 2 points")
@@ -92,7 +94,7 @@ class SpectralProfile:
 
 @dataclass(frozen=True)
 class DecoherenceTrajectory:
-    """Complex decoherence function sampled on a uniform time grid."""
+    """Finite complex decoherence function sampled on a uniform time grid."""
 
     t: np.ndarray
     kappa: np.ndarray
@@ -106,6 +108,8 @@ class DecoherenceTrajectory:
             raise ValueError("time grid must be 1-D with at least 2 points")
         if kappa.shape != t.shape:
             raise ValueError("kappa must match the time grid")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(kappa))):
+            raise ValueError("t and kappa must be finite")
         if np.max(np.abs(kappa)) > 1 + KAPPA_MAG_TOL:
             raise ValueError("|kappa| must not exceed 1")
         if abs(t[0]) < 1e-15 and abs(kappa[0] - 1.0) > KAPPA_MAG_TOL:

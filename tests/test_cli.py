@@ -29,6 +29,11 @@ def each_row(f):
     return lambda rows: [f(r) for r in rows]
 
 
+def set_cell(row, column, value):
+    return lambda rows: [r[:column] + [value] + r[column + 1:] if i == row else r
+                         for i, r in enumerate(rows)]
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -165,10 +170,15 @@ class TestRun:
              lambda rows: [[t] + r[1:] for t, r in zip([0.0, 1.0, 2.5, 4.0, 6.0], rows)], {}),
             ("synth", "t,re_kappa,im_kappa", lambda rows: rows[:2], {}),
             ("synth", "t,re_kappa,im_kappa", lambda rows: [[0.0] + r[1:] for r in rows[:3]], {}),
+            ("fig6", "omega,density,phase", set_cell(5, 1, float("nan")), {}),
+            ("fig6", "omega,density,phase", set_cell(5, 2, float("inf")), {}),
+            ("synth", "t,re_kappa,im_kappa", set_cell(5, 1, float("nan")), {}),
+            ("synth", "t,re_kappa,im_kappa", set_cell(5, 0, float("nan")), {}),
         ],
         ids=["missing_column", "unnormalized", "negative", "nonuniform", "short_row", "huge_field",
              "phase_overflow", "kappa_missing_column", "kappa_above_one", "kappa_nonuniform_t",
-             "kappa_two_rows", "kappa_constant_t"],
+             "kappa_two_rows", "kappa_constant_t", "nan_density", "inf_phase", "kappa_nan_re",
+             "kappa_nan_t"],
     )
     def test_invalid_input_file_exit_code(self, scenario, header, transform, overrides, tmp_path,
                                           capsys):

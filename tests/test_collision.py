@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmlab import collision, qcore
 from nmlab.collision import Classification
@@ -178,3 +180,31 @@ class TestEntanglement:
             c1, c2 = collision.entanglement_dynamics(eps)
             strong = collision.classify(eps).classification is Classification.STRONG_NM
             assert (c2 - c1 > 1e-12) == strong
+
+
+class TestEntanglementArray:
+    """The broadcast closed forms against the channel path, used here only as an oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 0.5), st.sampled_from([0.0, 0.25, 0.5])),
+                    min_size=1, max_size=30))
+    def test_matches_channel_oracle(self, eps):
+        c1, c2 = collision.entanglement_dynamics(np.array(eps))
+        oracle1 = [qcore.bell_concurrence(collision.first_collision_channel(e)) for e in eps]
+        oracle2 = [qcore.bell_concurrence(collision.two_collision_channel(e)) for e in eps]
+        assert np.max(np.abs(c1 - oracle1)) <= 1e-15
+        assert np.max(np.abs(c2 - oracle2)) <= 1e-15
+        assert np.all((0 <= c1) & (c1 <= 1)) and np.all((0 <= c2) & (c2 <= 1))
+
+    def test_shape_and_scalar_types(self):
+        eps = np.linspace(0, 0.5, 6).reshape(2, 3)
+        c1, c2 = collision.entanglement_dynamics(eps)
+        assert c1.shape == c2.shape == (2, 3)
+        for value in (0.1, np.float64(0.3), 0):
+            assert all(type(c) is float for c in collision.entanglement_dynamics(value))
+
+    def test_out_of_range_entry_rejected(self):
+        with pytest.raises(ValueError):
+            collision.entanglement_dynamics(np.array([0.1, 0.6]))
+        with pytest.raises(ValueError):
+            collision.entanglement_dynamics(np.array([-1e-12, 0.2]))

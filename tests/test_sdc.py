@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +69,13 @@ def brute_force_bell_probabilities(spec, t_a, t_b, encoding):
     probs = np.array([np.real(v.conj() @ rho @ v) for v in _BELL_VECTORS.values()])
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
+
+
+def plain_mutual_information(rows):
+    """I(X:Y) in bits for uniform inputs, one row p(outcome | input) per input."""
+    n = len(rows)
+    p_out = [sum(column) / n for column in zip(*rows)]
+    return sum(p / n * math.log2(p / p_out[j]) for row in rows for j, p in enumerate(row) if p > 0)
 
 
 class TestJointKappa:
@@ -276,3 +284,87 @@ class TestValidation:
             sdc.joint_kappa(spec, -1.0, 0.0)
         with pytest.raises(ValueError):
             sdc.marginal_kappa(spec, -1.0)
+
+
+spectrum_strategy = st.builds(
+    CorrelatedSpectrum,
+    sigma=st.floats(1e-3, 5.0),
+    correlation=st.floats(-1.0, 1.0),
+    delta_n=st.floats(-5.0, 5.0).filter(lambda x: x != 0),
+)
+time_pairs = st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)), min_size=1, max_size=6)
+
+
+class TestArrayPath:
+    """The broadcast path against per-element oracles that share none of its code."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=spectrum_strategy, times=time_pairs, n_states=st.sampled_from([3, 4]),
+           bob=st.sampled_from(["array", "equal", "zero", "outer"]))
+    def test_simulate_protocol_matches_brute_force(self, spec, times, n_states, bob):
+        t_a, t_b = np.array([a for a, _ in times]), np.array([b for _, b in times])
+        t_a, t_b = {"array": (t_a, t_b), "equal": (t_a, t_a), "zero": (t_a, 0.0),
+                    "outer": (t_a[:, None], t_b[None, :])}[bob]
+        mi = sdc.simulate_protocol(spec, t_a, t_b, n_states)
+        encodings = sdc.PAULI_4 if n_states == 4 else sdc.PAULI_3
+        oracle = [plain_mutual_information(
+            [brute_force_bell_probabilities(spec, a, b, e).tolist() for e in encodings])
+            for a, b in np.broadcast(t_a, t_b)]
+        assert mi.shape == np.broadcast(t_a, t_b).shape
+        assert np.max(np.abs(mi.ravel() - oracle)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=spectrum_strategy, times=time_pairs)
+    def test_invariants(self, spec, times):
+        t = np.array([a for a, _ in times])
+        c_a = sdc.concurrence_at_encoding(spec, t)
+        assert np.all((0 <= c_a) & (c_a <= 1))
+        mi4, mi3 = sdc.simulate_protocol(spec, t, t, 4), sdc.simulate_protocol(spec, t, t, 3)
+        assert np.all((0 <= mi4) & (mi4 <= 2 + 1e-12))
+        assert np.all((0 <= mi3) & (mi3 <= np.log2(3) + 1e-12))
+        assert np.all(mi4 <= sdc.capacity(c_a, spec.correlation) + 1e-9)
+
+    def test_binary_entropy_endpoints_are_exact_zeros(self):
+        h = sdc.binary_entropy(np.array([0.0, 1.0]))
+        assert np.array_equal(h, [0.0, 0.0]) and not np.any(np.signbit(h))
+        assert repr(sdc.binary_entropy(0.0)) == repr(sdc.binary_entropy(1)) == "0.0"
+
+    def test_capacity_array_matches_independent_entropy(self):
+        c_a = np.linspace(0, 1, 11)
+        for k in (-1.0, -0.5, 0.0, 0.7):
+            x = [(1 + c ** (2 * (1 + k))) / 2 for c in c_a.tolist()]
+            h = [0.0 if v in (0.0, 1.0) else -v * math.log2(v) - (1 - v) * math.log2(1 - v)
+                 for v in x]
+            assert np.max(np.abs(sdc.capacity(c_a, k) - (2 - np.array(h)))) <= 1e-12
+
+    def test_fig4_curve_is_one_sweep(self):
+        spec, t = make_spec(-0.3), np.linspace(0, 3, 7)
+        assert sdc.fig4_curve(spec, 3, t) == list(zip(
+            sdc.concurrence_at_encoding(spec, t).tolist(),
+            sdc.simulate_protocol(spec, t, t, 3).tolist()))
+
+    def test_invalid_array_entries_rejected(self):
+        spec = make_spec(0.0)
+        with pytest.raises(ValueError):
+            sdc.joint_kappa(spec, np.array([0.5, -1e-9]), 0.0)
+        with pytest.raises(ValueError):
+            sdc.marginal_kappa(spec, np.array([[0.0], [-2.0]]))
+        with pytest.raises(ValueError):
+            sdc.capacity(np.array([0.5, 1.5]), 0.0)
+        with pytest.raises(ValueError):
+            sdc.binary_entropy(np.array([0.5, np.nan]))
+
+
+class TestScalarApi:
+    @pytest.mark.parametrize("t", [0.4, np.float64(0.4), 0])
+    def test_scalar_calls_return_python_floats(self, t):
+        spec = make_spec(-0.3)
+        values = [
+            sdc.joint_kappa(spec, t, 0.2), sdc.marginal_kappa(spec, t),
+            sdc.concurrence_at_encoding(spec, t), sdc.binary_entropy(0.3),
+            sdc.capacity(sdc.marginal_kappa(spec, t), -0.3),
+            sdc.mutual_information(np.eye(4)),
+            sdc.simulate_protocol(spec, t, t, 4), sdc.simulate_protocol(spec, t, 0.0, 3),
+        ]
+        assert all(type(v) is float for v in values)
+        assert sdc.bell_probabilities(spec, t, 0.2, "X").shape == (4,)

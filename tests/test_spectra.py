@@ -129,6 +129,15 @@ class TestKappaNumeric:
         with pytest.raises(ValueError):
             SpectralProfile(omega, np.array([0.5, 0.25, 0.25]), np.zeros(3))
 
+    @pytest.mark.parametrize("column", ["omega", "density", "phase"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_rejected(self, column, value):
+        p = double_gaussian_profile(make_spec(), n_points=64)
+        columns = {"omega": p.omega.copy(), "density": p.density.copy(), "phase": p.phase.copy()}
+        columns[column][10] = value
+        with pytest.raises(ValueError, match="finite"):
+            SpectralProfile(**columns)
+
 
 @pytest.fixture
 def no_chirp(monkeypatch):
@@ -337,6 +346,16 @@ class TestTrajectoryValidation:
     def test_magnitude_bound(self):
         with pytest.raises(ValueError):
             DecoherenceTrajectory(np.array([0.0, 1.0]), np.array([1.0, 1.5], dtype=complex))
+
+    @pytest.mark.parametrize("column, value", [
+        ("t", np.nan), ("t", np.inf), ("kappa", np.nan), ("kappa", complex(0.5, np.nan)),
+        ("kappa", complex(-np.inf, 0.0)),
+    ])
+    def test_non_finite_cell_rejected(self, column, value):
+        cells = {"t": np.linspace(0, 2, 5), "kappa": np.exp(-np.linspace(0, 2, 5)).astype(complex)}
+        cells[column][3] = value
+        with pytest.raises(ValueError, match="finite"):
+            DecoherenceTrajectory(**cells)
 
 
 class TestCsvInterchange:
