@@ -24,7 +24,6 @@ Exit codes: 0 success, 2 config or input-file content error, 3 IO error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -52,7 +51,7 @@ def _read_input(reader, path):
         return reader(path)
     except KeyError as exc:
         raise InputFileError(f"{path}: missing column {exc}") from exc
-    except (TypeError, ValueError, csv.Error) as exc:
+    except ValueError as exc:
         raise InputFileError(f"{path}: {exc}") from exc
 
 

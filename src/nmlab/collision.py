@@ -62,10 +62,9 @@ def joint_probabilities(eps: float) -> dict[tuple[str, str], float]:
 
 
 def first_collision_channel(eps: float) -> PauliChannel:
-    """Map after one collision: mix of I, x, z with weights (1-2eps, eps, eps)."""
+    """Mix of I, x, z with weights (1-2eps, eps, eps): lam = (1-2eps, 1-4eps, 1-2eps)."""
     eps = _check_eps(eps)
-    p0, px, pz = 1 - 2 * eps, eps, eps
-    return PauliChannel(p0 + px - pz, p0 - px - pz, p0 - px + pz)
+    return PauliChannel(1 - 2 * eps, 1 - 4 * eps, 1 - 2 * eps)
 
 
 def two_collision_channel(eps: float) -> PauliChannel:
@@ -73,12 +72,13 @@ def two_collision_channel(eps: float) -> PauliChannel:
 
     The operator products collapse onto {I, x, z} (the x-then-z pairs have
     zero probability), with effective weights q_I = (1-2eps)^2 + 4 eps^2,
-    q_x = q_z = 2 eps (1-2eps), q_y = 0.
+    q_x = q_z = 2 eps (1-2eps), q_y = 0, so lam_x = lam_z = q_I and
+    lam_y = (1-4eps)^2. Both maps form their eigenvalues directly: summing
+    the weights would round lam_x and lam_z apart near eps = 1/2.
     """
     eps = _check_eps(eps)
     q_i = (1 - 2 * eps) ** 2 + 4 * eps**2
-    q_xz = 2 * eps * (1 - 2 * eps)
-    return qcore.channel_from_weights(qcore.KrausWeights(q_i, q_xz, 0.0, q_xz))
+    return PauliChannel(q_i, (1 - 4 * eps) ** 2, q_i)
 
 
 def intermediate_channel(eps: float) -> PauliChannel:

@@ -15,11 +15,10 @@ instead. Both appear in the photonic-dephasing literature.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import math
-import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -414,15 +413,17 @@ def write_csv(path, header, columns) -> str:
 def _read_columns(path, names) -> np.ndarray:
     """The float columns `names` of a CSV with a header row, one array row each.
 
-    A missing column raises KeyError, a short row TypeError and a
-    non-numeric cell ValueError. The cells stream through C-level iterators
-    into one array: Python code run per row or per cell parses a large
-    spectrum measurably slower.
+    Columns may come in any order; extra columns are ignored. numpy's C text
+    reader parses each cell to the same float as float(), but allows no
+    quotes, comment rows or underscores; empty lines are skipped. A missing
+    column raises KeyError, a short row or malformed cell ValueError. A
+    header-only file gives empty columns, without numpy's no-data warning.
     """
-    get = operator.itemgetter(*names)
-    with open(path, newline="", encoding="utf-8") as fh:
-        cells = itertools.chain.from_iterable(map(get, csv.DictReader(fh)))
-        return np.fromiter(map(float, cells), dtype=float).reshape(-1, len(names)).T.copy()
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        index = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}
+        usecols = [index[name] for name in names]
+        return np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2, comments=None).T.copy()
 
 
 def write_profile_csv(profile: SpectralProfile, path) -> None:

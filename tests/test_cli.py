@@ -174,14 +174,21 @@ class TestRun:
             ("fig6", "omega,density,phase", set_cell(5, 2, float("inf")), {}),
             ("synth", "t,re_kappa,im_kappa", set_cell(5, 1, float("nan")), {}),
             ("synth", "t,re_kappa,im_kappa", set_cell(5, 0, float("nan")), {}),
+            # Reader rules: no quoting, no comment rows, no underscores (float() takes '0_0.0').
+            ("synth", "t,re_kappa,im_kappa", set_cell(0, 1, '"1.0"'), {}),
+            ("fig6", "omega,density,phase", lambda rows: [["# omega,density,phase"]] + rows, {}),
+            ("synth", "t,re_kappa,im_kappa", lambda rows: [], {}),
+            ("synth", None, lambda rows: [], {}),
+            ("synth", "t,re_kappa,im_kappa", set_cell(0, 0, "0_0.0"), {}),
         ],
         ids=["missing_column", "unnormalized", "negative", "nonuniform", "short_row", "huge_field",
              "phase_overflow", "kappa_missing_column", "kappa_above_one", "kappa_nonuniform_t",
              "kappa_two_rows", "kappa_constant_t", "nan_density", "inf_phase", "kappa_nan_re",
-             "kappa_nan_t"],
+             "kappa_nan_t", "quoted_cell", "comment_row", "header_only", "empty_file",
+             "underscore_cell"],
     )
     def test_invalid_input_file_exit_code(self, scenario, header, transform, overrides, tmp_path,
-                                          capsys):
+                                          capsys, recwarn):
         if scenario == "fig6":
             p = spectra.read_profile_csv(CONFIGS / "fig6_spectrum.csv")
             rows = np.column_stack([p.omega, p.density, p.phase]).tolist()
@@ -192,14 +199,17 @@ class TestRun:
             key = "kappa_csv"
         if transform is not None:
             rows = transform(rows)
-        width = header.count(",") + 1
+        # Text cells are written as they are, numbers as their repr; no header: a 0-byte file.
+        lines = [header] if header is not None else []
+        width = (header or "").count(",") + 1
+        lines += [",".join(v if isinstance(v, str) else repr(v) for v in r[:width]) for r in rows]
         path = tmp_path / "input.csv"
-        path.write_text(header + "\n" + "".join(
-            ",".join(repr(v) for v in r[:width]) + "\n" for r in rows))
+        path.write_text("".join(line + "\n" for line in lines))
         params = dict(load_config(scenario), **{key: str(path)}, **overrides)
         assert cli.run(scenario, params, tmp_path / "out") == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
+        assert not recwarn.list
         report = json.loads(err[0])
         assert report["error"] == "invalid input file"
         assert str(path) in report["violations"][0]

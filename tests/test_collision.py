@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmlab import collision, qcore
@@ -92,6 +92,17 @@ class TestChannels:
         mid = collision.intermediate_channel(0.26)
         assert mid.lam_x == pytest.approx(1.0433333333333334, abs=1e-9)
         assert mid.lam_z == pytest.approx(1.0433333333333334, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(eps=st.floats(0.5 - 4e-4, 0.5 - 1e-9))
+    @example(eps=0.4999923596)
+    def test_intermediate_exact_near_half(self, eps):
+        # 1 - 2 eps is small here, so any rounding of lam_x or lam_z is magnified.
+        mid = collision.intermediate_channel(eps)
+        want = ((1 - 2 * eps) ** 2 + 4 * eps**2) / (1 - 2 * eps)
+        assert mid.lam_x == mid.lam_z
+        assert abs(mid.lam_x - want) <= 1e-10
+        assert collision.classify(eps).max_abs_bloch_eigenvalue == mid.lam_x
 
     def test_intermediate_singular_at_quarter(self):
         with pytest.raises(SingularChannelError):

@@ -1,9 +1,10 @@
 import csv
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nmlab import qcore, spectra
@@ -21,6 +22,9 @@ from nmlab.spectra import (
 )
 
 PLUS = qcore.pure_state(np.array([1, 1]) / np.sqrt(2))
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_INPUTS = [pytest.param("fig6_spectrum.csv", spectra.PROFILE_COLUMNS, id="fig6_spectrum"),
+                  pytest.param("synth_kappa.csv", spectra.TRAJECTORY_COLUMNS, id="synth_kappa")]
 
 
 def make_spec(a_theta=1.0, sigma=1.0, delta_omega=4.0, delta_n=1.0):
@@ -358,6 +362,13 @@ class TestTrajectoryValidation:
             DecoherenceTrajectory(**cells)
 
 
+def csv_module_columns(path, names):
+    """Oracle for spectra._read_columns: csv.DictReader and float() of each cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return np.array([[float(row[name]) for row in rows] for name in names], dtype=float)
+
+
 class TestCsvInterchange:
     def test_trajectory_round_trip(self, tmp_path):
         t = np.linspace(0, 5, 64)
@@ -398,3 +409,43 @@ class TestCsvInterchange:
         assert got == (tmp_path / "rows.csv").read_bytes()
         assert digest == hashlib.sha256(got).hexdigest()
         assert got.split(b"\n")[1].startswith(b"-0.0,")
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+                         max_size=40))
+    @example(rows=[(-0.0, 5e-324, 1.7976931348623157e308), (2.2250738585072014e-308, -1e-310, 0.1)])
+    def test_reader_bit_identical_to_float(self, rows, tmp_path):
+        path = tmp_path / "cells.csv"
+        columns = np.array(rows, dtype=float).reshape(-1, 3).T
+        spectra.write_csv(path, ["a", "b", "c"], columns)
+        got = spectra._read_columns(path, ("a", "b", "c"))
+        oracle = csv_module_columns(path, ("a", "b", "c"))
+        assert got.shape == oracle.shape == columns.shape
+        # Bitwise: -0.0 and 0.0 differ in their sign bit.
+        assert got.tobytes() == oracle.tobytes() == columns.tobytes()
+
+    @pytest.mark.parametrize("name, columns", SHIPPED_INPUTS)
+    def test_shipped_inputs_match_oracle(self, name, columns):
+        got = spectra._read_columns(CONFIGS / name, columns)
+        assert got.tobytes() == csv_module_columns(CONFIGS / name, columns).tobytes()
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda lines: [line + "\r" for line in lines],
+            lambda lines: lines + ["", ""],
+            lambda lines: lines[:3] + [""] + lines[3:-1] + ["", ""] + lines[-1:],
+            lambda lines: [",".join(reversed(line.split(","))) for line in lines],
+            lambda lines: [f"x{i},{line},y" for i, line in enumerate(lines)],
+        ],
+        ids=["crlf", "trailing_blank_lines", "interior_blank_lines", "reordered_columns",
+             "extra_columns"],
+    )
+    @pytest.mark.parametrize("name, columns", SHIPPED_INPUTS)
+    def test_layout_variants_read_the_same(self, rewrite, name, columns, tmp_path):
+        lines = (CONFIGS / name).read_text(encoding="utf-8").splitlines()
+        path = tmp_path / name
+        path.write_bytes(("\n".join(rewrite(lines)) + "\n").encode("utf-8"))
+        got = spectra._read_columns(path, columns)
+        assert got.tobytes() == spectra._read_columns(CONFIGS / name, columns).tobytes()
