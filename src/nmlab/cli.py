@@ -10,15 +10,18 @@ or a boolean) and the check bounds the converted value. Numeric parameters
 must be JSON numbers: booleans, NaN, +-Infinity and numeric strings such as
 "1.5" are rejected. validate walks the schema; run hands the validated
 values, not the raw config, to the runner, which returns its outputs as
-(file name, header, columns). run alone writes them as deterministic CSV
-(header row, LF endings, repr-exact floats), plus a JSON manifest recording
-parameters, package version and the sha256 of each file, hashed while it is
-written. All physical parameters
-must be present in the config; documented templates live in the
-repository's configs/ directory.
+(file name, header, columns) whose columns broadcast (fig1 and fig3 pass t,
+the swept parameter as a column and the values as a table). run runs it
+with numpy's floating-point warnings off, refuses a nan or inf in any
+numeric column before it opens an output file, and alone writes the
+outputs as deterministic CSV (header row, LF endings, repr-exact floats),
+plus a JSON manifest recording parameters, package version and the sha256
+of each file, hashed while it is written. All physical parameters must be
+present in the config; documented templates live in the repository's
+configs/ directory.
 
-Exit codes: 0 success, 2 config or input-file content error, 3 IO error,
-4 domain singularity.
+Exit codes: 0 success, 2 config or input-file content error or non-finite
+output, 3 IO error, 4 domain singularity.
 """
 
 from __future__ import annotations
@@ -126,9 +129,13 @@ def _fig1(v):
     t, a_values = np.linspace(0, v["t_max"], v["n_t"]), v["a_theta_values"]
     specs = (spectra.DoubleGaussianSpec(a, v["sigma"], v["delta_omega"], v["delta_n"])
              for a in a_values)
-    mags = np.concatenate([spectra.kappa_double_gaussian_mag(dg, t) for dg in specs])
-    columns = (np.tile(t, len(a_values)), np.repeat(a_values, t.size), mags)
-    return [("fig1.csv", ["t", "A_theta", "kappa_mag"], columns)], {}
+    mags = np.stack([spectra.kappa_double_gaussian_mag(dg, t) for dg in specs])
+    return [("fig1.csv", ["t", "A_theta", "kappa_mag"], (t, np.c_[a_values], mags))], {}
+
+
+def _fig1_check(v):
+    if v["sigma"] >= 2.0**512:  # kappa_double_gaussian_mag squares sigma as a Python float
+        return "sigma: sigma**2 exceeds the float range"
 
 
 def _fig2(v):
@@ -150,8 +157,7 @@ def _fig2_check(v):
 def _fig3(v):
     nv = nvmodel.NVParams(**{key: v[key] for key in NV_KEYS})
     t, phis = np.linspace(0, v["t_max"], v["n_t"]), v["phi_values"]
-    bloch = (np.tile(t, len(phis)), np.repeat(phis, t.size),
-             nvmodel.bloch_magnitude(nv, phis, t).ravel())
+    bloch = (t, np.c_[phis], nvmodel.bloch_magnitude(nv, phis, t))
     nm = list(zip(*nvmodel.nm_measure_phi(nv, np.linspace(0, np.pi, v["n_phi"]), t)))
     return [("fig3_bloch.csv", ["t", "phi", "r"], bloch), ("fig3_nm.csv", ["phi", "nm"], nm)], {}
 
@@ -164,6 +170,19 @@ def _fig4(v):
                sdc.simulate_protocol(spec, t, 0.0, 4), sdc.capacity(c_a, spec.correlation))
     header = ["t_a", "c_a", "mi_4state", "mi_3state", "mi_4state_alice_only", "capacity"]
     return [("fig4.csv", header, columns)], {}
+
+
+def _fig4_check(v):
+    # sdc.capacity rejects a nan c_a = exp(-(delta_n*sigma*t)^2/2): an infinite scale times
+    # t = 0, a zero one times t^2 = inf, or an infinite 2*K*t times 0; all show at t = 0 or t_max.
+    spec = sdc.CorrelatedSpectrum(sigma=v["sigma"], correlation=v["K"], delta_n=v["delta_n"])
+    try:
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(sdc.marginal_kappa(spec, np.array([0.0, v["t_max"]]))).all()
+    except OverflowError:  # delta_n**2 or sigma**2 exceeds the float range
+        finite = False
+    if not finite:
+        return "delta_n, sigma, t_max: c_a = exp(-(delta_n*sigma*t)^2/2) is nan at t = 0 or t_max"
 
 
 def _fig5(v):
@@ -194,7 +213,7 @@ def _classify(v):
               "max_abs_bloch_eigenvalue", "classification"]
     row = (eps, mid.lam_x, mid.lam_y, mid.lam_z, verdict.min_choi_eigenvalue,
            verdict.max_abs_bloch_eigenvalue, verdict.classification.value)
-    return [("classify.csv", header, [(cell,) for cell in row])], {}
+    return [("classify.csv", header, row)], {}
 
 
 def _synth(v):
@@ -220,7 +239,7 @@ SCENARIOS = {
                            "entries must be >= 0"),
         "sigma": POSITIVE, "delta_omega": NONNEGATIVE, "delta_n": NONZERO,
         "t_max": POSITIVE, "n_t": GRID_SIZE,
-    }, _fig1),
+    }, _fig1, _fig1_check),
     "fig2": Scenario({"eps_min": EPSILON, "eps_max": EPSILON, "eps_step": POSITIVE}, _fig2,
                      _fig2_check),
     "fig3": Scenario({
@@ -232,7 +251,7 @@ SCENARIOS = {
     "fig4": Scenario({
         "sigma": POSITIVE, "K": (_real, lambda x: -1 <= x <= 1, "K in [-1, 1]"),
         "delta_n": NONZERO, "t_max": POSITIVE, "n_t": GRID_SIZE,
-    }, _fig4),
+    }, _fig4, _fig4_check),
     "fig5": Scenario({
         **NV_KEYS, "phi": (_real, lambda x: 0 <= x <= np.pi, "phi in [0, pi]"),
         "t_wait": NONNEGATIVE, "tau_max": POSITIVE, "n_tau": GRID_SIZE,
@@ -278,6 +297,13 @@ def validate(scenario: str, params: dict) -> list[str]:
     return _validated(scenario, params)[1]
 
 
+def _non_finite(outputs) -> list[str]:
+    """One violation per numeric output column (an array) with a nan or inf cell."""
+    return [f"{name}: column {label} is not finite"
+            for name, header, columns in outputs for label, column in zip(header, columns)
+            if column.dtype.kind in "fc" and not np.isfinite(column).all()]
+
+
 def run(scenario: str, params: dict, out_dir) -> int:
     """Execute one scenario; returns the process exit code."""
     values, violations = _validated(scenario, params)
@@ -286,7 +312,12 @@ def run(scenario: str, params: dict, out_dir) -> int:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        outputs, extra = SCENARIOS[scenario].runner(values)
+        with np.errstate(all="ignore"):  # non-finite cells are reported below, not warned
+            outputs, extra = SCENARIOS[scenario].runner(values)
+        outputs = [(name, header, list(map(np.asarray, columns)))
+                   for name, header, columns in outputs]
+        if non_finite := _non_finite(outputs):
+            return _fail(EXIT_CONFIG, "non-finite output", violations=non_finite)
         hashes = [{"file": name, "sha256": spectra.write_csv(out / name, header, columns)}
                   for name, header, columns in outputs]
     except InputFileError as exc:

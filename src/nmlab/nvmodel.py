@@ -95,7 +95,8 @@ def nm_measure_phi(params: NVParams, phi_grid, t_grid) -> list[tuple[float, floa
     """Non-Markovianity (total revival of r(t)) for each preparation angle.
 
     Positive increments of the bloch_magnitude closed form, summed in blocks
-    of phi rows of at most _PHI_BLOCK_CELLS cells (no n_phi x n_t array).
+    of phi rows of at most _PHI_BLOCK_CELLS cells (no n_phi x n_t array),
+    each evaluated in place in one reused block buffer.
     """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     t_grid = np.asarray(t_grid, dtype=float)
@@ -104,8 +105,14 @@ def nm_measure_phi(params: NVParams, phi_grid, t_grid) -> list[tuple[float, floa
     env, cos2, sin2 = _phase_terms(params, t_grid)
     nm = np.empty(phi_grid.size)
     rows = max(1, _PHI_BLOCK_CELLS // t_grid.size)
+    buffer = np.empty((min(rows, phi_grid.size), t_grid.size))
     for i in range(0, phi_grid.size, rows):
-        inc = np.diff(env * np.sqrt(cos2 + np.cos(phi_grid[i:i + rows, None]) ** 2 * sin2), axis=1)
+        r = buffer[:phi_grid[i:i + rows].size]
+        np.multiply(np.cos(phi_grid[i:i + rows, None]) ** 2, sin2, out=r)
+        r += cos2
+        np.sqrt(r, out=r)
+        r *= env
+        inc = np.diff(r, axis=1)
         nm[i:i + rows] = np.sum(inc, axis=1, where=inc > 0)
     return list(zip(phi_grid.tolist(), nm.tolist()))
 

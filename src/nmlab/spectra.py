@@ -388,14 +388,29 @@ _WRITE_BLOCK_ROWS = 1 << 10
 def write_csv(path, header, columns) -> str:
     """CSV with a header row and LF endings; returns the sha256 of its bytes.
 
-    columns are equal-length sequences, each all numbers or all strings
-    whose cells need no CSV quoting. Each block of rows is converted with
-    one tolist() per column, so every float cell, numpy scalars included,
-    is written as repr(float(v)) and reads back exactly, and formatted with
-    one % operation ('%s' of a float is its repr). Blocks bound the memory
-    of the conversion; the bytes are hashed as they are written.
+    columns broadcast against each other (else ValueError, before the file
+    is opened), each all numbers or all strings whose cells need no CSV
+    quoting; the rows are the broadcast table in C order, so 0-d columns
+    alone give one row. A column smaller than the table is formatted once,
+    cell by cell with str(), and its strings are repeated (one object array
+    of table length). Each block of rows is converted with one tolist() per
+    column, so every float cell, numpy scalars included, is written as
+    repr(float(v)) and reads back exactly, and formatted with one %
+    operation ('%s' of a float is its repr); a column object passed twice
+    is formatted once per block, with str(). Blocks bound the memory of the
+    conversion; the bytes are hashed as they are written.
     """
-    columns = [np.asarray(column) for column in columns]
+    columns = [np.asarray(column) for column in columns]  # held, so id()s stay unique
+    keys = [id(column) for column in columns]
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    size = math.prod(shape)
+    cells = {}  # id(column) -> its cells in table order
+    for key, column in zip(keys, columns):
+        if column.size < size:
+            strings = np.array([str(v) for v in column.ravel().tolist()], dtype=object)
+            column = np.broadcast_to(strings.reshape(column.shape), shape)
+        cells[key] = column.reshape(-1)  # a full-size column is in table order already
+    twice = {key for key in keys if keys.count(key) > 1}
     row = "%s," * (len(columns) - 1) + "%s\n"
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -404,9 +419,13 @@ def write_csv(path, header, columns) -> str:
             digest.update(data)
             fh.write(data)
         put(",".join(header) + "\n")
-        for i in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            block = [column[i:i + _WRITE_BLOCK_ROWS].tolist() for column in columns]
-            put(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
+        for i in range(0, size, _WRITE_BLOCK_ROWS):
+            block = {key: column[i:i + _WRITE_BLOCK_ROWS].tolist()
+                     for key, column in cells.items()}
+            for key in twice:
+                block[key] = list(map(str, block[key]))
+            rows = zip(*(block[key] for key in keys))
+            put(row * len(block[keys[0]]) % tuple(itertools.chain.from_iterable(rows)))
     return digest.hexdigest()
 
 

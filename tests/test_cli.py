@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,54 @@ class TestRun:
         (violation,) = json.loads(capsys.readouterr().err)["violations"]
         assert "5e+299" in violation and str(cli.EPS_GRID_MAX) in violation
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "scenario, overrides, columns",
+        [
+            ("fig1", {"delta_n": 1e300, "t_max": 1e300}, ["fig1.csv: column kappa_mag"]),
+            ("fig3", {"coupling": 1e300, "envelope_time": 1e-300, "envelope_shape": "exponential",
+                      "t_max": 1e300}, ["fig3_bloch.csv: column r"]),
+            ("fig5", {"coupling": 1e300, "envelope_time": 1e-300, "t_wait": 1e300,
+                      "tau_max": 1e300},
+             [f"fig5.csv: column {c}" for c in ("p0_u1", "p0_u2", "p0_u3", "p0_u4", "contrast")]),
+        ],
+        ids=["fig1", "fig3", "fig5"],
+    )
+    def test_non_finite_output_refused(self, scenario, overrides, columns, tmp_path, capsys,
+                                       recwarn):
+        out = tmp_path / "out"
+        assert cli.run(scenario, dict(load_config(scenario), **overrides), out) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert not recwarn.list
+        report = json.loads(err[0])
+        assert report["error"] == "non-finite output"
+        assert report["violations"] == [f"{column} is not finite" for column in columns]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("scenario, overrides, key",
+                             [("fig1", {"sigma": 1e200}, "sigma"),
+                              ("fig4", {"delta_n": 1e200}, "delta_n"),
+                              ("fig4", {"sigma": 1e150, "delta_n": 1e150}, "delta_n"),
+                              ("fig4", {"sigma": 1e-300, "t_max": 1e300}, "delta_n"),
+                              ("fig4", {"K": 1.0, "t_max": 1.7e308}, "delta_n")],
+                             ids=["fig1_sigma", "fig4_delta_n", "fig4_rate", "fig4_zero_rate",
+                                  "fig4_cross_term"])
+    def test_square_overflow_is_a_config_error(self, scenario, overrides, key, tmp_path, capsys,
+                                               recwarn):
+        assert cli.run(scenario, dict(load_config(scenario), **overrides), tmp_path / "out") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and not recwarn.list
+        report = json.loads(err[0])
+        assert report["error"] == "invalid config"
+        assert report["violations"][0].startswith(key)
+        assert not (tmp_path / "out").exists()
+
+    def test_square_check_edge(self):
+        # sigma**2 of a Python float overflows from 2**512 on, and not below it.
+        params = load_config("fig1")
+        assert cli.validate("fig1", dict(params, sigma=math.nextafter(2.0**512, 0))) == []
+        assert cli.validate("fig1", dict(params, sigma=2.0**512)) != []
 
     def test_fig2_scaled_grid_within_budget(self):
         # Ten times the benchmark's largest (1001-point) grid.

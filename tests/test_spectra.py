@@ -410,6 +410,80 @@ class TestCsvInterchange:
         assert digest == hashlib.sha256(got).hexdigest()
         assert got.split(b"\n")[1].startswith(b"-0.0,")
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(k=st.integers(1, 3),
+           n=st.sampled_from([1, spectra._WRITE_BLOCK_ROWS - 1, spectra._WRITE_BLOCK_ROWS,
+                              spectra._WRITE_BLOCK_ROWS + 1]),
+           small=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=3, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_broadcast_columns_match_expanded(self, k, n, small, seed, tmp_path):
+        # Rows of the broadcast (k, n) table in C order: A_theta-like (k, 1), t-like (n,), full.
+        rng = np.random.default_rng(seed)
+        a = np.c_[small[:k]]
+        labels = np.c_[["markovian", "weak", "strong"][:k]]
+        t = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        full = rng.uniform(-1, 1, (k, n))
+        header = ["t", "a", "label", "full"]
+        got = spectra.write_csv(tmp_path / "b.csv", header, (t, a, labels, full))
+        expanded = (np.tile(t, k), np.repeat(a.ravel(), n), np.repeat(labels.ravel(), n),
+                    full.ravel())
+        views = [np.broadcast_to(c, (k, n)).ravel() for c in (t, a, labels, full)]
+        assert spectra.write_csv(tmp_path / "e.csv", header, expanded) == got
+        assert spectra.write_csv(tmp_path / "v.csv", header, views) == got
+        with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(zip(*(c.tolist() for c in expanded)))
+        data = (tmp_path / "b.csv").read_bytes()
+        assert data == (tmp_path / "e.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert got == hashlib.sha256(data).hexdigest()
+        assert data.count(b"\n") == 1 + k * n
+
+    def test_zero_dim_columns_give_one_row(self, tmp_path):
+        spectra.write_csv(tmp_path / "c.csv", ["a", "b", "c", "d"],
+                          (0.1, np.float64(-0.0), np.int64(7), "weak"))
+        assert (tmp_path / "c.csv").read_bytes() == b"a,b,c,d\n0.1,-0.0,7,weak\n"
+
+    def test_zero_dim_column_repeats_on_every_row(self, tmp_path):
+        spectra.write_csv(tmp_path / "c.csv", ["t", "k"], (np.array([0.0, 0.5]), 0.25))
+        assert (tmp_path / "c.csv").read_bytes() == b"t,k\n0.0,0.25\n0.5,0.25\n"
+
+    def test_zero_rows_give_header_only(self, tmp_path):
+        digest = spectra.write_csv(tmp_path / "c.csv", ["t", "a", "x"],
+                                   (np.empty(0), np.c_[[1.0, 2.0]], np.empty((2, 0))))
+        assert (tmp_path / "c.csv").read_bytes() == b"t,a,x\n"
+        assert digest == hashlib.sha256(b"t,a,x\n").hexdigest()
+
+    @pytest.mark.parametrize("n", [3, spectra._WRITE_BLOCK_ROWS + 1])
+    def test_column_passed_twice(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        x, y, a = rng.normal(size=n), rng.normal(size=n), np.c_[[0.5, -1e-300]]
+        labels = np.array(["weak", "strong"] * n)[:n]
+        spectra.write_csv(tmp_path / "twice.csv", list("txxaayll"),
+                          (y, x, x, a, a, y, labels, labels))
+        spectra.write_csv(tmp_path / "copies.csv", list("txxaayll"),
+                          (y, x, x.copy(), a, a.copy(), y.copy(), labels, labels.copy()))
+        data = (tmp_path / "twice.csv").read_bytes()
+        assert data == (tmp_path / "copies.csv").read_bytes()
+        assert data.count(b"\n") == 1 + 2 * n
+        assert data.split(b"\n")[1].endswith(b",weak,weak")
+
+    def test_2d_array_as_columns(self, tmp_path):
+        # Iterating a 2-D array gives a fresh view per row; each is its own column.
+        table = np.arange(12.0).reshape(3, 4)
+        spectra.write_csv(tmp_path / "c.csv", ["a", "b", "c"], table)
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        assert lines == ["a,b,c"] + [f"{float(j)},{4.0 + j},{8.0 + j}" for j in range(4)]
+
+    @pytest.mark.parametrize("columns", [(np.zeros(3), np.zeros(4)),
+                                         (np.zeros((2, 3)), np.c_[[1.0, 2.0, 3.0]])])
+    def test_columns_that_do_not_broadcast_raise(self, columns, tmp_path):
+        with pytest.raises(ValueError):
+            spectra.write_csv(tmp_path / "c.csv", ["a", "b"], columns)
+        assert not (tmp_path / "c.csv").exists()
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
