@@ -140,8 +140,7 @@ def _fig1_check(v):
 
 def _fig2(v):
     eps = np.minimum(np.arange(v["eps_min"], v["eps_max"] + v["eps_step"] / 2, v["eps_step"]), 0.5)
-    c1, c2 = collision.entanglement_dynamics(eps)
-    labels = [collision.classify(e).classification.value for e in eps.tolist()]
+    (c1, c2), labels = collision.entanglement_dynamics(eps), collision.classify(eps).classification
     header = ["epsilon", "C1", "C2", "C2_minus_C1", "classification"]
     return [("fig2.csv", header, (eps, c1, c2, c2 - c1, labels))], {}
 
@@ -165,16 +164,16 @@ def _fig3(v):
 def _fig4(v):
     spec = sdc.CorrelatedSpectrum(sigma=v["sigma"], correlation=v["K"], delta_n=v["delta_n"])
     t = np.linspace(0, v["t_max"], v["n_t"])
-    c_a = sdc.concurrence_at_encoding(spec, t)
-    columns = (t, c_a, sdc.simulate_protocol(spec, t, t, 4), sdc.simulate_protocol(spec, t, t, 3),
-               sdc.simulate_protocol(spec, t, 0.0, 4), sdc.capacity(c_a, spec.correlation))
+    columns = (t, sdc.concurrence_at_encoding(spec, t), sdc.simulate_protocol(spec, t, t, 4),
+               sdc.simulate_protocol(spec, t, t, 3), sdc.simulate_protocol(spec, t, 0.0, 4),
+               sdc.capacity_at(spec, t))
     header = ["t_a", "c_a", "mi_4state", "mi_3state", "mi_4state_alice_only", "capacity"]
     return [("fig4.csv", header, columns)], {}
 
 
 def _fig4_check(v):
-    # sdc.capacity rejects a nan c_a = exp(-(delta_n*sigma*t)^2/2): an infinite scale times
-    # t = 0, a zero one times t^2 = inf, or an infinite 2*K*t times 0; all show at t = 0 or t_max.
+    # c_a = exp(-(delta_n*sigma*t)^2/2) is nan for an infinite scale times t = 0, a zero one
+    # times t^2 = inf, or an infinite 2*K*t times 0; all show at t = 0 or t_max.
     spec = sdc.CorrelatedSpectrum(sigma=v["sigma"], correlation=v["K"], delta_n=v["delta_n"])
     try:
         with np.errstate(all="ignore"):

@@ -21,9 +21,9 @@ SINGULAR_EPS = 0.25
 SINGULAR_EPS_TOL = 1e-9
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not 0 <= eps <= 0.5:
+def _check_eps(eps) -> np.ndarray:
+    eps = np.asarray(eps, dtype=float)
+    if not np.all((0 <= eps) & (eps <= 0.5)):
         raise ValueError(f"eps must be in [0, 0.5], got {eps}")
     return eps
 
@@ -37,7 +37,7 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True)
 class DivisibilityVerdict:
-    """CP/P divisibility verdict for the intermediate map at a given eps."""
+    """CP/P divisibility verdict for the intermediate map at eps (arrays for an eps array)."""
 
     classification: Classification
     min_choi_eigenvalue: float
@@ -46,7 +46,7 @@ class DivisibilityVerdict:
 
 def joint_probabilities(eps: float) -> dict[tuple[str, str], float]:
     """Joint probabilities p[(i, j)] of applying O_i then O_j, i,j in {0,x,z}."""
-    eps = _check_eps(eps)
+    eps = float(_check_eps(eps))
     cross = (1 - 2 * eps) * eps
     return {
         ("0", "0"): (1 - 2 * eps) ** 2,
@@ -63,7 +63,7 @@ def joint_probabilities(eps: float) -> dict[tuple[str, str], float]:
 
 def first_collision_channel(eps: float) -> PauliChannel:
     """Mix of I, x, z with weights (1-2eps, eps, eps): lam = (1-2eps, 1-4eps, 1-2eps)."""
-    eps = _check_eps(eps)
+    eps = float(_check_eps(eps))
     return PauliChannel(1 - 2 * eps, 1 - 4 * eps, 1 - 2 * eps)
 
 
@@ -76,14 +76,15 @@ def two_collision_channel(eps: float) -> PauliChannel:
     lam_y = (1-4eps)^2. Both maps form their eigenvalues directly: summing
     the weights would round lam_x and lam_z apart near eps = 1/2.
     """
-    eps = _check_eps(eps)
-    q_i = (1 - 2 * eps) ** 2 + 4 * eps**2
-    return PauliChannel(q_i, (1 - 4 * eps) ** 2, q_i)
+    eps = float(_check_eps(eps))
+    a, b = 1 - 2 * eps, 1 - 4 * eps
+    q_i = a * a + 4 * (eps * eps)  # products: Python's x**2 (libm pow) can differ from x*x
+    return PauliChannel(q_i, b * b, q_i)
 
 
 def intermediate_channel(eps: float) -> PauliChannel:
     """Map between the first and second collision (divisibility quotient)."""
-    eps = _check_eps(eps)
+    eps = float(_check_eps(eps))
     if abs(eps - SINGULAR_EPS) <= SINGULAR_EPS_TOL:
         raise SingularChannelError(
             "intermediate map undefined at eps = 0.25 (first collision is singular)"
@@ -91,28 +92,40 @@ def intermediate_channel(eps: float) -> PauliChannel:
     return qcore.divide_channels(two_collision_channel(eps), first_collision_channel(eps))
 
 
-def classify(eps: float) -> DivisibilityVerdict:
-    """Weak/strong non-Markovianity verdict for the intermediate map."""
-    eps = _check_eps(eps)
-    if eps == 0:
-        return DivisibilityVerdict(Classification.MARKOVIAN, 0.0, 1.0)
-    if abs(eps - SINGULAR_EPS) <= SINGULAR_EPS_TOL:
-        return DivisibilityVerdict(Classification.SINGULAR, float("nan"), float("nan"))
-    if abs(eps - 0.5) <= SINGULAR_EPS_TOL:
-        # First collision is also noninvertible at eps = 0.5 (lam_x = lam_z = 0);
-        # the x/z quotient diverges, so the dynamics is strongly non-Markovian
-        # by continuity (perfect revival: the second collision undoes the first).
-        return DivisibilityVerdict(Classification.STRONG_NM, float("-inf"), float("inf"))
-    mid = intermediate_channel(eps)
-    min_choi = min(qcore.kraus_weights(mid))
-    max_bloch = max(abs(l) for l in mid.as_tuple())
-    if not qcore.is_positive(mid):
-        cls = Classification.STRONG_NM
-    elif not qcore.is_cp(mid):
-        cls = Classification.WEAK_NM
-    else:
-        cls = Classification.MARKOVIAN
-    return DivisibilityVerdict(cls, float(min_choi), float(max_bloch))
+def _lam_xz(eps):
+    """x/z eigenvalue of the intermediate map, squaring as two_collision_channel does."""
+    a = 1 - 2 * eps
+    return (a * a + 4 * (eps * eps)) / a
+
+
+def classify(eps) -> DivisibilityVerdict:
+    """Weak/strong non-Markovianity verdict for the intermediate map; broadcasts over eps.
+
+    Its Bloch eigenvalues are lam_x = lam_z = ((1-2eps)^2 + 4eps^2)/(1-2eps) and
+    lam_y = (1-4eps)^2/(1-4eps), its Choi weights (1 +- lam_x +- lam_y +- lam_z)/4.
+    It is strong (not P-divisible) if max|lam| > 1 + 1e-10, else weak (P- but
+    not CP-divisible) if a weight is < -1e-10, else Markovian. Edges: eps = 0 is
+    Markovian with (min Choi, max|lam|) = (0.0, 1.0), |eps - 1/4| <= 1e-9
+    singular with (nan, nan), and |eps - 1/2| <= 1e-9 strong with (-inf, inf):
+    the first collision is noninvertible there too and the second undoes it.
+    Scalar eps gives the enum and floats, an eps array arrays of enum values.
+    """
+    eps, tol = _check_eps(eps), 1e-10  # tol: is_cp's and is_positive's default
+    x = np.atleast_1d(eps)  # the edges below are set in place
+    with np.errstate(all="ignore"):
+        lam_xz, b = _lam_xz(x), 1 - 4 * x
+        mid = PauliChannel(lam_xz, b * b / b, lam_xz)
+        min_choi = np.minimum.reduce(qcore.kraus_weights(mid))
+        max_bloch = np.maximum(np.abs(lam_xz), np.abs(mid.lam_y))
+    code = np.where(max_bloch > 1 + tol, 2, min_choi < -tol)  # index into Classification
+    for at, edge in ((x == 0, (0, 0.0, 1.0)),
+                     (abs(x - SINGULAR_EPS) <= SINGULAR_EPS_TOL, (3, np.nan, np.nan)),
+                     (abs(x - 0.5) <= SINGULAR_EPS_TOL, (2, -np.inf, np.inf))):
+        code[at], min_choi[at], max_bloch[at] = edge
+    label = np.array([c.value for c in Classification])[code]
+    if eps.ndim == 0:
+        return DivisibilityVerdict(Classification(label.item()), min_choi.item(), max_bloch.item())
+    return DivisibilityVerdict(label, min_choi, max_bloch)
 
 
 def find_transition(tol: float = 1e-10) -> float:
@@ -122,16 +135,12 @@ def find_transition(tol: float = 1e-10) -> float:
     through the singular point, is ((1-2e)^2 + 4e^2)/(1-2e); it crosses 1 at
     the transition.
     """
-
-    def margin(eps: float) -> float:
-        return ((1 - 2 * eps) ** 2 + 4 * eps**2) / (1 - 2 * eps) - 1
-
     lo, hi = 0.05, 0.45
-    if margin(lo) >= 0 or margin(hi) <= 0:
+    if _lam_xz(lo) >= 1 or _lam_xz(hi) <= 1:
         raise RuntimeError("bisection bracket does not straddle the transition")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if margin(mid) > 0:
+        if _lam_xz(mid) > 1:
             hi = mid
         else:
             lo = mid
@@ -146,8 +155,6 @@ def entanglement_dynamics(eps):
     with C = max(0, 2 q_max - 1) (qcore.bell_concurrence of each channel):
     C(1) = max(0, 1-4eps) and C(2) = (1-4eps)^2. Scalar eps gives floats.
     """
-    eps = np.asarray(eps, dtype=float)
-    if not np.all((0 <= eps) & (eps <= 0.5)):
-        raise ValueError(f"eps must be in [0, 0.5], got {eps}")
-    c1, c2 = np.maximum(0.0, 1 - 4 * eps), (1 - 4 * eps) ** 2
-    return (float(c1), float(c2)) if eps.ndim == 0 else (c1, c2)
+    b = 1 - 4 * _check_eps(eps)
+    c1, c2 = np.maximum(0.0, b), b * b
+    return (float(c1), float(c2)) if np.ndim(b) == 0 else (c1, c2)

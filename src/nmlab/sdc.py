@@ -75,7 +75,8 @@ def capacity(c_a, correlation: float):
     """Dense coding capacity 2 - H((1 + c_a^{2(1+K)}) / 2).
 
     c_a is the concurrence at encoding time; the limit convention
-    c_a^0 = 1 applies at (c_a = 0, K = -1).
+    c_a^0 = 1 applies at (c_a = 0, K = -1). For K near -1, c_a = exp(-(dn sigma t)^2/2)
+    underflows to 0 (capacity 1) before c_a^{2(1+K)} does; capacity_at avoids that.
     """
     c_a = np.asarray(c_a, dtype=float)
     if not np.all((0 <= c_a) & (c_a <= 1)):
@@ -83,6 +84,12 @@ def capacity(c_a, correlation: float):
     if not -1 <= correlation <= 1:
         raise ValueError("correlation must be in [-1, 1]")
     return 2 - binary_entropy((1 + c_a ** (2 * (1 + correlation))) / 2)
+
+
+def capacity_at(spec: CorrelatedSpectrum, t):
+    """capacity(c_a(t), K) with c_a^{2(1+K)} = joint_kappa(t, t): exact where c_a underflows."""
+    p = (1 + np.minimum(1.0, joint_kappa(spec, t, t))) / 2
+    return _float_if_scalar(2 + (_xlog2x(p) + _xlog2x(1 - p)))
 
 
 def concurrence_at_encoding(spec: CorrelatedSpectrum, t_a):

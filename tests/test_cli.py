@@ -264,6 +264,18 @@ class TestRun:
         assert report["violations"][0].startswith(key)
         assert not (tmp_path / "out").exists()
 
+    def test_fig4_overflowed_joint_kappa_refused(self, tmp_path, capsys, recwarn):
+        # t^2 overflows, so the K = -1 joint coherence is inf - inf at t_max: exit 2, not a crash.
+        out = tmp_path / "out"
+        assert cli.run("fig4", dict(load_config("fig4"), K=-1.0, t_max=1e200), out) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and not recwarn.list
+        report = json.loads(err[0])
+        assert report["error"] == "non-finite output"
+        assert report["violations"] == [f"fig4.csv: column {c} is not finite"
+                                         for c in ("mi_4state", "mi_3state", "capacity")]
+        assert list(out.iterdir()) == []
+
     def test_square_check_edge(self):
         # sigma**2 of a Python float overflows from 2**512 on, and not below it.
         params = load_config("fig1")
@@ -309,6 +321,25 @@ class TestOutputs:
         rows = read_rows(tmp_path / "fig4.csv")
         alice_only = [float(r["mi_4state_alice_only"]) for r in rows]
         assert all(b <= a + 1e-9 for a, b in zip(alice_only, alice_only[1:]))
+
+    def test_fig4_capacity_survives_c_a_underflow(self, tmp_path):
+        # c_a = exp(-(4*2*5)^2/2) underflows to 0 at t = 5; c_a^{2(1+K)} = exp(-6.25) does not.
+        params = {"sigma": 2, "K": -0.99609375, "delta_n": 4, "t_max": 5, "n_t": 6}
+        assert cli.run("fig4", params, tmp_path) == 0
+        rows = read_rows(tmp_path / "fig4.csv")
+        assert float(rows[-1]["c_a"]) == 0.0
+        assert float(rows[-1]["capacity"]) > 1 + 2e-6
+        assert all(float(r["capacity"]) >= float(r["mi_4state"]) for r in rows)
+
+    def test_fig2_labels_match_classify_scenario(self, tmp_path):
+        params = {"eps_min": 0.2, "eps_max": 0.3, "eps_step": 0.01}
+        assert cli.run("fig2", params, tmp_path / "fig2") == 0
+        for row in read_rows(tmp_path / "fig2" / "fig2.csv"):
+            out = tmp_path / row["epsilon"]
+            if cli.run("classify", {"epsilon": float(row["epsilon"])}, out) == 0:
+                assert read_rows(out / "classify.csv")[0]["classification"] == row["classification"]
+            else:
+                assert row["classification"] == "singular"
 
     def test_fig5_cells_are_float_literals(self, tmp_path):
         assert cli.run("fig5", load_config("fig5"), tmp_path) == 0

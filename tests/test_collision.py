@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -214,8 +216,85 @@ class TestEntanglementArray:
         for value in (0.1, np.float64(0.3), 0):
             assert all(type(c) is float for c in collision.entanglement_dynamics(value))
 
+    def test_scalar_matches_array_bit_for_bit(self):
+        # A numpy float64 scalar's x**2 goes through pow; the array square is x*x.
+        eps = np.random.default_rng(5).uniform(0, 0.5, 2000)
+        c1, c2 = collision.entanglement_dynamics(eps)
+        scalar = [collision.entanglement_dynamics(e) for e in eps.tolist()]
+        assert scalar == list(zip(c1.tolist(), c2.tolist()))
+
     def test_out_of_range_entry_rejected(self):
         with pytest.raises(ValueError):
             collision.entanglement_dynamics(np.array([0.1, 0.6]))
         with pytest.raises(ValueError):
             collision.entanglement_dynamics(np.array([-1e-12, 0.2]))
+
+
+def classify_oracle(eps):
+    """Per-eps (label, min Choi, max |lam|) from the channel path and the edge rules."""
+    if eps == 0:
+        return "markovian", 0.0, 1.0
+    if abs(eps - 0.25) <= 1e-9:
+        return "singular", float("nan"), float("nan")
+    if abs(eps - 0.5) <= 1e-9:
+        return "strong", float("-inf"), float("inf")
+    mid = collision.intermediate_channel(eps)
+    label = ("strong" if not qcore.is_positive(mid) else
+             "weak" if not qcore.is_cp(mid) else "markovian")
+    return label, min(qcore.kraus_weights(mid)), max(abs(l) for l in mid.as_tuple())
+
+
+eps_lists = st.lists(
+    st.one_of(st.floats(0.0, 0.5), st.floats(0.25 - 2e-9, 0.25 + 2e-9), st.floats(0.5 - 4e-4, 0.5),
+              st.sampled_from([0.0, 0.25, 0.5])),
+    min_size=1, max_size=40)
+
+
+class TestClassifyArray:
+    """The broadcast closed form against the per-eps channel path, used here only as an oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(eps_lists)
+    @example([0.0, 0.25, 0.5, 0.25 - 1e-9, 0.25 + 1e-9, 0.5 - 1e-9, 0.4999923596])
+    # Python's x**2 (libm pow) and x*x differ in the last bit of lam_x or lam_y here.
+    @example([0.4442961860162883, 0.0018158134732790265, 0.008816523639126883,
+              0.018471998855158156, 0.1291507930195051, 0.14298371622734507])
+    def test_matches_channel_oracle(self, eps):
+        verdict = collision.classify(np.array(eps))
+        labels, min_choi, max_bloch = zip(*(classify_oracle(e) for e in eps))
+        assert verdict.classification.tolist() == list(labels)
+        assert np.array_equal(verdict.min_choi_eigenvalue, min_choi, equal_nan=True)
+        assert np.array_equal(verdict.max_abs_bloch_eigenvalue, max_bloch, equal_nan=True)
+        for e, label in zip(eps, labels):
+            assert collision.classify(e).classification is Classification(label)
+
+    def test_matches_channel_oracle_on_uniform_draws(self):
+        # Uniform floats, which the hypothesis strategy rarely draws, exercise last-bit rounding.
+        eps = np.random.default_rng(11).uniform(0, 0.5, 5000)
+        verdict = collision.classify(eps)
+        labels, min_choi, max_bloch = zip(*(classify_oracle(e) for e in eps.tolist()))
+        assert verdict.classification.tolist() == list(labels)
+        assert np.array_equal(verdict.min_choi_eigenvalue, min_choi)
+        assert np.array_equal(verdict.max_abs_bloch_eigenvalue, max_bloch)
+
+    def test_shape_and_scalar_types(self):
+        eps = np.linspace(0, 0.5, 6).reshape(2, 3)
+        verdict = collision.classify(eps)
+        assert verdict.classification.shape == (2, 3)
+        assert verdict.min_choi_eigenvalue.shape == verdict.max_abs_bloch_eigenvalue.shape == (2, 3)
+        for value in (0.1, np.float64(0.3), 0, 0.25, 0.5, np.array(0.2)):
+            verdict = collision.classify(value)
+            assert isinstance(verdict.classification, Classification)
+            assert type(verdict.min_choi_eigenvalue) is float
+            assert type(verdict.max_abs_bloch_eigenvalue) is float
+
+    def test_edges_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = collision.classify(np.array([0.0, 0.25, 0.5]))
+        assert verdict.classification.tolist() == ["markovian", "singular", "strong"]
+
+    def test_out_of_range_entry_rejected(self):
+        for bad in ([0.1, 0.6], [-1e-12, 0.2], [0.1, float("nan")]):
+            with pytest.raises(ValueError):
+                collision.classify(np.array(bad))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmlab import qcore, sdc, spectra
@@ -315,6 +315,7 @@ class TestArrayPath:
 
     @settings(max_examples=200, deadline=None)
     @given(spec=spectrum_strategy, times=time_pairs)
+    @example(spec=make_spec(-0.99609375, sigma=2.0, delta_n=4.0), times=[(5.0, 5.0)])
     def test_invariants(self, spec, times):
         t = np.array([a for a, _ in times])
         c_a = sdc.concurrence_at_encoding(spec, t)
@@ -322,7 +323,33 @@ class TestArrayPath:
         mi4, mi3 = sdc.simulate_protocol(spec, t, t, 4), sdc.simulate_protocol(spec, t, t, 3)
         assert np.all((0 <= mi4) & (mi4 <= 2 + 1e-12))
         assert np.all((0 <= mi3) & (mi3 <= np.log2(3) + 1e-12))
-        assert np.all(mi4 <= sdc.capacity(c_a, spec.correlation) + 1e-9)
+        assert np.all(mi4 <= sdc.capacity_at(spec, t) + 1e-9)
+        # c_a = exp(-(dn sigma t)^2/2) underflows (to a subnormal with few bits, then to 0)
+        # before c_a^{2(1+K)} does when K is near -1, so the c_a form holds where c_a is normal.
+        normal = c_a >= np.finfo(float).tiny
+        assert np.all(mi4[normal] <= sdc.capacity(c_a[normal], spec.correlation) + 1e-9)
+
+    def test_capacity_at_survives_c_a_underflow(self):
+        spec, t = make_spec(-0.99609375, sigma=2.0, delta_n=4.0), np.array([1.0, 4.0, 5.0])
+        c_a = sdc.concurrence_at_encoding(spec, t)
+        assert c_a[-1] == 0.0 and sdc.capacity(c_a[-1], spec.correlation) == 1.0
+        mi4 = sdc.simulate_protocol(spec, t, t, 4)
+        assert np.max(np.abs(sdc.capacity_at(spec, t) - mi4)) <= 1e-12
+        assert np.max(np.abs(sdc.capacity_at(spec, t[:2]) - sdc.capacity(c_a[:2], -0.99609375))) <= 1e-12
+        assert sdc.capacity_at(spec, 5.0) > 1 + 2e-6
+
+    @pytest.mark.parametrize("correlation", [-1.0, math.nextafter(-1.0, 0), -1 + 2.0**-40])
+    def test_capacity_at_bounded_near_perfect_anticorrelation(self, correlation):
+        t = np.linspace(0, 10, 1001)
+        cap = sdc.capacity_at(make_spec(correlation), t)
+        assert np.all((1 <= cap) & (cap <= 2))
+        assert type(sdc.capacity_at(make_spec(correlation), 0.7)) is float
+
+    def test_capacity_at_is_nan_where_joint_kappa_is(self):
+        # t^2 overflows, so t^2 + t^2 - 2 t t is inf - inf: nan, like simulate_protocol.
+        with np.errstate(all="ignore"):
+            assert math.isnan(sdc.capacity_at(make_spec(-1.0), 1e200))
+            assert math.isnan(sdc.simulate_protocol(make_spec(-1.0), 1e200, 1e200, 4))
 
     def test_binary_entropy_endpoints_are_exact_zeros(self):
         h = sdc.binary_entropy(np.array([0.0, 1.0]))
