@@ -3,7 +3,9 @@
 Usage: nmlab <scenario> --config <file.json> --out <dir>
 
 SCENARIOS is the one table of scenarios. Each entry gives a parameter
-schema, a runner and an optional check across parameters. A schema maps
+schema, a runner, an optional check across parameters and an optional size
+rule, which bounds the output rows and dense cells of a run (ROWS_MAX,
+CELLS_MAX) before anything is allocated. A schema maps
 each config key to a (kind, check, message) rule: the kind converts the
 JSON value (a finite number, an integer, a list of finite numbers, a string
 or a boolean) and the check bounds the converted value. Numeric parameters
@@ -115,12 +117,25 @@ PATH = (str, None, None)
 FLAG = (_flag, None, None)
 # Largest fig2 epsilon grid, (eps_max - eps_min)/eps_step + 1 values.
 EPS_GRID_MAX = 100_000
+# Largest output (rows over all files) and dense work (grid cells evaluated) of one run.
+ROWS_MAX = 1_000_000
+CELLS_MAX = 10_000_000
 NV_KEYS = {
     "coupling": POSITIVE,
     "envelope_time": POSITIVE,
     "envelope_shape": (str, lambda x: x in ("gaussian", "exponential"),
                        "must be 'gaussian' or 'exponential'"),
 }
+
+
+def _size(keys: str, rows: int, cells: int | None = None):
+    """Violation if a run writes more than ROWS_MAX rows or evaluates more than
+    CELLS_MAX dense cells (by default its rows), else None."""
+    cells = rows if cells is None else cells
+    if rows > ROWS_MAX:
+        return f"{keys}: {rows} output rows exceed the budget ROWS_MAX = {ROWS_MAX}"
+    if cells > CELLS_MAX:
+        return f"{keys}: {cells} dense cells exceed the budget CELLS_MAX = {CELLS_MAX}"
 
 
 # --- runners: validated values -> ([(file name, header, columns)], manifest extras)
@@ -230,6 +245,7 @@ class Scenario(NamedTuple):
     schema: dict  # config key -> (kind, check, message); check and message may be None
     runner: Callable
     check: Callable | None = None  # all validated values -> violation or None
+    size: Callable | None = None  # all validated values -> _size violation or None
 
 
 SCENARIOS = {
@@ -238,7 +254,8 @@ SCENARIOS = {
                            "entries must be >= 0"),
         "sigma": POSITIVE, "delta_omega": NONNEGATIVE, "delta_n": NONZERO,
         "t_max": POSITIVE, "n_t": GRID_SIZE,
-    }, _fig1, _fig1_check),
+    }, _fig1, _fig1_check,
+        size=lambda v: _size("n_t, a_theta_values", v["n_t"] * len(v["a_theta_values"]))),
     "fig2": Scenario({"eps_min": EPSILON, "eps_max": EPSILON, "eps_step": POSITIVE}, _fig2,
                      _fig2_check),
     "fig3": Scenario({
@@ -246,19 +263,21 @@ SCENARIOS = {
         "phi_values": (_reals, lambda xs: len(xs) > 0 and all(0 <= x <= np.pi for x in xs),
                        "phi in [0, pi]"),
         "t_max": POSITIVE, "n_t": GRID_SIZE, "n_phi": GRID_SIZE,
-    }, _fig3),
+    }, _fig3, size=lambda v: _size("n_t, phi_values, n_phi",
+                                   v["n_t"] * len(v["phi_values"]) + v["n_phi"],
+                                   v["n_t"] * (len(v["phi_values"]) + v["n_phi"]))),
     "fig4": Scenario({
         "sigma": POSITIVE, "K": (_real, lambda x: -1 <= x <= 1, "K in [-1, 1]"),
         "delta_n": NONZERO, "t_max": POSITIVE, "n_t": GRID_SIZE,
-    }, _fig4, _fig4_check),
+    }, _fig4, _fig4_check, size=lambda v: _size("n_t", v["n_t"])),
     "fig5": Scenario({
         **NV_KEYS, "phi": (_real, lambda x: 0 <= x <= np.pi, "phi in [0, pi]"),
         "t_wait": NONNEGATIVE, "tau_max": POSITIVE, "n_tau": GRID_SIZE,
-    }, _fig5),
+    }, _fig5, size=lambda v: _size("n_tau", v["n_tau"])),
     "fig6": Scenario({
         "spectrum_csv": PATH, "delta_n": NONZERO, "two_pi": FLAG,
         "t_max": POSITIVE, "n_t": GRID_SIZE,
-    }, _fig6),
+    }, _fig6, size=lambda v: _size("n_t", v["n_t"])),
     "classify": Scenario({"epsilon": EPSILON}, _classify),
     "synth": Scenario({"kappa_csv": PATH, "delta_n": NONZERO, "two_pi": FLAG}, _synth),
 }
@@ -285,9 +304,10 @@ def _validated(scenario: str, params) -> tuple[dict, list[str]]:
             violations.append(f"{key}: {msg}")
             continue
         values[key] = value
-    # A check across parameters runs only once every parameter is valid.
-    if not violations and entry.check is not None and (violation := entry.check(values)):
-        violations.append(violation)
+    # The rules across parameters run only once every parameter is valid, the size first.
+    for rule in (entry.size, entry.check):
+        if not violations and rule is not None and (violation := rule(values)):
+            violations.append(violation)
     return values, violations
 
 

@@ -16,6 +16,7 @@ instead. Both appear in the photonic-dephasing literature.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import math
 import warnings
@@ -429,6 +430,10 @@ def write_csv(path, header, columns) -> str:
     return digest.hexdigest()
 
 
+_CACHE_KEYS = 64
+_column_cache: dict = {}  # (sha256 of a file's bytes, names) -> columns, or None until read twice
+
+
 def _read_columns(path, names) -> np.ndarray:
     """The float columns `names` of a CSV with a header row, one array row each.
 
@@ -437,12 +442,32 @@ def _read_columns(path, names) -> np.ndarray:
     quotes, comment rows or underscores; empty lines are skipped. A missing
     column raises KeyError, a short row or malformed cell ValueError. A
     header-only file gives empty columns, without numpy's no-data warning.
+
+    Parsed columns are cached per process under the file's content and the
+    names, never its path, size or mtime: every call reads and hashes the
+    bytes, so a file rewritten in place is never read stale. Content is
+    parsed again and kept on its second read and reused from its third. The
+    cache holds the _CACHE_KEYS most recently read keys, no array of a file
+    read once, and no error: a bad file raises on every read. Every call
+    returns a fresh copy, which the caller may mutate.
     """
-    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        index = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}
-        usecols = [index[name] for name in names]
-        return np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2, comments=None).T.copy()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    key = (hashlib.sha256(data).digest(), tuple(names))
+    seen = key in _column_cache
+    columns = _column_cache.pop(key, None)  # put back below as the most recent key
+    if columns is None:
+        # Universal newlines, as open() in text mode: io.StringIO would not split CR-only files.
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            index = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}
+            usecols = [index[name] for name in names]
+            columns = np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2, comments=None).T
+    _column_cache[key] = columns if seen else None
+    if len(_column_cache) > _CACHE_KEYS:
+        del _column_cache[next(iter(_column_cache))]
+    return columns.copy()
 
 
 def write_profile_csv(profile: SpectralProfile, path) -> None:

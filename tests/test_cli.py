@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +99,47 @@ class TestValidate:
 
     def test_integral_float_accepted_as_int(self):
         assert cli.validate("fig4", dict(load_config("fig4"), n_t=5.0)) == []
+
+    @pytest.mark.parametrize(
+        "scenario, overrides, keys, budget",
+        [
+            ("fig1", {"n_t": 10**12}, "n_t, a_theta_values", "ROWS_MAX"),
+            ("fig1", {"n_t": 1e12}, "n_t, a_theta_values", "ROWS_MAX"),
+            ("fig3", {"n_t": 10**9}, "n_t, phi_values, n_phi", "ROWS_MAX"),
+            ("fig3", {"n_phi": 10**9}, "n_t, phi_values, n_phi", "ROWS_MAX"),
+            # 120 300 rows, but 40 000 x (3 + 300) = 12 120 000 dense cells.
+            ("fig3", {"n_t": 40_000, "n_phi": 300}, "n_t, phi_values, n_phi", "CELLS_MAX"),
+            ("fig4", {"n_t": 10**10}, "n_t", "ROWS_MAX"),
+            ("fig4", {"n_t": cli.ROWS_MAX + 1}, "n_t", "ROWS_MAX"),
+            ("fig5", {"n_tau": 10**10}, "n_tau", "ROWS_MAX"),
+            ("fig6", {"n_t": 10**10}, "n_t", "ROWS_MAX"),
+        ],
+        ids=["fig1", "fig1_float", "fig3_n_t", "fig3_n_phi", "fig3_cells", "fig4", "fig4_edge",
+             "fig5", "fig6"],
+    )
+    def test_grid_over_budget(self, scenario, overrides, keys, budget):
+        # Through validate only: run would refuse the same config before allocating.
+        (violation,) = cli.validate(scenario, dict(load_config(scenario), **overrides))
+        assert violation.startswith(f"{keys}: ")
+        assert violation.endswith(f"exceed the budget {budget} = {getattr(cli, budget)}")
+
+    @pytest.mark.parametrize(
+        "scenario, overrides",
+        [
+            ("fig1", {"n_t": 5010, "a_theta_values": [0.0, 0.33, 0.5, 1.0, 1.5]}),
+            ("fig3", {"n_t": 20_010, "phi_values": [0.0, 0.5, 1.5], "n_phi": 250}),
+            ("fig4", {"n_t": 310}),
+            ("fig4", {"n_t": cli.ROWS_MAX}),
+            ("fig5", {"n_tau": 3010}),
+            ("fig6", {"n_t": 9766}),
+            ("fig6", {"n_t": cli.ROWS_MAX}),
+            ("fig3", {"n_t": cli.CELLS_MAX // 20, "phi_values": [0.0], "n_phi": 19}),
+        ],
+        ids=["fig1", "fig3", "fig4", "fig4_edge", "fig5", "fig6", "fig6_edge", "fig3_cells_edge"],
+    )
+    def test_scaled_grids_within_budget(self, scenario, overrides):
+        # The benchmark's largest requests and the scaled configs, and the budgets' edges.
+        assert cli.validate(scenario, dict(load_config(scenario), **overrides)) == []
 
     def test_all_templates_valid(self):
         for scenario in cli.SCENARIOS:
@@ -297,6 +341,45 @@ class TestRun:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert cli.main(["fig2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+class TestWarmReads:
+    """Runs that reuse an input parsed earlier in the process write what a fresh process does."""
+
+    @pytest.mark.parametrize(
+        "scenario, key, rewrite",
+        [
+            ("fig6", "spectrum_csv", lambda data: data.replace(b",0.0\n", b",0.1\n")),
+            ("synth", "kappa_csv", lambda data: data.replace(b",0.99", b",0.98", 1)),
+        ],
+        ids=["fig6", "synth"],
+    )
+    def test_warm_runs_match_a_fresh_process(self, scenario, key, rewrite, tmp_path):
+        params = patch_paths(scenario, load_config(scenario), tmp_path)
+        path = tmp_path / Path(params[key]).name
+        path.write_bytes(Path(params[key]).read_bytes())
+        params[key] = str(path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(params))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        for n in range(3):
+            if n == 2:  # new content of the same length, under the old mtime
+                data, stat = path.read_bytes(), path.stat()
+                path.write_bytes(rewrite(data))
+                assert len(path.read_bytes()) == len(data) and path.read_bytes() != data
+                os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            warm, cold = tmp_path / f"warm{n}", tmp_path / f"cold{n}"
+            assert cli.run(scenario, dict(params), warm) == 0
+            subprocess.run([sys.executable, "-m", "nmlab.cli", scenario, "--config", str(config),
+                            "--out", str(cold)], env=env, check=True)
+            names = sorted(f.name for f in cold.iterdir())
+            assert sorted(f.name for f in warm.iterdir()) == names
+            for name in names:
+                assert (warm / name).read_bytes() == (cold / name).read_bytes(), (n, name)
+        csv_name = next(name for name in names if name.endswith(".csv"))
+        assert (tmp_path / "warm2" / csv_name).read_bytes() != (
+            tmp_path / "warm1" / csv_name).read_bytes()
 
 
 class TestOutputs:

@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -523,3 +525,148 @@ class TestCsvInterchange:
         path.write_bytes(("\n".join(rewrite(lines)) + "\n").encode("utf-8"))
         got = spectra._read_columns(path, columns)
         assert got.tobytes() == spectra._read_columns(CONFIGS / name, columns).tobytes()
+
+    @pytest.mark.parametrize("name, columns", SHIPPED_INPUTS)
+    def test_cr_line_endings_read_the_same(self, name, columns, tmp_path):
+        path = tmp_path / name
+        path.write_bytes((CONFIGS / name).read_bytes().replace(b"\n", b"\r"))
+        want = spectra._read_columns(CONFIGS / name, columns).tobytes()
+        for _ in range(3):  # parsed, parsed and kept, reused
+            assert spectra._read_columns(path, columns).tobytes() == want
+
+
+@pytest.fixture
+def column_cache():
+    """The reader's cache, empty before and after the test."""
+    spectra._column_cache.clear()
+    yield spectra._column_cache
+    spectra._column_cache.clear()
+
+
+def rewrite_in_place(path, data):
+    """Write data over path, which it must match in length, and restore path's times."""
+    stat = path.stat()
+    assert len(data) == stat.st_size and data != path.read_bytes()
+    path.write_bytes(data)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+
+class TestColumnCache:
+    def write_profile(self, path):
+        profile = double_gaussian_profile(make_spec(), n_points=256)
+        spectra.write_profile_csv(profile, path)
+        return profile
+
+    def test_same_length_rewrite_under_old_mtime_reads_new_values(self, tmp_path, column_cache):
+        path = tmp_path / "spectrum.csv"
+        profile = self.write_profile(path)
+        for _ in range(3):
+            assert np.array_equal(spectra.read_profile_csv(path).phase, profile.phase)
+        assert any(columns is not None for columns in column_cache.values())
+        rewrite_in_place(path, path.read_bytes().replace(b",0.0\n", b",0.5\n"))
+        for _ in range(3):
+            assert np.all(spectra.read_profile_csv(path).phase == 0.5)
+
+    def test_mutating_a_returned_profile_leaves_later_reads(self, tmp_path, column_cache):
+        path = tmp_path / "spectrum.csv"
+        profile = self.write_profile(path)
+        for _ in range(4):
+            got = spectra.read_profile_csv(path)
+            assert np.array_equal(got.omega, profile.omega)
+            assert np.array_equal(got.density, profile.density)
+            assert np.array_equal(got.phase, profile.phase)
+            got.omega[:], got.density[:], got.phase[:] = 0.0, -1.0, 7.0
+            spectra._read_columns(path, spectra.PROFILE_COLUMNS)[:] = np.nan
+
+    @pytest.mark.parametrize(
+        "corrupt, error, match",
+        [
+            (lambda data: data.replace(b"phase", b"phasf", 1), KeyError, "phase"),
+            (lambda data: data.replace(b",0.0\n", b",nan\n", 1), ValueError,
+             "phase must be finite"),
+            (lambda data: data[:500] + b"\xff" + data[501:], UnicodeDecodeError, "position 500"),
+        ],
+        ids=["missing_column", "nan_cell", "non_utf8_byte"],
+    )
+    def test_bad_file_raises_on_every_read(self, corrupt, error, match, tmp_path, column_cache):
+        # The good content is cached under this path, size and mtime first.
+        path = tmp_path / "spectrum.csv"
+        profile = self.write_profile(path)
+        good = path.read_bytes()
+        for _ in range(3):
+            spectra.read_profile_csv(path)
+        rewrite_in_place(path, corrupt(good))
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(error, match=match) as info:
+                spectra.read_profile_csv(path)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        rewrite_in_place(path, good)
+        assert np.array_equal(spectra.read_profile_csv(path).density, profile.density)
+
+    def test_column_names_are_part_of_the_key(self, tmp_path, column_cache):
+        rng = np.random.default_rng(7)
+        profile = random_profile(rng, np.linspace(-3, 3, 64))
+        t = np.linspace(0, 5, 64)
+        kappa = np.exp(-0.3 * t**2) * np.exp(1j * 0.8 * t)
+        path = tmp_path / "both.csv"
+        spectra.write_csv(path, ["t", "re_kappa", "im_kappa", "omega", "density", "phase"],
+                          (t, kappa.real, kappa.imag, profile.omega, profile.density,
+                           profile.phase))
+        for _ in range(3):
+            assert np.array_equal(spectra.read_profile_csv(path).density, profile.density)
+        for _ in range(3):
+            got = spectra.read_trajectory_csv(path)
+            assert np.array_equal(got.t, t) and np.array_equal(got.kappa, kappa)
+
+    def test_files_read_once_keep_no_array(self, tmp_path, column_cache):
+        for i in range(200):
+            t = np.linspace(0, 1 + i, 8)
+            path = tmp_path / f"kappa{i}.csv"
+            spectra.write_trajectory_csv(DecoherenceTrajectory(t, np.exp(-t)), path)
+            assert np.array_equal(spectra.read_trajectory_csv(path).t, t)
+            assert len(column_cache) <= spectra._CACHE_KEYS
+        assert all(columns is None for columns in column_cache.values())
+        # A second read of the files whose keys are still held keeps their arrays.
+        for i in range(200 - spectra._CACHE_KEYS, 200):
+            spectra.read_trajectory_csv(tmp_path / f"kappa{i}.csv")
+        assert len(column_cache) == spectra._CACHE_KEYS
+        assert all(columns is not None for columns in column_cache.values())
+
+
+class TestKappaProperties:
+    """kappa_numeric on random valid profiles that went through the CSV interchange."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n_t=st.integers(2, 2048),
+        n_w=st.integers(2, 2048),
+        log_phase=st.floats(-2, np.log10(0.99 * spectra.CHIRP_PHASE_MAX)),
+        t_span=st.floats(0.1, 20),
+        w0_frac=st.floats(0.25, 0.75),
+        delta_n=st.floats(0.1, 2) | st.floats(-2, -0.1),
+        two_pi=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chirp_matches_dense_and_magnitude_bounded(self, n_t, n_w, log_phase, t_span,
+                                                       w0_frac, delta_n, two_pi, seed,
+                                                       tmp_path):
+        rng = np.random.default_rng(seed)
+        scale = 2 * np.pi * delta_n if two_pi else delta_n
+        t = np.linspace(0, t_span, n_t)
+        d_omega = 2 * 10**log_phase / ((n_t + n_w) ** 2 * abs(scale) * (t_span / (n_t - 1)))
+        width = d_omega * (n_w - 1)
+        path = tmp_path / "spectrum.csv"
+        spectra.write_profile_csv(
+            random_profile(rng, np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w)), path)
+        profile = spectra.read_profile_csv(path)
+        assert spectra._chirp_grids(t, profile.omega, scale) is not None
+        chirp = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
+        with mock.patch.object(spectra, "_chirp_grids", return_value=None), \
+                mock.patch.object(spectra, "_kappa_chirp", side_effect=AssertionError):
+            dense = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
+        assert np.max(np.abs(chirp - dense)) < 1e-11
+        for kappa in (chirp, dense):
+            assert np.max(np.abs(kappa)) <= 1 + spectra.KAPPA_MAG_TOL
