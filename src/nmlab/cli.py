@@ -120,6 +120,8 @@ EPS_GRID_MAX = 100_000
 # Largest output (rows over all files) and dense work (grid cells evaluated) of one run.
 ROWS_MAX = 1_000_000
 CELLS_MAX = 10_000_000
+# Rows of fig4 evaluated at once: its protocol holds about 53 floats per row.
+FIG4_BLOCK_ROWS = 1 << 13
 NV_KEYS = {
     "coupling": POSITIVE,
     "envelope_time": POSITIVE,
@@ -179,9 +181,15 @@ def _fig3(v):
 def _fig4(v):
     spec = sdc.CorrelatedSpectrum(sigma=v["sigma"], correlation=v["K"], delta_n=v["delta_n"])
     t = np.linspace(0, v["t_max"], v["n_t"])
-    columns = (t, sdc.concurrence_at_encoding(spec, t), sdc.simulate_protocol(spec, t, t, 4),
-               sdc.simulate_protocol(spec, t, t, 3), sdc.simulate_protocol(spec, t, 0.0, 4),
-               sdc.capacity_at(spec, t))
+    columns = np.empty((6, t.size))
+    columns[0] = t
+    # Each column is elementwise in t: blocks of rows bound the protocol's temporaries.
+    for i in range(0, t.size, FIG4_BLOCK_ROWS):
+        tb = t[i:i + FIG4_BLOCK_ROWS]
+        columns[1:, i:i + FIG4_BLOCK_ROWS] = (
+            sdc.concurrence_at_encoding(spec, tb), sdc.simulate_protocol(spec, tb, tb, 4),
+            sdc.simulate_protocol(spec, tb, tb, 3), sdc.simulate_protocol(spec, tb, 0.0, 4),
+            sdc.capacity_at(spec, tb))
     header = ["t_a", "c_a", "mi_4state", "mi_3state", "mi_4state_alice_only", "capacity"]
     return [("fig4.csv", header, columns)], {}
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore
+from . import _floatfmt, qcore
 
 DENSITY_NORM_TOL = 1e-8
 KAPPA_MAG_TOL = 1e-9
@@ -384,6 +384,102 @@ def synthesize_spectrum(
 PROFILE_COLUMNS = ("omega", "density", "phase")
 TRAJECTORY_COLUMNS = ("t", "re_kappa", "im_kappa")
 _WRITE_BLOCK_ROWS = 1 << 10
+# Cells formatted per block, at most (unless one block of _WRITE_BLOCK_ROWS rows
+# holds more): the kernel holds about 270 B per cell, and has a fixed cost per call.
+_WRITE_BLOCK_CELLS = 1 << 12
+# Tables of fewer cells are joined with one % operation. The kernel costs about
+# 0.3 ms per call whatever its size (2 CPUs): it breaks even with % at 2000-3000 cells of
+# the scenarios' tables and gains at most about 10 % on fig2's up to 6000, where
+# its ~1 MB of temporaries would still set the peak memory of a small run.
+_KERNEL_MIN_CELLS = 6000
+
+
+def _str_cells(values):
+    """(chars, keep) of str() of each cell of a 1-D array, as UTF-8 bytes."""
+    text = [str(v).encode("utf-8") for v in values.tolist()]
+    chars = np.array(text, dtype=bytes)
+    lengths = np.fromiter(map(len, text), dtype=np.intp, count=len(text))
+    width = chars.dtype.itemsize
+    return chars.view(np.uint8).reshape(-1, width), np.arange(width) < lengths[:, None]
+
+
+def _cells(arrays):
+    """(chars, keep) byte matrices of the cells of each 1-D array: row i of chars
+    masked by row i of keep is the cell's text. Float64 cells of all arrays come
+    from one _floatfmt call."""
+    floats = [a for a in arrays if a.dtype == np.float64]
+    if floats:
+        chars, keep = _floatfmt.format_repr(np.concatenate(floats))
+        bounds = np.cumsum([a.size for a in floats])[:-1]
+        floats = iter(zip(np.split(chars, bounds), np.split(keep, bounds)))
+    return [next(floats) if a.dtype == np.float64 else _str_cells(a) for a in arrays]
+
+
+def _left_aligned(chars, keep):
+    """The same cells with their kept bytes first, in rows as wide as the longest cell."""
+    lengths = keep.sum(axis=1)
+    narrow = np.arange(lengths.max()) < lengths[:, None]
+    packed = np.zeros(narrow.shape, dtype=np.uint8)
+    packed[narrow] = np.compress(keep.ravel(), chars.ravel())
+    return packed, narrow
+
+
+def _packed(values):
+    """_left_aligned (chars, keep) of a 1-D array's cells, formatted in chunks of
+    _WRITE_BLOCK_CELLS."""
+    chunks = [_left_aligned(*_cells([values[i:i + _WRITE_BLOCK_CELLS]])[0])
+              for i in range(0, values.size, _WRITE_BLOCK_CELLS)]
+    width = max(chars.shape[1] for chars, _ in chunks)
+    return tuple(np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in arrays])
+                 for arrays in zip(*chunks))
+
+
+def _table_blocks(distinct, order, shape, size):
+    """Rows of the broadcast table as uint8 arrays, in blocks of whole multiples of
+    _WRITE_BLOCK_ROWS rows: as many as keep the cells formatted per block within
+    _WRITE_BLOCK_CELLS, at least one. Column j of the table is distinct[order[j]]."""
+    small = [d.size < size for d in distinct]
+    full = len(distinct) - sum(small)
+    block = _WRITE_BLOCK_ROWS * max(1, _WRITE_BLOCK_CELLS // (_WRITE_BLOCK_ROWS * max(1, full)))
+    # A column smaller than the table is formatted once, packed narrow as it repeats;
+    # each block takes its rows by index.
+    sources = [(_packed(d.ravel()), np.broadcast_to(np.arange(d.size).reshape(d.shape), shape).flat)
+               if is_small else d.reshape(-1) for d, is_small in zip(distinct, small)]
+    for i in range(0, size, block):
+        stop = min(i + block, size)
+        fresh = iter(_cells([src[i:stop] for src, is_small in zip(sources, small)
+                             if not is_small]))
+        pieces = []
+        for src, is_small in zip(sources, small):
+            if is_small:
+                (cells, kept), index = src
+                rows = index[i:stop]
+                pieces.append((cells.take(rows, axis=0), kept.take(rows, axis=0)))
+            else:
+                pieces.append(next(fresh))
+        chars, keep = [], []
+        for n, j in enumerate(order):
+            sep = ord("\n") if n == len(order) - 1 else ord(",")
+            chars += [pieces[j][0], np.full((stop - i, 1), sep, dtype=np.uint8)]
+            keep += [pieces[j][1], np.ones((stop - i, 1), dtype=bool)]
+        yield np.compress(np.concatenate(keep, axis=1).ravel(),
+                          np.concatenate(chars, axis=1).ravel())
+
+
+def _joined(distinct, order, shape, size) -> bytes:
+    """Rows of the broadcast table from one % operation ('%s' of a float is its repr)."""
+    cells = []
+    for j, d in enumerate(distinct):
+        text = d.ravel().tolist()
+        if d.size < size:  # formatted on its own shape; the broadcast repeats the strings
+            text = np.array(list(map(str, text)), dtype=object).reshape(d.shape)
+            text = np.broadcast_to(text, shape).ravel().tolist()
+        elif order.count(j) > 1:
+            text = list(map(str, text))
+        cells.append(text)
+    row = "%s," * (len(order) - 1) + "%s\n"
+    return (row * size % tuple(itertools.chain.from_iterable(zip(*(cells[j] for j in order))))
+            ).encode("utf-8")
 
 
 def write_csv(path, header, columns) -> str:
@@ -392,41 +488,37 @@ def write_csv(path, header, columns) -> str:
     columns broadcast against each other (else ValueError, before the file
     is opened), each all numbers or all strings whose cells need no CSV
     quoting; the rows are the broadcast table in C order, so 0-d columns
-    alone give one row. A column smaller than the table is formatted once,
-    cell by cell with str(), and its strings are repeated (one object array
-    of table length). Each block of rows is converted with one tolist() per
-    column, so every float cell, numpy scalars included, is written as
-    repr(float(v)) and reads back exactly, and formatted with one %
-    operation ('%s' of a float is its repr); a column object passed twice
-    is formatted once per block, with str(). Blocks bound the memory of the
-    conversion; the bytes are hashed as they are written.
+    alone give one row. Every float cell, numpy scalars included, is written
+    as repr(float(v)), so it reads back exactly; any other cell as str(v).
+
+    Each distinct cell is formatted once: an array passed as two columns (as
+    fig5's U1/U2 and U3/U4 are) once, and a column smaller than the table on
+    its own shape, its text repeated where the broadcast repeats it. A table
+    of fewer than _KERNEL_MIN_CELLS cells is joined with one % operation. A
+    larger one goes through _floatfmt, which turns a float64 array into the
+    bytes of repr of each cell with numpy integer arithmetic (nan and inf
+    fall back to repr), in blocks of rows (see _table_blocks): each block's
+    float cells in one call, its other cells with str(), all laid out in one
+    byte matrix that one mask compacts into the block's bytes. Blocks bound
+    the memory to about 0.5 KB per cell formatted at once; the bytes are
+    hashed as they are written.
     """
-    columns = [np.asarray(column) for column in columns]  # held, so id()s stay unique
-    keys = [id(column) for column in columns]
+    columns = [np.asarray(column) for column in columns]
     shape = np.broadcast_shapes(*(column.shape for column in columns))
     size = math.prod(shape)
-    cells = {}  # id(column) -> its cells in table order
-    for key, column in zip(keys, columns):
-        if column.size < size:
-            strings = np.array([str(v) for v in column.ravel().tolist()], dtype=object)
-            column = np.broadcast_to(strings.reshape(column.shape), shape)
-        cells[key] = column.reshape(-1)  # a full-size column is in table order already
-    twice = {key for key in keys if keys.count(key) > 1}
-    row = "%s," * (len(columns) - 1) + "%s\n"
+    distinct = list({id(column): column for column in columns}.values())  # ids of held arrays
+    order = [next(j for j, d in enumerate(distinct) if d is column) for column in columns]
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        def put(text):
-            data = text.encode("utf-8")
+        def put(data):
             digest.update(data)
             fh.write(data)
-        put(",".join(header) + "\n")
-        for i in range(0, size, _WRITE_BLOCK_ROWS):
-            block = {key: column[i:i + _WRITE_BLOCK_ROWS].tolist()
-                     for key, column in cells.items()}
-            for key in twice:
-                block[key] = list(map(str, block[key]))
-            rows = zip(*(block[key] for key in keys))
-            put(row * len(block[keys[0]]) % tuple(itertools.chain.from_iterable(rows)))
+        put((",".join(header) + "\n").encode("utf-8"))
+        if size * len(columns) < _KERNEL_MIN_CELLS:
+            put(_joined(distinct, order, shape, size))
+        else:
+            for block in _table_blocks(distinct, order, shape, size):
+                put(block)
     return digest.hexdigest()
 
 

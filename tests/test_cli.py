@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,16 @@ class TestRun:
             import hashlib
 
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
+    def test_fig4_memory_is_bounded(self, tmp_path):
+        # fig4's protocol holds about 424 B per row; evaluated in blocks, a run holds its columns.
+        tracemalloc.start()
+        try:
+            assert cli.run("fig4", dict(load_config("fig4"), n_t=100_000), tmp_path) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15 * 2**20
 
     @pytest.mark.parametrize("scenario", cli.SCENARIOS)
     def test_byte_identical_reruns(self, scenario, tmp_path):
@@ -505,3 +516,34 @@ class TestGolden:
                     continue
                 np.testing.assert_allclose(np.array(g, dtype=float), expected, rtol=0, atol=1e-12,
                                            err_msg=f"{entry['file']}:{column}")
+
+
+# Scaled configs whose tables go through the vectorized float formatter block by block.
+SCALED = {"fig1_5010x5": ("fig1", {"n_t": 5010, "a_theta_values": [0.0, 0.33, 0.5, 1.0, 1.5]}),
+          "fig3_20010": ("fig3", {"n_t": 20010}), "fig5_3010": ("fig5", {"n_tau": 3010})}
+
+
+class TestCanonicalCells:
+    """Every float cell is the repr of the float it reads back to.
+
+    TestGolden compares values within 1e-12, so a change of layout alone
+    (1e-05 written as 1e-5, say) would pass it but not this.
+    """
+
+    @pytest.mark.parametrize("scenario, overrides",
+                             [(s, {}) for s in cli.SCENARIOS] + list(SCALED.values()),
+                             ids=list(cli.SCENARIOS) + list(SCALED))
+    def test_float_cells_are_repr(self, scenario, overrides, tmp_path):
+        params = dict(patch_paths(scenario, load_config(scenario), tmp_path), **overrides)
+        assert cli.run(scenario, params, tmp_path / "out") == 0
+        floats = 0
+        for path in sorted((tmp_path / "out").glob("*.csv")):
+            _, *rows = path.read_text(encoding="utf-8").splitlines()
+            for cell in ",".join(rows).split(","):
+                try:
+                    value = float(cell)
+                except ValueError:  # classifications
+                    continue
+                assert repr(value) == cell, (path.name, cell)
+                floats += 1
+        assert floats

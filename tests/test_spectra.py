@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import os
 from pathlib import Path
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nmlab import qcore, spectra
+from nmlab import _floatfmt, qcore, spectra
 from nmlab.spectra import (
     DecoherenceTrajectory,
     DoubleGaussianSpec,
@@ -533,6 +534,67 @@ class TestCsvInterchange:
         want = spectra._read_columns(CONFIGS / name, columns).tobytes()
         for _ in range(3):  # parsed, parsed and kept, reused
             assert spectra._read_columns(path, columns).tobytes() == want
+
+
+def csv_module_bytes(header, columns):
+    """Oracle: the csv module's rows of the broadcast table, cells as numpy scalars."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(np.broadcast_to(c, shape).ravel() for c in columns)))
+    return buf.getvalue().encode("utf-8")
+
+
+def mixed_columns(n, n_columns, seed):
+    """Columns of n rows: floats, ints, labels, a 0-d float, the floats again, then more floats."""
+    rng = np.random.default_rng(seed)
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[:4] = [-0.0, 5e-324, 1e16, 1e-05][:n]
+    ints = rng.integers(-(10**12), 10**12, n)
+    labels = np.array(["markovian", "weak", "strong", "singular"])[rng.integers(0, 4, n)]
+    extra = [rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-6, 18, n) for _ in range(n_columns - 5)]
+    return [floats, ints, labels, np.float64(-2.5e-7), floats, *extra]
+
+
+class TestWriterPaths:
+    """The % path below _KERNEL_MIN_CELLS cells and the kernel path from it, block by block."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_switch_edges(self, offset, tmp_path, monkeypatch):
+        cells = spectra._KERNEL_MIN_CELLS + offset
+        n_columns = next(d for d in range(5, cells + 1) if cells % d == 0)
+        columns = mixed_columns(cells // n_columns, n_columns, cells)
+        calls = []
+        kernel = _floatfmt.format_repr
+        monkeypatch.setattr(_floatfmt, "format_repr", lambda x: calls.append(x.size) or kernel(x))
+        header = [f"c{j}" for j in range(n_columns)]
+        digest = spectra.write_csv(tmp_path / "t.csv", header, columns)
+        data = (tmp_path / "t.csv").read_bytes()
+        assert data == csv_module_bytes(header, columns)
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert bool(calls) == (offset >= 0)
+
+    @pytest.mark.parametrize("rows", [spectra._WRITE_BLOCK_ROWS + d for d in (-1, 0, 1)]
+                             + [2 * spectra._WRITE_BLOCK_ROWS + 1])
+    def test_block_edges(self, rows, tmp_path):
+        header = list("fiLzFxy")
+        columns = mixed_columns(rows, 7, rows)
+        spectra.write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(header, columns)
+
+    @pytest.mark.parametrize("n", [spectra._WRITE_BLOCK_CELLS // 2 + d for d in (-1, 0, 1)])
+    def test_broadcast_block_edges(self, n, tmp_path):
+        # A (2, n) table with one full-size column, so blocks of _WRITE_BLOCK_CELLS rows:
+        # at n + 1 the second block starts inside the second repeat of the t-like columns.
+        floats, ints, labels, zero_d, _, full = mixed_columns(n, 6, n)
+        a = np.c_[[0.5, -1e-300]]
+        kinds = np.c_[["weak", "strong"]]
+        full = np.stack([full, -full])
+        header = list("tiazaklff")
+        columns = (floats, ints, a, zero_d, a, kinds, labels, full, full)
+        spectra.write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(header, columns)
 
 
 @pytest.fixture
