@@ -10,7 +10,8 @@ each config key to a (kind, check, message) rule: the kind converts the
 JSON value (a finite number, an integer, a list of finite numbers, a string
 or a boolean) and the check bounds the converted value. Numeric parameters
 must be JSON numbers: booleans, NaN, +-Infinity and numeric strings such as
-"1.5" are rejected. validate walks the schema; run hands the validated
+"1.5" are rejected; values under keys outside the schema, which the manifest
+copies, must be valid JSON. validate walks the schema; run hands the validated
 values, not the raw config, to the runner, which returns its outputs as
 (file name, header, columns) whose columns broadcast (fig1 and fig3 pass t,
 the swept parameter as a column and the values as a table). run runs it
@@ -120,8 +121,6 @@ EPS_GRID_MAX = 100_000
 # Largest output (rows over all files) and dense work (grid cells evaluated) of one run.
 ROWS_MAX = 1_000_000
 CELLS_MAX = 10_000_000
-# Rows of fig4 evaluated at once: its protocol holds about 53 floats per row.
-FIG4_BLOCK_ROWS = 1 << 13
 NV_KEYS = {
     "coupling": POSITIVE,
     "envelope_time": POSITIVE,
@@ -181,17 +180,17 @@ def _fig3(v):
 def _fig4(v):
     spec = sdc.CorrelatedSpectrum(sigma=v["sigma"], correlation=v["K"], delta_n=v["delta_n"])
     t = np.linspace(0, v["t_max"], v["n_t"])
-    columns = np.empty((6, t.size))
-    columns[0] = t
-    # Each column is elementwise in t: blocks of rows bound the protocol's temporaries.
-    for i in range(0, t.size, FIG4_BLOCK_ROWS):
-        tb = t[i:i + FIG4_BLOCK_ROWS]
-        columns[1:, i:i + FIG4_BLOCK_ROWS] = (
-            sdc.concurrence_at_encoding(spec, tb), sdc.simulate_protocol(spec, tb, tb, 4),
-            sdc.simulate_protocol(spec, tb, tb, 3), sdc.simulate_protocol(spec, tb, 0.0, 4),
-            sdc.capacity_at(spec, tb))
+    c_a = sdc.concurrence_at_encoding(spec, t)
+    # The encoded states are Bell-diagonal (sdc.bell_probabilities): each encoding gives its
+    # Bell outcome with p = (1 + f)/2 and its partner with 1 - p, so H(Y|X) = H(p), and H(Y) is
+    # 2 for four encodings, log2(3) + H(p)/3 for I, X, Z. The entropies are unvalidated, as in
+    # capacity_at, so a nan f (an overflowed joint_kappa) reaches run's non-finite check.
+    p = (1 + np.minimum(1.0, sdc.joint_kappa(spec, t, t))) / 2
+    h, h_alice = (-(sdc._xlog2x(x) + sdc._xlog2x(1 - x)) for x in (p, (1 + c_a) / 2))
+    mi_4state = 2 - h  # capacity_at bit for bit, so one array serves both columns
     header = ["t_a", "c_a", "mi_4state", "mi_3state", "mi_4state_alice_only", "capacity"]
-    return [("fig4.csv", header, columns)], {}
+    return [("fig4.csv", header,
+             (t, c_a, mi_4state, np.log2(3) - 2 / 3 * h, 2 - h_alice, mi_4state))], {}
 
 
 def _fig4_check(v):
@@ -312,6 +311,12 @@ def _validated(scenario: str, params) -> tuple[dict, list[str]]:
             violations.append(f"{key}: {msg}")
             continue
         values[key] = value
+    # The manifest copies the config, so every other value must be valid JSON too.
+    for key in (key for key in params if key not in entry.schema):
+        try:
+            json.dumps(params[key], allow_nan=False)
+        except (TypeError, ValueError):
+            violations.append(f"{key}: must be valid JSON (no NaN or +-Infinity)")
     # The rules across parameters run only once every parameter is valid, the size first.
     for rule in (entry.size, entry.check):
         if not violations and rule is not None and (violation := rule(values)):
@@ -347,22 +352,16 @@ def run(scenario: str, params: dict, out_dir) -> int:
             return _fail(EXIT_CONFIG, "non-finite output", violations=non_finite)
         hashes = [{"file": name, "sha256": spectra.write_csv(out / name, header, columns)}
                   for name, header, columns in outputs]
+        manifest = {"scenario": scenario, "parameters": params, "version": __version__,
+                    "outputs": hashes, **extra}
+        (out / f"{scenario}_manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     except InputFileError as exc:
         return _fail(EXIT_CONFIG, "invalid input file", violations=[str(exc)])
     except SingularChannelError as exc:
         return _fail(EXIT_SINGULAR, "singular channel", detail=str(exc))
     except OSError as exc:
         return _fail(EXIT_IO, "io failure", detail=str(exc))
-    manifest = {
-        "scenario": scenario,
-        "parameters": params,
-        "version": __version__,
-        "outputs": hashes,
-        **extra,
-    }
-    manifest_path = out / f"{scenario}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
     return EXIT_OK
 
 

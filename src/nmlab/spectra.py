@@ -387,11 +387,11 @@ _WRITE_BLOCK_ROWS = 1 << 10
 # Cells formatted per block, at most (unless one block of _WRITE_BLOCK_ROWS rows
 # holds more): the kernel holds about 270 B per cell, and has a fixed cost per call.
 _WRITE_BLOCK_CELLS = 1 << 12
-# Tables of fewer cells are joined with one % operation. The kernel costs about
-# 0.3 ms per call whatever its size (2 CPUs): it breaks even with % at 2000-3000 cells of
-# the scenarios' tables and gains at most about 10 % on fig2's up to 6000, where
-# its ~1 MB of temporaries would still set the peak memory of a small run.
-_KERNEL_MIN_CELLS = 6000
+# Tables of fewer cells are joined with one % operation. The kernel costs about 0.3 ms
+# per call whatever its size and breaks even with % at 2000-3000 cells of the scenarios'
+# tables. On 2 CPUs, 2000 rather than 6000 cut the benchmark's spectral latency by 11 %
+# (mean) and 17 % (median), for about 1 MB more peak RSS (BENCH_16.json).
+_KERNEL_MIN_CELLS = 2000
 
 
 def _str_cells(values):

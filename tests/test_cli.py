@@ -9,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nmlab import cli, spectra
+from nmlab import cli, sdc, spectra
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -167,7 +169,7 @@ class TestRun:
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
 
     def test_fig4_memory_is_bounded(self, tmp_path):
-        # fig4's protocol holds about 424 B per row; evaluated in blocks, a run holds its columns.
+        # fig4's closed forms hold their output columns and a few temporaries: about 70 B per row.
         tracemalloc.start()
         try:
             assert cli.run("fig4", dict(load_config("fig4"), n_t=100_000), tmp_path) == 0
@@ -353,6 +355,27 @@ class TestRun:
         cfg.write_text("{not json")
         assert cli.main(["fig2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_manifest_path_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "classify_manifest.json").mkdir()
+        assert cli.run("classify", load_config("classify"), tmp_path) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "io failure"
+
+    @pytest.mark.parametrize("note", ["NaN", "[1, Infinity]", '{"x": -Infinity}'])
+    def test_non_json_value_outside_schema_refused(self, note, tmp_path, capsys):
+        # json.loads accepts these literals; the manifest copying them would not be JSON.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"epsilon": 0.1, "note": %s}' % note)
+        out = tmp_path / "out"
+        assert cli.main(["classify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        report = json.loads(err[0])
+        assert report["error"] == "invalid config"
+        assert [v.split(":")[0] for v in report["violations"]] == ["note"]
+        assert not out.exists()
+
 
 class TestWarmReads:
     """Runs that reuse an input parsed earlier in the process write what a fresh process does."""
@@ -464,6 +487,34 @@ class TestOutputs:
         raw = (tmp_path / "fig2.csv").read_bytes()
         assert b"\r" not in raw
         assert raw.split(b"\n", 1)[0] == b"epsilon,C1,C2,C2_minus_C1,classification"
+
+
+class TestFig4Oracle:
+    """fig4's closed forms against the full protocol simulation in nmlab.sdc."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sigma=st.floats(1e-3, 5.0),
+           K=st.one_of(st.just(-1.0), st.just(1.0), st.floats(-1.0, 1.0)),
+           delta_n=st.floats(-5.0, 5.0).filter(lambda x: x != 0),
+           t_max=st.floats(1e-3, 10.0), n_t=st.integers(2, 200))
+    @example(sigma=2.0, K=-0.99609375, delta_n=4.0, t_max=5.0, n_t=6)  # c_a underflows at t_max
+    def test_columns_match_protocol(self, sigma, K, delta_n, t_max, n_t, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fig4")
+        params = {"sigma": sigma, "K": K, "delta_n": delta_n, "t_max": t_max, "n_t": n_t}
+        assert cli.run("fig4", params, out) == 0
+        header, cells = read_columns(out / "fig4.csv")
+        col = dict(zip(header, (np.array(c, dtype=float) for c in cells)))
+        spec = sdc.CorrelatedSpectrum(sigma=sigma, correlation=K, delta_n=delta_n)
+        t = col["t_a"]
+        assert np.array_equal(t, np.linspace(0, t_max, n_t))
+        assert np.array_equal(col["c_a"], sdc.concurrence_at_encoding(spec, t))
+        oracle = {"mi_4state": sdc.simulate_protocol(spec, t, t, 4),
+                  "mi_3state": sdc.simulate_protocol(spec, t, t, 3),
+                  "mi_4state_alice_only": sdc.simulate_protocol(spec, t, 0.0, 4),
+                  "capacity": sdc.capacity_at(spec, t)}
+        for name, want in oracle.items():
+            assert np.max(np.abs(col[name] - want)) <= 1e-12, name
+        assert cells[header.index("mi_4state")] == cells[header.index("capacity")]
 
 
 def read_columns(path):
