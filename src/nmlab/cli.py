@@ -5,13 +5,14 @@ Usage: nmlab <scenario> --config <file.json> --out <dir>
 SCENARIOS is the one table of scenarios. Each entry gives a parameter
 schema, a runner, an optional check across parameters and an optional size
 rule, which bounds the output rows and dense cells of a run (ROWS_MAX,
-CELLS_MAX) before anything is allocated. A schema maps
+CELLS_MAX) before anything is allocated; fig6 and synth bound their input
+file's once read, before any quadrature. A schema maps
 each config key to a (kind, check, message) rule: the kind converts the
 JSON value (a finite number, an integer, a list of finite numbers, a string
 or a boolean) and the check bounds the converted value. Numeric parameters
 must be JSON numbers: booleans, NaN, +-Infinity and numeric strings such as
-"1.5" are rejected; values under keys outside the schema, which the manifest
-copies, must be valid JSON. validate walks the schema; run hands the validated
+"1.5" are rejected; every value, which the manifest copies, must be valid
+JSON, numpy scalars too. validate walks the schema; run hands the validated
 values, not the raw config, to the runner, which returns its outputs as
 (file name, header, columns) whose columns broadcast (fig1 and fig3 pass t,
 the swept parameter as a column and the values as a table). run runs it
@@ -116,9 +117,7 @@ EPSILON = (_real, lambda x: 0 <= x <= 0.5, "epsilon must be <= 0.5 and >= 0")
 GRID_SIZE = (_integer, lambda n: n >= 2, "must be >= 2")
 PATH = (str, None, None)
 FLAG = (_flag, None, None)
-# Largest fig2 epsilon grid, (eps_max - eps_min)/eps_step + 1 values.
-EPS_GRID_MAX = 100_000
-# Largest output (rows over all files) and dense work (grid cells evaluated) of one run.
+# Largest rows one run writes (over all files) or reads, and dense grid cells it evaluates.
 ROWS_MAX = 1_000_000
 CELLS_MAX = 10_000_000
 NV_KEYS = {
@@ -130,13 +129,22 @@ NV_KEYS = {
 
 
 def _size(keys: str, rows: int, cells: int | None = None):
-    """Violation if a run writes more than ROWS_MAX rows or evaluates more than
-    CELLS_MAX dense cells (by default its rows), else None."""
+    """Violation if a run writes or reads more than ROWS_MAX rows or evaluates more
+    than CELLS_MAX dense cells (by default its rows), else None."""
     cells = rows if cells is None else cells
     if rows > ROWS_MAX:
-        return f"{keys}: {rows} output rows exceed the budget ROWS_MAX = {ROWS_MAX}"
+        return f"{keys}: {rows} rows exceed the budget ROWS_MAX = {ROWS_MAX}"
     if cells > CELLS_MAX:
         return f"{keys}: {cells} dense cells exceed the budget CELLS_MAX = {CELLS_MAX}"
+
+
+def _kernel_size(key: str, t, omega):
+    """Raise InputFileError if the omega grid from `key`'s file (fig6 reads it, synth writes
+    it) exceeds ROWS_MAX rows, which bounds the chirp-z kernel's exact phases j^2, or if
+    kappa_numeric takes the dense sum on (t, omega) and n_t * n_omega exceeds CELLS_MAX."""
+    dense = spectra._chirp_grids(t, omega) is None
+    if violation := _size(key, omega.size, t.size * omega.size if dense else omega.size):
+        raise InputFileError(violation)
 
 
 # --- runners: validated values -> ([(file name, header, columns)], manifest extras)
@@ -164,9 +172,6 @@ def _fig2(v):
 def _fig2_check(v):
     if v["eps_max"] < v["eps_min"]:
         return "eps_max: must be >= eps_min"
-    count = (v["eps_max"] - v["eps_min"]) / v["eps_step"] + 1
-    if count > EPS_GRID_MAX:
-        return f"eps_step: {count:.6g} epsilon values exceed the budget of {EPS_GRID_MAX}"
 
 
 def _fig3(v):
@@ -220,6 +225,7 @@ def _fig6(v):
     if not math.isfinite(scale * v["t_max"] * float(np.max(np.abs(profile.omega)))):
         raise InputFileError(f"{v['spectrum_csv']}: phase |scale|*t_max*max|omega| is not finite")
     t = np.linspace(0, v["t_max"], v["n_t"])
+    _kernel_size("spectrum_csv", t, profile.omega)
     kappa = spectra.kappa_numeric(profile, v["delta_n"], t, two_pi=v["two_pi"])
     # hypot matches abs() of each complex scalar bit for bit; np.abs does not.
     columns = (t, kappa.real, kappa.imag, np.hypot(kappa.real, kappa.imag))
@@ -240,6 +246,8 @@ def _classify(v):
 def _synth(v):
     traj = _read_input(spectra.read_trajectory_csv, v["kappa_csv"])
     try:
+        omega = spectra._synthesis_grid(traj.t, v["delta_n"], v["two_pi"])[0]
+        _kernel_size("kappa_csv", traj.t, omega)
         result = spectra.synthesize_spectrum(traj, v["delta_n"], two_pi=v["two_pi"])
     except ValueError as exc:  # the time grid is non-uniform or too short
         raise InputFileError(f"{v['kappa_csv']}: {exc}") from exc
@@ -263,8 +271,9 @@ SCENARIOS = {
         "t_max": POSITIVE, "n_t": GRID_SIZE,
     }, _fig1, _fig1_check,
         size=lambda v: _size("n_t, a_theta_values", v["n_t"] * len(v["a_theta_values"]))),
-    "fig2": Scenario({"eps_min": EPSILON, "eps_max": EPSILON, "eps_step": POSITIVE}, _fig2,
-                     _fig2_check),
+    "fig2": Scenario(
+        {"eps_min": EPSILON, "eps_max": EPSILON, "eps_step": POSITIVE}, _fig2, _fig2_check,
+        size=lambda v: _size("eps_step", (v["eps_max"] - v["eps_min"]) / v["eps_step"] + 1)),
     "fig3": Scenario({
         **NV_KEYS,
         "phi_values": (_reals, lambda xs: len(xs) > 0 and all(0 <= x <= np.pi for x in xs),
@@ -311,8 +320,9 @@ def _validated(scenario: str, params) -> tuple[dict, list[str]]:
             violations.append(f"{key}: {msg}")
             continue
         values[key] = value
-    # The manifest copies the config, so every other value must be valid JSON too.
-    for key in (key for key in params if key not in entry.schema):
+    # The manifest copies the config, so every value must be valid JSON too (a numpy scalar
+    # is not); a schema key already reported is not checked again.
+    for key in (key for key in params if key in values or key not in entry.schema):
         try:
             json.dumps(params[key], allow_nan=False)
         except (TypeError, ValueError):

@@ -155,11 +155,6 @@ def double_gaussian_profile(
     return SpectralProfile(omega=omega, density=density, phase=np.zeros_like(omega))
 
 
-# Largest chirp phase |a| * (n_t + n_omega)^2 / 2 (rad) for which the chirp-z
-# kernel is used; larger phases take the dense fallback. With exact chirps
-# the bound is conservative (1.4e-14 from the dense sum at 3.8e6 rad on a
-# 2048 x 200000 grid), but the property tests cover phases up to it only.
-CHIRP_PHASE_MAX = 1e5
 # Cells per block of the dense fallback: bounds its memory at any grid size.
 _DENSE_BLOCK_CELLS = 1 << 16
 
@@ -175,23 +170,15 @@ def _uniform_fit(x: np.ndarray):
     return float(x[0]), float(step)
 
 
-def _chirp_grids(t: np.ndarray, omega: np.ndarray, scale: float):
-    """((t0, dt), (w0, dw)) if kappa on these grids may use the chirp-z kernel.
-
-    Both grids must be uniform up to rounding, and the largest chirp phase
-    must stay within CHIRP_PHASE_MAX; otherwise None (dense fallback).
-    """
+def _chirp_grids(t: np.ndarray, omega: np.ndarray):
+    """The kernel choice of kappa_numeric: ((t0, dt), (w0, dw)) if t and omega are both
+    uniform up to rounding (the chirp-z kernel), else None (the dense sum)."""
     t_fit, w_fit = _uniform_fit(t), _uniform_fit(omega)
-    if t_fit is None or w_fit is None:
-        return None
-    a = scale * t_fit[1] * w_fit[1]
-    if not abs(a) * (t.size + omega.size) ** 2 / 2 <= CHIRP_PHASE_MAX:
-        return None
-    return t_fit, w_fit
+    return None if t_fit is None or w_fit is None else (t_fit, w_fit)
 
 
 def _chirp(c: float, m2: np.ndarray) -> np.ndarray:
-    """exp(i c m2) for exact integers m2, with c*m2 rounded only in a small term.
+    """exp(i c m2) for exact integers m2 below 2**53, with c*m2 rounded only in a small term.
 
     c is split as c_hi + c_lo with c_hi short enough that c_hi*m2 is exact,
     so the large phases are never rounded.
@@ -242,14 +229,13 @@ def kappa_numeric(profile: SpectralProfile, delta_n: float, t, two_pi: bool = Fa
     omega for every t is a chirp-z transform, evaluated with one FFT
     convolution of length 2^ceil(log2(n_t + n_w - 1)) (Bluestein 1970): time
     O((n_t + n_w) log(n_t + n_w)), memory O(n_t + n_w). The chirp phases are
-    formed from exact integers j^2 and never rounded, so the result differs
-    from the dense sum only by rounding of the same size as the dense sum's
-    own: at most 1.6e-12 over 3000 random grids with chirp phases of 1e3 to
-    1e5 rad, 2.5e-13 at 1.3e5 rad. Scalar t, t or omega not uniform up to
-    rounding, and grids whose largest chirp phase
-    |scale*dt*dw| * (n_t + n_w)^2 / 2 exceeds CHIRP_PHASE_MAX rad take the
-    dense sum instead, evaluated in row blocks so that no n_t x n_w array
-    is ever allocated.
+    formed from exact integers j^2 (max(n_t, n_w) below 9.4e7: j^2 < 2^53),
+    but the rounding of scale*dt*dw makes the error grow with the largest
+    chirp phase |scale*dt*dw| * (n_t + n_w)^2 / 2, as the dense sum's does,
+    a few times larger: against an 80-bit long double dense sum on 700 random
+    grids, at most 4e-12 below 1e6 rad, 6e-11 below 1e7 and 6e-10 to 1.6e8.
+    Only scalar t and grids not uniform up to rounding take the dense sum,
+    in row blocks so that no n_t x n_w array is ever allocated.
     """
     t = np.asarray(t, dtype=float)
     scale = _kernel_scale(delta_n, two_pi)
@@ -258,7 +244,7 @@ def kappa_numeric(profile: SpectralProfile, delta_n: float, t, two_pi: bool = Fa
     weights[0] *= 0.5
     weights[-1] *= 0.5
     g = profile.density * np.exp(1j * profile.phase) * weights
-    fits = _chirp_grids(t, omega, scale)
+    fits = _chirp_grids(t, omega)
     if fits is None:
         out = _kappa_dense(g, omega, scale, t.ravel())
     else:
@@ -327,6 +313,20 @@ class SynthesisResult:
     two_pi: bool = False
 
 
+def _synthesis_grid(t: np.ndarray, delta_n: float, two_pi: bool):
+    """(omega, order): the sorted fftfreq grid (2*t.size - 2 points) conjugate to the Hermitian
+    extension of t, on which synthesize_spectrum recovers a spectrum, and the order sorting its
+    DFT onto it; ValueError unless t is increasing, uniform within 1e-9 and >= 3 samples long."""
+    dt = t[1] - t[0]
+    if not dt > 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
+        raise ValueError("time grid must be uniform and increasing")
+    if t.size < 3:
+        raise ValueError("need at least 3 time samples")
+    omega = 2 * np.pi * np.fft.fftfreq(2 * t.size - 2, d=dt) / _kernel_scale(delta_n, two_pi)
+    order = np.argsort(omega)
+    return omega[order], order
+
+
 def synthesize_spectrum(
     traj: DecoherenceTrajectory,
     delta_n: float,
@@ -343,32 +343,21 @@ def synthesize_spectrum(
     short for kappa to decay, or kappa is not realizable by a positive
     density) the `realizable` flag is False.
     """
-    t = traj.t
-    dt = t[1] - t[0]
-    if not dt > 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
-        raise ValueError("time grid must be uniform and increasing")
-    if t.size < 3:
-        raise ValueError("need at least 3 time samples")
-    scale = _kernel_scale(delta_n, two_pi)
+    omega, order = _synthesis_grid(traj.t, delta_n, two_pi)
     # Hermitian extension to negative times: keeps the DFT reconstruction
     # exact at the original nodes while making the recovered spectrum of a
     # realizable (decayed, gauge-aligned) target real and nonnegative.
     extended = np.concatenate([traj.kappa, np.conj(traj.kappa[-2:0:-1])])
-    n = extended.size
     # DFT coefficients: kappa_m = sum_k c_k exp(i w_k * scale * t_m) exactly
     # on the grid, with w_k the fftfreq conjugate grid.
-    c = np.fft.fft(extended) / n
-    omega = 2 * np.pi * np.fft.fftfreq(n, d=dt) / scale
-    order = np.argsort(omega)
-    omega = omega[order]
-    c = c[order]
+    c = (np.fft.fft(extended) / extended.size)[order]
     d_omega = omega[1] - omega[0]
     g = c / d_omega
     density = np.abs(g)
     phase = np.angle(g)
     norm = np.trapezoid(density, omega)
     profile = SpectralProfile(omega=omega, density=density / norm, phase=phase)
-    kappa_back = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
+    kappa_back = kappa_numeric(profile, delta_n, traj.t, two_pi=two_pi)
     err = float(np.max(np.abs(kappa_back - traj.kappa)))
     return SynthesisResult(
         profile=profile,

@@ -276,7 +276,8 @@ class TestRun:
         params = {"eps_min": 0, "eps_max": 0.5, "eps_step": 1e-300}
         assert cli.run("fig2", params, tmp_path / "out") == 2
         (violation,) = json.loads(capsys.readouterr().err)["violations"]
-        assert "5e+299" in violation and str(cli.EPS_GRID_MAX) in violation
+        assert "5e+299" in violation
+        assert violation.endswith(f"exceed the budget ROWS_MAX = {cli.ROWS_MAX}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -375,6 +376,115 @@ class TestRun:
         assert report["error"] == "invalid config"
         assert [v.split(":")[0] for v in report["violations"]] == ["note"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon, violation", [
+        (np.float32(0.125), "epsilon: must be valid JSON (no NaN or +-Infinity)"),
+        (np.int64(0), "epsilon: must be valid JSON (no NaN or +-Infinity)"),
+        (float("nan"), "epsilon: expected a finite number"),
+    ], ids=["float32", "int64", "nan"])
+    def test_non_json_value_under_schema_key_refused(self, epsilon, violation, tmp_path, capsys):
+        # _real converts numpy scalars, but the manifest copies the config as it was given;
+        # a value that fails its kind as well is reported once.
+        out = tmp_path / "out"
+        assert cli.run("classify", {"epsilon": epsilon}, out) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "invalid config", "violations": [violation]}
+        assert not out.exists()
+
+
+def fail(*args):
+    raise AssertionError("a kappa kernel ran where it must not")
+
+
+def write_kappa(path, n_t):
+    """A decayed, realizable kappa on n_t samples: a Gaussian density centred at omega = 2."""
+    t = np.linspace(0, 10, n_t)
+    spectra.write_trajectory_csv(spectra.DecoherenceTrajectory(t, np.exp(-t**2 / 2 + 2j * t)), path)
+    return str(path)
+
+
+def write_spectrum(path, n_w, jitter=0.0):
+    """A Gaussian spectrum on n_w points, one of them moved by jitter (a fraction of the step)."""
+    omega = np.linspace(-6, 6, n_w)
+    omega[n_w // 2] += jitter * (omega[1] - omega[0])
+    density = np.exp(-omega**2 / 2)
+    profile = spectra.SpectralProfile(omega, density / np.trapezoid(density, omega), 0 * omega)
+    spectra.write_profile_csv(profile, path)
+    return str(path)
+
+
+def input_params(scenario, path):
+    if scenario == "synth":
+        return dict(load_config("synth"), kappa_csv=path)
+    return dict(load_config("fig6"), spectrum_csv=path, n_t=25)
+
+
+INPUT_BUDGETS = (
+    "scenario, write, budget, limit, size, kernel",
+    [
+        # synth writes and round-trips its spectrum on 2 * 51 - 2 = 100 rows.
+        pytest.param("synth", lambda path: write_kappa(path, 51), "ROWS_MAX", 100,
+                     "kappa_csv: 100 rows", "chirp", id="synth_rows"),
+        pytest.param("fig6", lambda path: write_spectrum(path, 100), "ROWS_MAX", 100,
+                     "spectrum_csv: 100 rows", "chirp", id="fig6_rows"),
+        # Uniform within SpectralProfile's 1e-9 but not to rounding: the dense sum runs.
+        pytest.param("fig6", lambda path: write_spectrum(path, 400, jitter=1e-10), "CELLS_MAX",
+                     25 * 400, "spectrum_csv: 10000 dense cells", "dense", id="fig6_dense_cells"),
+    ],
+)
+
+
+class TestKernelBudget:
+    """fig6 and synth bound the rows of the file they read, and its dense cells only where
+    kappa_numeric takes the dense sum, before any quadrature."""
+
+    def test_synth_at_20000_samples_takes_the_chirp_kernel(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectra, "_kappa_dense", fail)
+        params = dict(load_config("synth"), kappa_csv=write_kappa(tmp_path / "k.csv", 20_000))
+        assert cli.run("synth", params, tmp_path / "out") == 0
+        manifest = json.loads((tmp_path / "out" / "synth_manifest.json").read_text())
+        assert manifest["realizable"] and manifest["roundtrip_error"] <= 1e-11
+
+    def test_fig6_over_cell_count_on_uniform_grids_takes_the_chirp_kernel(self, tmp_path,
+                                                                         monkeypatch):
+        # 9766 x 2048 = 2e7 n_t * n_omega cells, twice CELLS_MAX: the benchmark's largest fig6.
+        monkeypatch.setattr(spectra, "_kappa_dense", fail)
+        params = patch_paths("fig6", dict(load_config("fig6"), n_t=9766), tmp_path)
+        assert cli.run("fig6", params, tmp_path / "out") == 0
+
+    def test_nonuniform_time_grid_is_reported_before_its_size(self, tmp_path, monkeypatch,
+                                                              capsys):
+        monkeypatch.setattr(cli, "CELLS_MAX", 1)
+        t = np.linspace(0, 10, 50) ** 1.1
+        path = tmp_path / "k.csv"
+        spectra.write_trajectory_csv(spectra.DecoherenceTrajectory(t, np.exp(-t**2 / 2)), path)
+        assert cli.run("synth", dict(load_config("synth"), kappa_csv=str(path)), tmp_path) == 2
+        (violation,) = json.loads(capsys.readouterr().err)["violations"]
+        assert violation == f"{path}: time grid must be uniform and increasing"
+
+    @pytest.mark.parametrize(*INPUT_BUDGETS)
+    def test_input_over_budget_exits_before_quadrature(self, scenario, write, budget, limit,
+                                                        size, kernel, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.setattr(cli, budget, limit - 1)
+        for name in ("_kappa_chirp", "_kappa_dense"):
+            monkeypatch.setattr(spectra, name, fail)
+        out = tmp_path / "out"
+        assert cli.run(scenario, input_params(scenario, write(tmp_path / "in.csv")), out) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        violation = f"{size} exceed the budget {budget} = {limit - 1}"
+        assert json.loads(err[0]) == {"error": "invalid input file", "violations": [violation]}
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(*INPUT_BUDGETS)
+    def test_input_at_budget_runs(self, scenario, write, budget, limit, size, kernel, tmp_path,
+                                  monkeypatch):
+        monkeypatch.setattr(cli, budget, limit)
+        monkeypatch.setattr(spectra, "_kappa_dense" if kernel == "chirp" else "_kappa_chirp", fail)
+        params = input_params(scenario, write(tmp_path / "in.csv"))
+        assert cli.run(scenario, params, tmp_path / "out") == 0
 
 
 class TestWarmReads:

@@ -48,6 +48,22 @@ def dense_kappa(profile, delta_n, t, two_pi=False):
     )
 
 
+def longdouble_kappa(profile, scale, t):
+    """Oracle: the trapezoid sum of kappa_numeric on the same float64 grids, scale and
+    weights, with phases, sines and sums in long double (80-bit on x86-64)."""
+    ld = np.longdouble
+    omega, phase = profile.omega.astype(ld), profile.phase.astype(ld)
+    weights = np.full(omega.size, ld(profile.step))
+    weights[[0, -1]] /= 2
+    g_re, g_im = (profile.density * weights * f(phase) for f in (np.cos, np.sin))
+    out = np.empty(t.size, dtype=np.clongdouble)
+    for i in range(0, t.size, 64):
+        x = ld(scale) * np.multiply.outer(t[i:i + 64].astype(ld), omega)
+        cos, sin = np.cos(x), np.sin(x)
+        out[i:i + 64] = cos @ g_re - sin @ g_im + 1j * (sin @ g_re + cos @ g_im)
+    return out
+
+
 def random_profile(rng, omega):
     density = rng.uniform(0.1, 1.0, omega.size)
     density /= np.trapezoid(density, omega)
@@ -159,7 +175,7 @@ class TestChirpKernel:
     @given(
         n_t=st.integers(2, 4096),
         n_w=st.integers(2, 4096),
-        log_phase=st.floats(-2, np.log10(0.99 * spectra.CHIRP_PHASE_MAX)),
+        log_phase=st.floats(-2, np.log10(0.99e5)),
         t_span=st.floats(0.1, 20),
         t0_frac=st.floats(0, 0.5),
         w0_frac=st.floats(0.25, 0.75),
@@ -169,8 +185,7 @@ class TestChirpKernel:
     )
     def test_matches_dense_oracle(self, n_t, n_w, log_phase, t_span, t0_frac, w0_frac,
                                   delta_n, two_pi, seed):
-        # Grids are built from the largest chirp phase |a| (n_t + n_w)^2 / 2,
-        # so every draw up to the guard takes the chirp-z path.
+        # Grids are built from the largest chirp phase |a| (n_t + n_w)^2 / 2.
         rng = np.random.default_rng(seed)
         scale = 2 * np.pi * delta_n if two_pi else delta_n
         t0 = t0_frac * t_span
@@ -180,7 +195,7 @@ class TestChirpKernel:
         width = d_omega * (n_w - 1)
         omega = np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w)
         profile = random_profile(rng, omega)
-        assert spectra._chirp_grids(t, omega, scale) is not None
+        assert spectra._chirp_grids(t, omega) is not None
         kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
         assert np.max(np.abs(kappa - dense_kappa(profile, delta_n, t, two_pi))) < 1e-11
         assert np.max(np.abs(kappa)) <= 1 + 1e-9
@@ -188,24 +203,45 @@ class TestChirpKernel:
     def test_nonuniform_time_takes_blocked_dense_path(self, monkeypatch, rng, no_chirp):
         profile = random_profile(rng, np.linspace(-3, 5, 300))
         t = np.sort(rng.uniform(0, 4, 200))
-        assert spectra._chirp_grids(t, profile.omega, 1.0) is None
+        assert spectra._chirp_grids(t, profile.omega) is None
         # Blocks of 7 rows: the last block is partial.
         monkeypatch.setattr(spectra, "_DENSE_BLOCK_CELLS", 7 * profile.omega.size)
         kappa = kappa_numeric(profile, 1.0, t)
         assert np.max(np.abs(kappa - dense_kappa(profile, 1.0, t))) < 1e-14
 
-    def test_phase_guard_sends_large_chirp_to_dense(self, rng, no_chirp):
-        omega = np.linspace(-1, 1, 64)
-        t = np.linspace(0, 1, 64)
-        # a = delta_n * dt * d_omega; guard at |a| (64 + 64)^2 / 2 = CHIRP_PHASE_MAX.
-        a_max = 2 * spectra.CHIRP_PHASE_MAX / 128**2
-        step_product = (t[1] - t[0]) * (omega[1] - omega[0])
-        below, above = 0.99 * a_max / step_product, 1.01 * a_max / step_product
-        assert spectra._chirp_grids(t, omega, below) is not None
-        assert spectra._chirp_grids(t, omega, above) is None
-        profile = random_profile(rng, omega)
-        kappa = kappa_numeric(profile, above, t)
-        assert np.max(np.abs(kappa - dense_kappa(profile, above, t))) < 1e-11
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_t=st.integers(2, 4096),
+        n_w=st.integers(2, 1 << 17),
+        log_phase=st.floats(-2, 8),
+        t_span=st.floats(0.1, 20),
+        t0_frac=st.floats(0, 0.5),
+        w0_frac=st.floats(0.25, 0.75),
+        delta_n=st.floats(0.1, 2) | st.floats(-2, -0.1),
+        two_pi=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_t=2048, n_w=128, log_phase=8, t_span=10, t0_frac=0.25, w0_frac=0.5, delta_n=1,
+             two_pi=False, seed=0)
+    def test_matches_longdouble_oracle(self, n_t, n_w, log_phase, t_span, t0_frac, w0_frac,
+                                       delta_n, two_pi, seed):
+        # Every uniform grid takes the chirp-z kernel, here up to 1e8 rad of chirp phase. Its
+        # phases carry the rounding of a = scale*dt*dw, a few ulp of the largest phase, which
+        # the sum over omega averages down; 700 random draws erred by at most a third of tol.
+        n_w = min(n_w, max(2, (1 << 18) // n_t))  # the oracle's cost is n_t * n_w
+        rng = np.random.default_rng(seed)
+        scale = 2 * np.pi * delta_n if two_pi else delta_n
+        t0 = t0_frac * t_span
+        t = np.linspace(t0, t0 + t_span, n_t)
+        d_omega = 2 * 10**log_phase / ((n_t + n_w) ** 2 * abs(scale) * (t_span / (n_t - 1)))
+        width = d_omega * (n_w - 1)
+        profile = random_profile(rng, np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w))
+        assert spectra._chirp_grids(t, profile.omega) is not None
+        kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
+        phase = abs(scale * (t[1] - t[0]) * profile.step) * (n_t + n_w) ** 2 / 2
+        tol = 1e-14 + phase * np.finfo(float).eps / 8
+        assert np.max(np.abs(kappa - longdouble_kappa(profile, scale, t))) <= tol
 
     def test_uniform_fit_accepts_linspace_rejects_jitter(self):
         t = np.linspace(0.3, 17.0, 1001)
@@ -705,7 +741,7 @@ class TestKappaProperties:
     @given(
         n_t=st.integers(2, 2048),
         n_w=st.integers(2, 2048),
-        log_phase=st.floats(-2, np.log10(0.99 * spectra.CHIRP_PHASE_MAX)),
+        log_phase=st.floats(-2, np.log10(0.99e5)),
         t_span=st.floats(0.1, 20),
         w0_frac=st.floats(0.25, 0.75),
         delta_n=st.floats(0.1, 2) | st.floats(-2, -0.1),
@@ -724,7 +760,7 @@ class TestKappaProperties:
         spectra.write_profile_csv(
             random_profile(rng, np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w)), path)
         profile = spectra.read_profile_csv(path)
-        assert spectra._chirp_grids(t, profile.omega, scale) is not None
+        assert spectra._chirp_grids(t, profile.omega) is not None
         chirp = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
         with mock.patch.object(spectra, "_chirp_grids", return_value=None), \
                 mock.patch.object(spectra, "_kappa_chirp", side_effect=AssertionError):
