@@ -158,8 +158,9 @@ def _decimal(bits, bq, g_words):
 def format_repr(x: np.ndarray):
     """(chars, keep) for a 1-D float64 array x.
 
-    chars is uint8 (x.size, WIDTH) and keep bool of the same shape;
-    chars[i][keep[i]] are the ASCII bytes of repr(float(x[i])).
+    chars is uint8 (x.size, w) and keep bool of the same shape;
+    chars[i][keep[i]] are the ASCII bytes of repr(float(x[i])). The w <= WIDTH
+    columns are the template's that some cell of x keeps.
     """
     g_words, keep_rows, digit_quads, exp_digits = _tables()
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -189,13 +190,25 @@ def format_repr(x: np.ndarray):
     mag = np.abs(exp)
     sci = (exp < -4) | (exp >= 16)
     cls = np.where(sci, 20 + 2 * (exp < 0) + (mag >= 100), exp + 4)
-    keep = keep_rows.take((cls * 17 + nd - 1) * 2 + (bits >> _U(63)).astype(np.intp), axis=0)
-    chars = np.tile(_TEMPLATE, (n, 1))
-    chars[:, _INT:_DOT] = digits[:, :16]
-    chars[:, _FRAC:_EXP] = digits
-    chars[:, _EXP + 3:] = exp_digits.take(mag, axis=0)
-    for i in np.flatnonzero(bq == 0x7FF).tolist():  # nan and inf
+    rows = (cls * 17 + nd - 1) * 2 + (bits >> _U(63)).astype(np.intp)
+    # Only the template columns that some cell keeps, and the first four, over which nan and
+    # inf are written. The digits after the point are kept from the first used to the last,
+    # so that each run of digits (before the point, after it, of the exponent) is one slice.
+    special = np.flatnonzero(bq == 0x7FF).tolist()
+    used = keep_rows[np.bincount(rows, minlength=len(keep_rows)) > 0].any(axis=0)
+    used[:4] |= bool(special)
+    frac = used[_FRAC:_EXP]
+    frac |= np.logical_or.accumulate(frac) & np.logical_or.accumulate(frac[::-1])[::-1]
+    cols = np.flatnonzero(used)
+    keep = keep_rows[:, cols].take(rows, axis=0)
+    chars = np.tile(_TEMPLATE[cols], (n, 1))
+    for lo, hi, source in ((_INT, _DOT, digits), (_FRAC, _EXP, digits),
+                           (_EXP + 3, WIDTH, exp_digits.take(mag, axis=0))):
+        a, b = np.searchsorted(cols, (lo, hi))
+        first = np.argmax(used[lo:hi])
+        chars[:, a:b] = source[:, first:first + b - a]
+    for i in special:  # nan and inf
         text = repr(float(x[i])).encode("ascii")
         chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-        keep[i] = np.arange(WIDTH) < len(text)
+        keep[i] = np.arange(cols.size) < len(text)
     return chars, keep

@@ -374,12 +374,17 @@ PROFILE_COLUMNS = ("omega", "density", "phase")
 TRAJECTORY_COLUMNS = ("t", "re_kappa", "im_kappa")
 _WRITE_BLOCK_ROWS = 1 << 10
 # Cells formatted per block, at most (unless one block of _WRITE_BLOCK_ROWS rows
-# holds more): the kernel holds about 270 B per cell, and has a fixed cost per call.
-_WRITE_BLOCK_CELLS = 1 << 12
-# Tables of fewer cells are joined with one % operation. The kernel costs about 0.3 ms
-# per call whatever its size and breaks even with % at 2000-3000 cells of the scenarios'
-# tables. On 2 CPUs, 2000 rather than 6000 cut the benchmark's spectral latency by 11 %
-# (mean) and 17 % (median), for about 1 MB more peak RSS (BENCH_16.json).
+# holds more): a write holds about 350-400 B per cell of a block, 260 of them the
+# kernel's temporaries, and the kernel has a fixed cost per call. 6144 rather than 4096
+# cut the writes of fig1's and fig3's scaled tables by 5-8 %, within the peaks that
+# 4096-cell blocks of uncropped cells took (tests/test_cli.py::TestWriterMemory).
+_WRITE_BLOCK_CELLS = 6 << 10
+# Tables of fewer cells are joined with one % operation. The kernel costs about 0.2 ms
+# per call whatever its size. It breaks even with % at 1200-1800 cells of tables of
+# distinct full columns (fig4, fig5, fig6), but at 2000-4500 on fig1's, whose repeated
+# t and A_theta % formats once, and above 3500 on fig2's, whose labels it formats with
+# str() either way. On 2 CPUs, 2000 rather than 6000 cut the benchmark's spectral
+# latency by 11 % (mean) and 17 % (median), for about 1 MB more peak RSS (BENCH_16.json).
 _KERNEL_MIN_CELLS = 2000
 
 
@@ -404,23 +409,16 @@ def _cells(arrays):
     return [next(floats) if a.dtype == np.float64 else _str_cells(a) for a in arrays]
 
 
-def _left_aligned(chars, keep):
-    """The same cells with their kept bytes first, in rows as wide as the longest cell."""
-    lengths = keep.sum(axis=1)
+def _packed(values):
+    """(chars, keep) of a 1-D array's cells, formatted in chunks of _WRITE_BLOCK_CELLS,
+    with each cell's kept bytes first, in rows as wide as the longest cell."""
+    chunks = [_cells([values[i:i + _WRITE_BLOCK_CELLS]])[0]
+              for i in range(0, values.size, _WRITE_BLOCK_CELLS)]
+    lengths = np.concatenate([keep.sum(axis=1) for _, keep in chunks])
     narrow = np.arange(lengths.max()) < lengths[:, None]
     packed = np.zeros(narrow.shape, dtype=np.uint8)
-    packed[narrow] = np.compress(keep.ravel(), chars.ravel())
+    packed[narrow] = np.concatenate([chars.ravel()[keep.ravel()] for chars, keep in chunks])
     return packed, narrow
-
-
-def _packed(values):
-    """_left_aligned (chars, keep) of a 1-D array's cells, formatted in chunks of
-    _WRITE_BLOCK_CELLS."""
-    chunks = [_left_aligned(*_cells([values[i:i + _WRITE_BLOCK_CELLS]])[0])
-              for i in range(0, values.size, _WRITE_BLOCK_CELLS)]
-    width = max(chars.shape[1] for chars, _ in chunks)
-    return tuple(np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in arrays])
-                 for arrays in zip(*chunks))
 
 
 def _table_blocks(distinct, order, shape, size):
@@ -451,8 +449,7 @@ def _table_blocks(distinct, order, shape, size):
             sep = ord("\n") if n == len(order) - 1 else ord(",")
             chars += [pieces[j][0], np.full((stop - i, 1), sep, dtype=np.uint8)]
             keep += [pieces[j][1], np.ones((stop - i, 1), dtype=bool)]
-        yield np.compress(np.concatenate(keep, axis=1).ravel(),
-                          np.concatenate(chars, axis=1).ravel())
+        yield np.concatenate(chars, axis=1).ravel()[np.concatenate(keep, axis=1).ravel()]
 
 
 def _joined(distinct, order, shape, size) -> bytes:
@@ -489,7 +486,7 @@ def write_csv(path, header, columns) -> str:
     fall back to repr), in blocks of rows (see _table_blocks): each block's
     float cells in one call, its other cells with str(), all laid out in one
     byte matrix that one mask compacts into the block's bytes. Blocks bound
-    the memory to about 0.5 KB per cell formatted at once; the bytes are
+    the memory to about 400 B per cell formatted at once; the bytes are
     hashed as they are written.
     """
     columns = [np.asarray(column) for column in columns]

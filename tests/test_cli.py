@@ -708,3 +708,29 @@ class TestCanonicalCells:
                 assert repr(value) == cell, (path.name, cell)
                 floats += 1
         assert floats
+
+
+class TestWriterMemory:
+    """The tracemalloc peak of one write of a scaled table, at most the 46-column writer's.
+
+    The bounds are the peaks of the writer whose every cell took WIDTH template bytes and
+    WIDTH mask bytes (Python 3.11, numpy 2.4): narrower cells pay for any larger block.
+    """
+
+    @pytest.mark.parametrize("scenario, overrides, bound_mib", [
+        ("fig3", {"n_t": 20010}, 4.62), ("fig5", {"n_tau": 3010}, 2.06),
+        ("fig6", {"n_t": 9766}, 1.59)], ids=["fig3_20010x3", "fig5_3010", "fig6_9766x4"])
+    def test_peak(self, scenario, overrides, bound_mib, tmp_path):
+        params = dict(patch_paths(scenario, load_config(scenario), tmp_path), **overrides)
+        values, violations = cli._validated(scenario, params)
+        assert not violations
+        (_, header, columns), *_ = cli.SCENARIOS[scenario].runner(values)[0]
+        columns = list(map(np.asarray, columns))
+        spectra.write_csv(tmp_path / "warm.csv", header, columns)  # builds _floatfmt's tables
+        tracemalloc.start()
+        try:
+            spectra.write_csv(tmp_path / "t.csv", header, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20

@@ -88,3 +88,77 @@ class TestAgainstRepr:
                 "f.format_repr(f.np.ones(1)); assert f._tables.cache_info().currsize == 1")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+SPECIALS = [float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def one_layout(draw, exponents=st.integers(-307, 307), signs=st.sampled_from("+-")):
+    """Floats with one sign, decimal exponent and count of significant digits (at most
+    15, so that each decimal is its float's repr): one layout, so one keep row."""
+    exponent, nd, sign = draw(exponents), draw(st.integers(1, 15)), draw(signs)
+    # The last digit is nonzero, so that the decimal has exactly nd digits.
+    digits = st.integers(10 ** (nd - 1), 10**nd - 1).map(lambda m: m + (nd > 1 and m % 10 == 0))
+    return [float(f"{sign}{m}e{exponent - nd + 1}")
+            for m in draw(st.lists(digits, min_size=1, max_size=50))]
+
+
+def with_specials(chunks):
+    """Chunks, or chunks with nan and +-inf at drawn positions."""
+    @st.composite
+    def mixed(draw):
+        values = draw(chunks)
+        for special in draw(st.lists(st.sampled_from(SPECIALS), min_size=1, max_size=4)):
+            values.insert(draw(st.integers(0, len(values))), special)
+        return values
+    return st.one_of(chunks, mixed())
+
+
+# Negative, scientific, three exponent digits: a few layouts that differ in exponent and digits.
+SCIENTIFIC_NEGATIVE = st.lists(
+    one_layout(st.integers(100, 307) | st.integers(-307, -100), st.just("-")),
+    min_size=1, max_size=4).map(lambda layouts: sum(layouts, []))
+ZEROS = st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=50)
+
+
+class TestCroppedChunks:
+    """format_repr keeps only the template columns a chunk uses: repr still comes out."""
+
+    @staticmethod
+    def assert_chunk(values):
+        chars, keep = _floatfmt.format_repr(np.array(values))
+        got = [bytes(c[k]).decode("ascii") for c, k in zip(chars, keep)]
+        assert got == [repr(v) for v in values]
+        return chars, keep
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_layout())
+    @example([1e-05, 2e-05])
+    @example([-1.5e300])
+    def test_one_layout_is_cropped_to_its_keep_row(self, values):
+        chars, keep = self.assert_chunk(values)
+        assert keep.all() and chars.shape[1] < _floatfmt.WIDTH
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_layout(), one_layout())
+    @example([1.5e20], [12345678901.5])  # digits after the point: 1 and 11-12, not 2-10
+    def test_two_layouts(self, first, second):
+        self.assert_chunk(first + second)
+
+    @settings(max_examples=200, deadline=None)
+    @given(with_specials(SCIENTIFIC_NEGATIVE))
+    def test_negative_scientific_with_three_digit_exponents(self, values):
+        self.assert_chunk(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(with_specials(ZEROS))
+    def test_zeros(self, values):
+        chars, _ = self.assert_chunk(values)
+        if all(v == 0 for v in values):  # no nan or inf
+            assert chars.shape[1] <= 4  # a sign, "0", "." and "0"
+
+    @settings(max_examples=200, deadline=None)
+    @given(with_specials(one_layout()))
+    def test_one_layout_with_nan_and_inf(self, values):
+        self.assert_chunk(values)

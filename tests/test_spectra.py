@@ -632,6 +632,46 @@ class TestWriterPaths:
         spectra.write_csv(tmp_path / "t.csv", header, columns)
         assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(header, columns)
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kinds=st.lists(st.sampled_from(["full", "t", "a", "0-d", "labels", "kinds", "again"]),
+                          min_size=1, max_size=6),
+           k=st.integers(1, 3), edge=st.sampled_from(["switch", "rows", "block", "chunk"]),
+           offset=st.integers(-2, 2), seed=st.integers(0, 2**32 - 1))
+    @example(kinds=["t", "full", "again", "kinds"], k=2, edge="chunk", offset=1, seed=0)
+    def test_random_tables_match_csv_module(self, kinds, k, edge, offset, seed, tmp_path):
+        # A (k, m) table of float columns, each of one magnitude range or of all, both signs;
+        # broadcast columns, string columns, and the previous column passed again. m puts the
+        # table's cells at _KERNEL_MIN_CELLS, its rows at a block's edge, or a (m,) column
+        # at the edge of the chunks it is formatted in.
+        rng = np.random.default_rng(seed)
+        full = sum(kind in ("full", "labels") or kind == "t" and k == 1 for kind in kinds)
+        block = spectra._WRITE_BLOCK_ROWS * max(
+            1, spectra._WRITE_BLOCK_CELLS // (spectra._WRITE_BLOCK_ROWS * max(1, full)))
+        rows = {"switch": -(-spectra._KERNEL_MIN_CELLS // len(kinds)),
+                "rows": spectra._WRITE_BLOCK_ROWS, "block": block,
+                "chunk": k * spectra._WRITE_BLOCK_CELLS}[edge]
+        m = max(1, rows // k + offset)
+        shapes = {"full": (k, m), "t": (m,), "a": (k, 1), "0-d": ()}
+        columns = []
+        for kind in kinds:
+            if kind == "again":
+                columns.append(columns[-1] if columns else np.float64(-0.0))
+            elif kind in ("labels", "kinds"):
+                shape = (k, m) if kind == "labels" else (k, 1)
+                columns.append(np.array(["markovian", "weak", "strong", "singular"])[
+                    rng.integers(0, 4, shape)])
+            else:
+                shape = shapes[kind]
+                lo, hi = [(-300, 300), (-1, 0), (-6, 18), (100, 101), (0, 1)][rng.integers(5)]
+                values = rng.uniform(1, 10, shape) * 10.0 ** rng.integers(lo, hi, shape)
+                columns.append(np.where(rng.random(shape) < 0.5, -values, values))
+        header = [f"c{j}" for j in range(len(columns))]
+        digest = spectra.write_csv(tmp_path / "t.csv", header, columns)
+        data = (tmp_path / "t.csv").read_bytes()
+        assert data == csv_module_bytes(header, columns)
+        assert digest == hashlib.sha256(data).hexdigest()
+
 
 @pytest.fixture
 def column_cache():
