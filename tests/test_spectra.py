@@ -619,14 +619,16 @@ class TestWriterPaths:
         spectra.write_csv(tmp_path / "t.csv", header, columns)
         assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(header, columns)
 
-    @pytest.mark.parametrize("n", [spectra._WRITE_BLOCK_CELLS // 2 + d for d in (-1, 0, 1)])
-    def test_broadcast_block_edges(self, n, tmp_path):
-        # A (2, n) table with one full-size column, so blocks of _WRITE_BLOCK_CELLS rows:
-        # at n + 1 the second block starts inside the second repeat of the t-like columns.
+    @pytest.mark.parametrize("k, n", [pytest.param(k, n, id=str(n)) for k in (2, 3)
+                                      for n in [spectra._WRITE_BLOCK_CELLS // k + d
+                                                for d in (-1, 0, 1)]])
+    def test_broadcast_block_edges(self, k, n, tmp_path):
+        # A (k, n) table with one full-size column, so blocks of _WRITE_BLOCK_CELLS rows:
+        # at n + 1 the second block starts inside the k-th repeat of the t-like columns.
         floats, ints, labels, zero_d, _, full = mixed_columns(n, 6, n)
-        a = np.c_[[0.5, -1e-300]]
-        kinds = np.c_[["weak", "strong"]]
-        full = np.stack([full, -full])
+        a = np.c_[[0.5, -1e-300, 7.25][:k]]
+        kinds = np.c_[["weak", "strong", "singular"][:k]]
+        full = np.stack([full, -full, 2 * full][:k])
         header = list("tiazaklff")
         columns = (floats, ints, a, zero_d, a, kinds, labels, full, full)
         spectra.write_csv(tmp_path / "t.csv", header, columns)
