@@ -3,10 +3,10 @@
 Usage: nmlab <scenario> --config <file.json> --out <dir>
 
 SCENARIOS is the one table of scenarios. Each entry gives a parameter
-schema, a runner, an optional check across parameters and an optional size
-rule, which bounds the output rows and dense cells of a run (ROWS_MAX,
-CELLS_MAX) before anything is allocated; fig6 and synth bound their input
-file's once read, before any quadrature. A schema maps
+schema, a runner and an optional check across parameters, which first
+bounds the output rows and dense cells of a run (ROWS_MAX, CELLS_MAX) before
+anything is allocated; fig6 and synth bound their input file's rows before
+it is parsed and its dense cells before any quadrature. A schema maps
 each config key to a (kind, check, message) rule: the kind converts the
 JSON value (a finite number, an integer, a list of finite numbers, a string
 or a boolean) and the check bounds the converted value. Numeric parameters
@@ -52,10 +52,15 @@ class InputFileError(Exception):
     """An input CSV that was read but whose content is malformed or invalid."""
 
 
-def _read_input(reader, path):
-    """reader(path), with content errors (not IO errors) as InputFileError."""
+def _read_input(reader, v, key, omega_rows=lambda rows: rows):
+    """reader(v[key]), with content errors (not IO errors) as InputFileError. A file of more
+    than ROWS_MAX data rows is refused before it is parsed, by _kernel_size's row rule on its
+    omega grid of omega_rows(rows) rows."""
+    path = v[key]
     try:
-        return reader(path)
+        return reader(path, max_rows=ROWS_MAX)
+    except spectra.TooManyRows as exc:
+        raise InputFileError(_size(key, omega_rows(exc.rows))) from exc
     except KeyError as exc:
         raise InputFileError(f"{path}: missing column {exc}") from exc
     except ValueError as exc:
@@ -105,8 +110,14 @@ def _flag(value) -> bool:
     return value
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):  # str() would turn null, 5 or a list into a file name
+        raise TypeError("not a string")
+    return value
+
+
 _EXPECTED = {_real: "expected a finite number", _integer: "expected an integer",
-             _reals: "expected a list of finite numbers", str: "expected a string",
+             _reals: "expected a list of finite numbers", _string: "expected a string",
              _flag: "must be a boolean"}
 
 # Shared (kind, check, message) rules.
@@ -115,7 +126,7 @@ NONNEGATIVE = (_real, lambda x: x >= 0, "must be >= 0")
 NONZERO = (_real, lambda x: x != 0, "must be nonzero")
 EPSILON = (_real, lambda x: 0 <= x <= 0.5, "epsilon must be <= 0.5 and >= 0")
 GRID_SIZE = (_integer, lambda n: n >= 2, "must be >= 2")
-PATH = (str, None, None)
+PATH = (_string, None, None)
 FLAG = (_flag, None, None)
 # Largest rows one run writes (over all files) or reads, and dense grid cells it evaluates.
 ROWS_MAX = 1_000_000
@@ -123,7 +134,7 @@ CELLS_MAX = 10_000_000
 NV_KEYS = {
     "coupling": POSITIVE,
     "envelope_time": POSITIVE,
-    "envelope_shape": (str, lambda x: x in ("gaussian", "exponential"),
+    "envelope_shape": (_string, lambda x: x in ("gaussian", "exponential"),
                        "must be 'gaussian' or 'exponential'"),
 }
 
@@ -185,17 +196,9 @@ def _fig3(v):
 def _fig4(v):
     spec = sdc.CorrelatedSpectrum(sigma=v["sigma"], correlation=v["K"], delta_n=v["delta_n"])
     t = np.linspace(0, v["t_max"], v["n_t"])
-    c_a = sdc.concurrence_at_encoding(spec, t)
-    # The encoded states are Bell-diagonal (sdc.bell_probabilities): each encoding gives its
-    # Bell outcome with p = (1 + f)/2 and its partner with 1 - p, so H(Y|X) = H(p), and H(Y) is
-    # 2 for four encodings, log2(3) + H(p)/3 for I, X, Z. The entropies are unvalidated, as in
-    # capacity_at, so a nan f (an overflowed joint_kappa) reaches run's non-finite check.
-    p = (1 + np.minimum(1.0, sdc.joint_kappa(spec, t, t))) / 2
-    h, h_alice = (-(sdc._xlog2x(x) + sdc._xlog2x(1 - x)) for x in (p, (1 + c_a) / 2))
-    mi_4state = 2 - h  # capacity_at bit for bit, so one array serves both columns
+    c_a, mi_4state, mi_3state, mi_alice = sdc.fig4_columns(spec, t)
     header = ["t_a", "c_a", "mi_4state", "mi_3state", "mi_4state_alice_only", "capacity"]
-    return [("fig4.csv", header,
-             (t, c_a, mi_4state, np.log2(3) - 2 / 3 * h, 2 - h_alice, mi_4state))], {}
+    return [("fig4.csv", header, (t, c_a, mi_4state, mi_3state, mi_alice, mi_4state))], {}
 
 
 def _fig4_check(v):
@@ -220,7 +223,7 @@ def _fig5(v):
 
 
 def _fig6(v):
-    profile = _read_input(spectra.read_profile_csv, v["spectrum_csv"])
+    profile = _read_input(spectra.read_profile_csv, v, "spectrum_csv")
     scale = abs(v["delta_n"]) * (2 * math.pi if v["two_pi"] else 1)
     if not math.isfinite(scale * v["t_max"] * float(np.max(np.abs(profile.omega)))):
         raise InputFileError(f"{v['spectrum_csv']}: phase |scale|*t_max*max|omega| is not finite")
@@ -244,7 +247,8 @@ def _classify(v):
 
 
 def _synth(v):
-    traj = _read_input(spectra.read_trajectory_csv, v["kappa_csv"])
+    # The synthesis grid (spectra._synthesis_grid) has 2 * rows - 2 points.
+    traj = _read_input(spectra.read_trajectory_csv, v, "kappa_csv", lambda rows: 2 * rows - 2)
     try:
         omega = spectra._synthesis_grid(traj.t, v["delta_n"], v["two_pi"])[0]
         _kernel_size("kappa_csv", traj.t, omega)
@@ -259,8 +263,7 @@ def _synth(v):
 class Scenario(NamedTuple):
     schema: dict  # config key -> (kind, check, message); check and message may be None
     runner: Callable
-    check: Callable | None = None  # all validated values -> violation or None
-    size: Callable | None = None  # all validated values -> _size violation or None
+    check: Callable | None = None  # all validated values -> violation (the size first) or None
 
 
 SCENARIOS = {
@@ -269,31 +272,32 @@ SCENARIOS = {
                            "entries must be >= 0"),
         "sigma": POSITIVE, "delta_omega": NONNEGATIVE, "delta_n": NONZERO,
         "t_max": POSITIVE, "n_t": GRID_SIZE,
-    }, _fig1, _fig1_check,
-        size=lambda v: _size("n_t, a_theta_values", v["n_t"] * len(v["a_theta_values"]))),
+    }, _fig1, lambda v: _size("n_t, a_theta_values", v["n_t"] * len(v["a_theta_values"]))
+        or _fig1_check(v)),
     "fig2": Scenario(
-        {"eps_min": EPSILON, "eps_max": EPSILON, "eps_step": POSITIVE}, _fig2, _fig2_check,
-        size=lambda v: _size("eps_step", (v["eps_max"] - v["eps_min"]) / v["eps_step"] + 1)),
+        {"eps_min": EPSILON, "eps_max": EPSILON, "eps_step": POSITIVE}, _fig2,
+        lambda v: _size("eps_step", (v["eps_max"] - v["eps_min"]) / v["eps_step"] + 1)
+        or _fig2_check(v)),
     "fig3": Scenario({
         **NV_KEYS,
         "phi_values": (_reals, lambda xs: len(xs) > 0 and all(0 <= x <= np.pi for x in xs),
                        "phi in [0, pi]"),
         "t_max": POSITIVE, "n_t": GRID_SIZE, "n_phi": GRID_SIZE,
-    }, _fig3, size=lambda v: _size("n_t, phi_values, n_phi",
-                                   v["n_t"] * len(v["phi_values"]) + v["n_phi"],
-                                   v["n_t"] * (len(v["phi_values"]) + v["n_phi"]))),
+    }, _fig3, lambda v: _size("n_t, phi_values, n_phi",
+                              v["n_t"] * len(v["phi_values"]) + v["n_phi"],
+                              v["n_t"] * (len(v["phi_values"]) + v["n_phi"]))),
     "fig4": Scenario({
         "sigma": POSITIVE, "K": (_real, lambda x: -1 <= x <= 1, "K in [-1, 1]"),
         "delta_n": NONZERO, "t_max": POSITIVE, "n_t": GRID_SIZE,
-    }, _fig4, _fig4_check, size=lambda v: _size("n_t", v["n_t"])),
+    }, _fig4, lambda v: _size("n_t", v["n_t"]) or _fig4_check(v)),
     "fig5": Scenario({
         **NV_KEYS, "phi": (_real, lambda x: 0 <= x <= np.pi, "phi in [0, pi]"),
         "t_wait": NONNEGATIVE, "tau_max": POSITIVE, "n_tau": GRID_SIZE,
-    }, _fig5, size=lambda v: _size("n_tau", v["n_tau"])),
+    }, _fig5, lambda v: _size("n_tau", v["n_tau"])),
     "fig6": Scenario({
         "spectrum_csv": PATH, "delta_n": NONZERO, "two_pi": FLAG,
         "t_max": POSITIVE, "n_t": GRID_SIZE,
-    }, _fig6, size=lambda v: _size("n_t", v["n_t"])),
+    }, _fig6, lambda v: _size("n_t", v["n_t"])),
     "classify": Scenario({"epsilon": EPSILON}, _classify),
     "synth": Scenario({"kappa_csv": PATH, "delta_n": NONZERO, "two_pi": FLAG}, _synth),
 }
@@ -327,10 +331,9 @@ def _validated(scenario: str, params) -> tuple[dict, list[str]]:
             json.dumps(params[key], allow_nan=False)
         except (TypeError, ValueError):
             violations.append(f"{key}: must be valid JSON (no NaN or +-Infinity)")
-    # The rules across parameters run only once every parameter is valid, the size first.
-    for rule in (entry.size, entry.check):
-        if not violations and rule is not None and (violation := rule(values)):
-            violations.append(violation)
+    # The rule across parameters runs only once every parameter is valid.
+    if not violations and entry.check is not None and (violation := entry.check(values)):
+        violations.append(violation)
     return values, violations
 
 

@@ -54,16 +54,13 @@ def envelope(params: NVParams, t):
 def nv_kappa(params: NVParams, phi: float, t):
     """Electron decoherence function for nuclear preparation angle phi.
 
-    Two nuclear branches with populations cos^2(phi/2), sin^2(phi/2)
-    contribute counter-rotating phasors e^{+-iAt/2} under the envelope.
+    Two nuclear branches with populations cos^2(phi/2), sin^2(phi/2) contribute
+    counter-rotating phasors e^{+-iAt/2} under the envelope: rdja_kappa_eff at tau = 0.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    c2 = np.cos(phi / 2) ** 2
-    s2 = np.sin(phi / 2) ** 2
-    phase = params.coupling * t / 2
-    out = envelope(params, t) * (c2 * np.exp(1j * phase) + s2 * np.exp(-1j * phase))
+    out = rdja_kappa_eff(params, phi, t, 0.0)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -71,13 +68,20 @@ def nv_kappa(params: NVParams, phi: float, t):
 _PHI_BLOCK_CELLS = 1 << 16
 
 
-def _phase_terms(params: NVParams, t):
-    """(env(t), cos^2(At/2), sin^2(At/2)) on times t >= 0."""
+def _bloch_rows(params: NVParams, t):
+    """phi -> bloch_magnitude(params, phi, t): env(t), cos^2 and sin^2(At/2) are taken once."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     half = params.coupling * t / 2
-    return envelope(params, t), np.cos(half) ** 2, np.sin(half) ** 2
+    env, cos2, sin2 = envelope(params, t), np.cos(half) ** 2, np.sin(half) ** 2
+
+    def rows(phi):  # in place: a temporary per operation made nm_measure_phi up to 2x slower
+        # np.square, as ** 2 of an array: ** 2 of a scalar phi is libm pow, an ulp off at times.
+        r = np.asarray(np.multiply.outer(np.square(np.cos(phi)), sin2))
+        np.sqrt(np.add(r, cos2, out=r), out=r)
+        return np.multiply(r, env, out=r)[()]  # a scalar for scalar phi and t
+    return rows
 
 
 def bloch_magnitude(params: NVParams, phi, t):
@@ -87,32 +91,22 @@ def bloch_magnitude(params: NVParams, phi, t):
     c2 - s2 = cos(phi) gives r = env(t) sqrt(cos^2(At/2) + cos^2(phi) sin^2(At/2)).
     Scalar phi gives the shape of t; a 1-D array of phi gives one row per phi.
     """
-    env, cos2, sin2 = _phase_terms(params, t)
-    return env * np.sqrt(cos2 + np.multiply.outer(np.cos(phi) ** 2, sin2))
+    return _bloch_rows(params, t)(phi)
 
 
 def nm_measure_phi(params: NVParams, phi_grid, t_grid) -> list[tuple[float, float]]:
     """Non-Markovianity (total revival of r(t)) for each preparation angle.
 
     Positive increments of the bloch_magnitude closed form, summed in blocks
-    of phi rows of at most _PHI_BLOCK_CELLS cells (no n_phi x n_t array),
-    each evaluated in place in one reused block buffer.
+    of phi rows of at most _PHI_BLOCK_CELLS cells (no n_phi x n_t array).
     """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
-    t_grid = np.asarray(t_grid, dtype=float)
-    if phi_grid.size == 0 or t_grid.size < 2:
+    if phi_grid.size == 0 or np.size(t_grid) < 2:
         raise ValueError("phi_grid must be nonempty and t_grid have >= 2 points")
-    env, cos2, sin2 = _phase_terms(params, t_grid)
-    nm = np.empty(phi_grid.size)
-    rows = max(1, _PHI_BLOCK_CELLS // t_grid.size)
-    buffer = np.empty((min(rows, phi_grid.size), t_grid.size))
+    bloch, nm = _bloch_rows(params, t_grid), np.empty(phi_grid.size)
+    rows = max(1, _PHI_BLOCK_CELLS // np.size(t_grid))
     for i in range(0, phi_grid.size, rows):
-        r = buffer[:phi_grid[i:i + rows].size]
-        np.multiply(np.cos(phi_grid[i:i + rows, None]) ** 2, sin2, out=r)
-        r += cos2
-        np.sqrt(r, out=r)
-        r *= env
-        inc = np.diff(r, axis=1)
+        inc = np.diff(bloch(phi_grid[i:i + rows]), axis=1)
         nm[i:i + rows] = np.sum(inc, axis=1, where=inc > 0)
     return list(zip(phi_grid.tolist(), nm.tolist()))
 

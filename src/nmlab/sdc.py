@@ -86,10 +86,15 @@ def capacity(c_a, correlation: float):
     return 2 - binary_entropy((1 + c_a ** (2 * (1 + correlation))) / 2)
 
 
+def _bell_entropy(f):
+    """H((1 + min(1, f))/2) in bits, unvalidated (a nan f gives nan); f can exceed 1 by an ulp."""
+    p = (1 + np.minimum(1.0, f)) / 2
+    return -(_xlog2x(p) + _xlog2x(1 - p))
+
+
 def capacity_at(spec: CorrelatedSpectrum, t):
     """capacity(c_a(t), K) with c_a^{2(1+K)} = joint_kappa(t, t): exact where c_a underflows."""
-    p = (1 + np.minimum(1.0, joint_kappa(spec, t, t))) / 2
-    return _float_if_scalar(2 + (_xlog2x(p) + _xlog2x(1 - p)))
+    return _float_if_scalar(2 - _bell_entropy(joint_kappa(spec, t, t)))
 
 
 def concurrence_at_encoding(spec: CorrelatedSpectrum, t_a):
@@ -138,10 +143,24 @@ def simulate_protocol(spec: CorrelatedSpectrum, t_a, t_b, n_states: int = 4):
         np.stack([bell_probabilities(spec, t_a, t_b, e) for e in encodings], axis=-2))
 
 
+def fig4_columns(spec: CorrelatedSpectrum, t):
+    """fig4's (c_a, mi_4state, mi_3state, mi_4state_alice_only) at t_b = t_a = t.
+
+    The encoded states are Bell-diagonal (bell_probabilities): each encoding gives its Bell
+    outcome with p = (1 + f)/2 and its partner with 1 - p, so H(Y|X) = H(p), and H(Y) is 2
+    for four encodings, log2(3) + H(p)/3 for I, X, Z; f is joint_kappa(t, t), or c_a for
+    Alice's photon alone. mi_4state is capacity_at bit for bit; a nan f gives nan columns.
+    """
+    c_a = concurrence_at_encoding(spec, t)
+    mi_alice = 2 - _bell_entropy(c_a)  # before h: one array fewer at the peak
+    h = _bell_entropy(joint_kappa(spec, t, t))
+    return tuple(map(_float_if_scalar, (c_a, 2 - h, np.log2(3) - 2 / 3 * h, mi_alice)))
+
+
 def fig4_curve(spec: CorrelatedSpectrum, n_states: int, t_grid) -> list[tuple[float, float]]:
-    """Sweep of (concurrence at encoding, mutual information) with t_b = t_a."""
+    """Sweep of fig4_columns' (c_a, mi_4state or mi_3state, by n_states 4 or 3), t_b = t_a."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t_grid.size == 0:
-        raise ValueError("t_grid must be nonempty")
-    return list(zip(concurrence_at_encoding(spec, t_grid).tolist(),
-                    simulate_protocol(spec, t_grid, t_grid, n_states).tolist()))
+    if t_grid.size == 0 or n_states not in (3, 4):
+        raise ValueError("t_grid must be nonempty and n_states 3 or 4")
+    c_a, mi_4state, mi_3state, _ = fig4_columns(spec, t_grid)
+    return list(zip(c_a.tolist(), (mi_4state if n_states == 4 else mi_3state).tolist()))

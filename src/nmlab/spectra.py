@@ -19,6 +19,7 @@ import hashlib
 import io
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -512,7 +513,24 @@ _CACHE_KEYS = 64
 _column_cache: dict = {}  # (sha256 of a file's bytes, names) -> columns, or None until read twice
 
 
-def _read_columns(path, names) -> np.ndarray:
+class TooManyRows(ValueError):
+    """A file of more data rows than its reader's max_rows; .rows is the count."""
+
+    def __init__(self, rows: int, max_rows: int):
+        super().__init__(f"{rows} data rows exceed max_rows = {max_rows}")
+        self.rows = rows
+
+
+def _data_rows(data: bytes) -> int:
+    """The rows np.loadtxt would parse: the non-empty lines after the header, under
+    universal newlines."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = data.count(b"\n") + (not data.endswith(b"\n"))
+    return lines - sum(len(run) - 1 for run in re.findall(rb"\n\n+", data)) - 1
+
+
+def _read_columns(path, names, max_rows=None) -> np.ndarray:
     """The float columns `names` of a CSV with a header row, one array row each.
 
     Columns may come in any order; extra columns are ignored. numpy's C text
@@ -520,6 +538,8 @@ def _read_columns(path, names) -> np.ndarray:
     quotes, comment rows or underscores; empty lines are skipped. A missing
     column raises KeyError, a short row or malformed cell ValueError. A
     header-only file gives empty columns, without numpy's no-data warning.
+    A file of more than max_rows data rows raises TooManyRows before it is
+    hashed or parsed.
 
     Parsed columns are cached per process under the file's content and the
     names, never its path, size or mtime: every call reads and hashes the
@@ -531,6 +551,9 @@ def _read_columns(path, names) -> np.ndarray:
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    # Each data row holds a byte, so only a file of more than max_rows bytes is counted.
+    if max_rows is not None and len(data) > max_rows and (rows := _data_rows(data)) > max_rows:
+        raise TooManyRows(rows, max_rows)
     key = (hashlib.sha256(data).digest(), tuple(names))
     seen = key in _column_cache
     columns = _column_cache.pop(key, None)  # put back below as the most recent key
@@ -552,8 +575,8 @@ def write_profile_csv(profile: SpectralProfile, path) -> None:
     write_csv(path, PROFILE_COLUMNS, (profile.omega, profile.density, profile.phase))
 
 
-def read_profile_csv(path) -> SpectralProfile:
-    omega, density, phase = _read_columns(path, PROFILE_COLUMNS)
+def read_profile_csv(path, max_rows=None) -> SpectralProfile:
+    omega, density, phase = _read_columns(path, PROFILE_COLUMNS, max_rows)
     return SpectralProfile(omega=omega, density=density, phase=phase)
 
 
@@ -561,6 +584,6 @@ def write_trajectory_csv(traj: DecoherenceTrajectory, path) -> None:
     write_csv(path, TRAJECTORY_COLUMNS, (traj.t, traj.kappa.real, traj.kappa.imag))
 
 
-def read_trajectory_csv(path) -> DecoherenceTrajectory:
-    t, re_kappa, im_kappa = _read_columns(path, TRAJECTORY_COLUMNS)
+def read_trajectory_csv(path, max_rows=None) -> DecoherenceTrajectory:
+    t, re_kappa, im_kappa = _read_columns(path, TRAJECTORY_COLUMNS, max_rows)
     return DecoherenceTrajectory(t=t, kappa=re_kappa + 1j * im_kappa)

@@ -1,10 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +96,21 @@ class TestValidate:
         assert cli.run(scenario, params, tmp_path) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "invalid config"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", [None, 5, True, ["configs/fig6_spectrum.csv"], {"x": "y"}],
+                             ids=["null", "int", "bool", "list", "object"])
+    @pytest.mark.parametrize("scenario, key", [("fig6", "spectrum_csv"), ("synth", "kappa_csv"),
+                                               ("fig3", "envelope_shape")])
+    def test_non_string_rejected(self, scenario, key, value, tmp_path, capsys):
+        # str() would accept any of these: a path key would then open a file named 'None' or '5'.
+        params = dict(patch_paths(scenario, load_config(scenario), tmp_path), **{key: value})
+        out = tmp_path / "out"
+        assert cli.run(scenario, params, out) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "invalid config",
+                                      "violations": [f"{key}: expected a string"]}
+        assert not out.exists()
 
     def test_nan_literal_in_config_file_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -487,6 +505,36 @@ class TestKernelBudget:
         assert cli.run(scenario, params, tmp_path / "out") == 0
 
 
+    @pytest.mark.parametrize("scenario, write, overrides, size", [
+        ("fig6", write_spectrum, {"n_t": 5}, "spectrum_csv: 11 rows"),
+        # synth would write and round-trip its spectrum on 2 * 11 - 2 rows.
+        ("synth", write_kappa, {}, "kappa_csv: 20 rows"),
+    ], ids=["fig6", "synth"])
+    def test_input_over_row_budget_is_not_parsed(self, scenario, write, overrides, size,
+                                                 tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "ROWS_MAX", 10)
+        path = write(tmp_path / "in.csv", 11)
+        monkeypatch.setattr(spectra.np, "loadtxt", fail)
+        out = tmp_path / "out"
+        assert cli.run(scenario, dict(input_params(scenario, path), **overrides), out) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        violation = f"{size} exceed the budget ROWS_MAX = 10"
+        assert json.loads(err[0]) == {"error": "invalid input file", "violations": [violation]}
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("ending", [b"\r\n\r\n", b"\r\r", b"\n\n"],
+                             ids=["crlf", "cr", "lf"])
+    def test_blank_lines_do_not_count_against_the_row_budget(self, ending, tmp_path,
+                                                             monkeypatch):
+        # 10 rows in 22 lines, with an empty line after each: at the budget, so it runs.
+        monkeypatch.setattr(cli, "ROWS_MAX", 10)
+        path = tmp_path / "in.csv"
+        write_spectrum(path, 10)
+        path.write_bytes(path.read_bytes().replace(b"\n", ending))
+        assert cli.run("fig6", dict(input_params("fig6", str(path)), n_t=5), tmp_path / "out") == 0
+
+
 class TestWarmReads:
     """Runs that reuse an input parsed earlier in the process write what a fresh process does."""
 
@@ -599,15 +647,19 @@ class TestOutputs:
         assert raw.split(b"\n", 1)[0] == b"epsilon,C1,C2,C2_minus_C1,classification"
 
 
+FIG4_PARAMS = {"sigma": st.floats(1e-3, 5.0),
+               "K": st.one_of(st.just(-1.0), st.just(1.0), st.floats(-1.0, 1.0)),
+               "delta_n": st.floats(-5.0, 5.0).filter(lambda x: x != 0),
+               "t_max": st.floats(1e-3, 10.0), "n_t": st.integers(2, 200)}
+FIG4_UNDERFLOW = {"sigma": 2.0, "K": -0.99609375, "delta_n": 4.0, "t_max": 5.0, "n_t": 6}
+
+
 class TestFig4Oracle:
     """fig4's closed forms against the full protocol simulation in nmlab.sdc."""
 
     @settings(max_examples=100, deadline=None)
-    @given(sigma=st.floats(1e-3, 5.0),
-           K=st.one_of(st.just(-1.0), st.just(1.0), st.floats(-1.0, 1.0)),
-           delta_n=st.floats(-5.0, 5.0).filter(lambda x: x != 0),
-           t_max=st.floats(1e-3, 10.0), n_t=st.integers(2, 200))
-    @example(sigma=2.0, K=-0.99609375, delta_n=4.0, t_max=5.0, n_t=6)  # c_a underflows at t_max
+    @given(**FIG4_PARAMS)
+    @example(**FIG4_UNDERFLOW)  # c_a underflows at t_max
     def test_columns_match_protocol(self, sigma, K, delta_n, t_max, n_t, tmp_path_factory):
         out = tmp_path_factory.mktemp("fig4")
         params = {"sigma": sigma, "K": K, "delta_n": delta_n, "t_max": t_max, "n_t": n_t}
@@ -625,6 +677,21 @@ class TestFig4Oracle:
         for name, want in oracle.items():
             assert np.max(np.abs(col[name] - want)) <= 1e-12, name
         assert cells[header.index("mi_4state")] == cells[header.index("capacity")]
+
+    @settings(max_examples=50, deadline=None)
+    @given(**FIG4_PARAMS, n_states=st.sampled_from([3, 4]))
+    @example(**FIG4_UNDERFLOW, n_states=4)
+    def test_fig4_curve_is_the_cli_column(self, sigma, K, delta_n, t_max, n_t, n_states,
+                                          tmp_path_factory):
+        # sdc.fig4_curve and the CLI share one closed form, so the cells are equal bit for bit.
+        out = tmp_path_factory.mktemp("fig4")
+        params = {"sigma": sigma, "K": K, "delta_n": delta_n, "t_max": t_max, "n_t": n_t}
+        assert cli.run("fig4", params, out) == 0
+        header, cells = read_columns(out / "fig4.csv")
+        spec = sdc.CorrelatedSpectrum(sigma=sigma, correlation=K, delta_n=delta_n)
+        c_a, mi = zip(*sdc.fig4_curve(spec, n_states, np.linspace(0, t_max, n_t)))
+        assert list(map(repr, c_a)) == list(cells[header.index("c_a")])
+        assert list(map(repr, mi)) == list(cells[header.index(f"mi_{n_states}state")])
 
 
 def read_columns(path):
@@ -734,3 +801,59 @@ class TestWriterMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2**20
+
+
+# JSON values of every kind: strings, booleans, null, +-1e308 and other finite floats, ints that
+# are small or at least 10**12 in magnitude, and lists and objects nesting any of them.
+JSON_VALUES = st.recursive(
+    st.one_of(st.text(max_size=12), st.booleans(), st.none(), st.sampled_from([1e308, -1e308]),
+              st.floats(allow_nan=False, allow_infinity=False), st.integers(-100, 100),
+              st.integers(min_value=10**12), st.integers(max_value=-10**12)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=8)
+# The JSON type each parameter kind takes; a value of another type must exit 2.
+JSON_TYPES = {cli._real: (int, float), cli._integer: (int, float), cli._reals: list,
+              cli._string: str, cli._flag: bool}
+
+
+def wrong_json_type(kind, value):
+    return not isinstance(value, JSON_TYPES[kind]) or (kind is not cli._flag
+                                                      and isinstance(value, bool))
+
+
+class TestFuzz:
+    """cli.run on random JSON under every key of every scenario: a documented exit code, one
+    JSON line on stderr for a failure and none for a success, no traceback and no warning."""
+
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_config(self, scenario, data, tmp_path_factory):
+        schema = cli.SCENARIOS[scenario].schema
+        # Any set of keys takes random values and the rest keep the template's, so that runs
+        # also get past validation; a key may be missing and extra keys may come along.
+        template = patch_paths(scenario, load_config(scenario), None)
+        keys = st.sampled_from(sorted(template))
+        drawn, missing = data.draw(st.sets(keys)), data.draw(st.sets(keys, max_size=1))
+        params = {key: data.draw(JSON_VALUES) if key in drawn else value
+                  for key, value in template.items() if key not in missing}
+        params.update(data.draw(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=2)))
+        params = json.loads(json.dumps(params))
+        out = tmp_path_factory.mktemp(scenario)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(stderr), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("always")
+            mp.chdir(out)  # a random relative path names no file of the repository
+            code = cli.run(scenario, params, out / "out")
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 2, 3, 4)
+        if any(wrong_json_type(kind, params[key])
+               for key, (kind, _, _) in schema.items() if key in params):
+            assert code == 2
+        lines = stderr.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)

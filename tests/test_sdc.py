@@ -365,10 +365,11 @@ class TestArrayPath:
             assert np.max(np.abs(sdc.capacity(c_a, k) - (2 - np.array(h)))) <= 1e-12
 
     def test_fig4_curve_is_one_sweep(self):
+        # fig4_curve is the closed form of fig4_columns; the simulation is its oracle.
         spec, t = make_spec(-0.3), np.linspace(0, 3, 7)
-        assert sdc.fig4_curve(spec, 3, t) == list(zip(
-            sdc.concurrence_at_encoding(spec, t).tolist(),
-            sdc.simulate_protocol(spec, t, t, 3).tolist()))
+        c_a, mi = zip(*sdc.fig4_curve(spec, 3, t))
+        assert list(c_a) == sdc.concurrence_at_encoding(spec, t).tolist()
+        assert np.max(np.abs(np.array(mi) - sdc.simulate_protocol(spec, t, t, 3))) <= 1e-12
 
     def test_invalid_array_entries_rejected(self):
         spec = make_spec(0.0)
@@ -392,6 +393,7 @@ class TestScalarApi:
             sdc.capacity(sdc.marginal_kappa(spec, t), -0.3),
             sdc.mutual_information(np.eye(4)),
             sdc.simulate_protocol(spec, t, t, 4), sdc.simulate_protocol(spec, t, 0.0, 3),
+            sdc.capacity_at(spec, t), *sdc.fig4_columns(spec, t),
         ]
         assert all(type(v) is float for v in values)
         assert sdc.bell_probabilities(spec, t, 0.2, "X").shape == (4,)

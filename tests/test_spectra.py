@@ -572,6 +572,36 @@ class TestCsvInterchange:
             assert spectra._read_columns(path, columns).tobytes() == want
 
 
+class TestRowCount:
+    """_read_columns counts the rows of the bytes it holds, before any parse, as np.loadtxt does."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(st.sampled_from(["", "0.5,1,2", "-1e-300,0.0,3"]), max_size=12),
+           ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=13, max_size=13),
+           trailing=st.booleans())
+    def test_counts_the_rows_np_loadtxt_parses(self, lines, ends, trailing, tmp_path):
+        # Empty lines, in any of the three line endings, are skipped; the last line may be open.
+        text = "".join(line + end for line, end in zip(["a,b,c"] + lines, ends))
+        data = (text if trailing else text[:-len(ends[len(lines)])]).encode()
+        path = tmp_path / "rows.csv"
+        path.write_bytes(data)
+        rows = spectra._data_rows(data)
+        assert rows == spectra._read_columns(path, ("a", "b", "c")).shape[1]
+        assert spectra._read_columns(path, ("a", "b", "c"), max_rows=rows).shape[1] == rows
+        if rows:
+            with pytest.raises(spectra.TooManyRows) as info:
+                spectra._read_columns(path, ("a", "b", "c"), max_rows=rows - 1)
+            assert info.value.rows == rows
+
+    def test_over_max_rows_is_not_parsed(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"omega,density,phase\n" + b"0.5,1.0,0.0\n" * 11)
+        with mock.patch.object(spectra.np, "loadtxt", side_effect=AssertionError("parsed")):
+            with pytest.raises(spectra.TooManyRows, match="11 data rows exceed max_rows = 10"):
+                spectra.read_profile_csv(path, max_rows=10)
+
+
 def csv_module_bytes(header, columns):
     """Oracle: the csv module's rows of the broadcast table, cells as numpy scalars."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
