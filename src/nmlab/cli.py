@@ -52,13 +52,13 @@ class InputFileError(Exception):
     """An input CSV that was read but whose content is malformed or invalid."""
 
 
-def _read_input(reader, v, key, omega_rows=lambda rows: rows):
+def _read_input(reader, v, key, max_rows, omega_rows=lambda rows: rows):
     """reader(v[key]), with content errors (not IO errors) as InputFileError. A file of more
-    than ROWS_MAX data rows is refused before it is parsed, by _kernel_size's row rule on its
-    omega grid of omega_rows(rows) rows."""
+    than max_rows data rows, the most whose omega grid of omega_rows(rows) rows is within
+    ROWS_MAX, is refused before it is parsed, with _kernel_size's row violation on that grid."""
     path = v[key]
     try:
-        return reader(path, max_rows=ROWS_MAX)
+        return reader(path, max_rows=max_rows)
     except spectra.TooManyRows as exc:
         raise InputFileError(_size(key, omega_rows(exc.rows))) from exc
     except KeyError as exc:
@@ -169,7 +169,7 @@ def _fig1(v):
 
 
 def _fig1_check(v):
-    if v["sigma"] >= 2.0**512:  # kappa_double_gaussian_mag squares sigma as a Python float
+    if v["sigma"] >= 2.0**512:  # sigma**2 is inf, and kappa_mag nan at t = 0 (inf * 0)
         return "sigma: sigma**2 exceeds the float range"
 
 
@@ -205,12 +205,9 @@ def _fig4_check(v):
     # c_a = exp(-(delta_n*sigma*t)^2/2) is nan for an infinite scale times t = 0, a zero one
     # times t^2 = inf, or an infinite 2*K*t times 0; all show at t = 0 or t_max.
     spec = sdc.CorrelatedSpectrum(sigma=v["sigma"], correlation=v["K"], delta_n=v["delta_n"])
-    try:
-        with np.errstate(all="ignore"):
-            finite = np.isfinite(sdc.marginal_kappa(spec, np.array([0.0, v["t_max"]]))).all()
-    except OverflowError:  # delta_n**2 or sigma**2 exceeds the float range
-        finite = False
-    if not finite:
+    with np.errstate(all="ignore"):
+        c_a = sdc.marginal_kappa(spec, np.array([0.0, v["t_max"]]))
+    if not np.isfinite(c_a).all():
         return "delta_n, sigma, t_max: c_a = exp(-(delta_n*sigma*t)^2/2) is nan at t = 0 or t_max"
 
 
@@ -223,13 +220,13 @@ def _fig5(v):
 
 
 def _fig6(v):
-    profile = _read_input(spectra.read_profile_csv, v, "spectrum_csv")
-    scale = abs(v["delta_n"]) * (2 * math.pi if v["two_pi"] else 1)
-    if not math.isfinite(scale * v["t_max"] * float(np.max(np.abs(profile.omega)))):
-        raise InputFileError(f"{v['spectrum_csv']}: phase |scale|*t_max*max|omega| is not finite")
+    profile = _read_input(spectra.read_profile_csv, v, "spectrum_csv", ROWS_MAX)
     t = np.linspace(0, v["t_max"], v["n_t"])
     _kernel_size("spectrum_csv", t, profile.omega)
-    kappa = spectra.kappa_numeric(profile, v["delta_n"], t, two_pi=v["two_pi"])
+    try:
+        kappa = spectra.kappa_numeric(profile, v["delta_n"], t, two_pi=v["two_pi"])
+    except ValueError as exc:  # the largest kernel phase is not finite
+        raise InputFileError(f"{v['spectrum_csv']}: {exc}") from exc
     # hypot matches abs() of each complex scalar bit for bit; np.abs does not.
     columns = (t, kappa.real, kappa.imag, np.hypot(kappa.real, kappa.imag))
     return [("fig6.csv", ["t", "re_kappa", "im_kappa", "kappa_mag"], columns)], {}
@@ -248,7 +245,8 @@ def _classify(v):
 
 def _synth(v):
     # The synthesis grid (spectra._synthesis_grid) has 2 * rows - 2 points.
-    traj = _read_input(spectra.read_trajectory_csv, v, "kappa_csv", lambda rows: 2 * rows - 2)
+    traj = _read_input(spectra.read_trajectory_csv, v, "kappa_csv", (ROWS_MAX + 2) // 2,
+                       lambda rows: 2 * rows - 2)
     try:
         omega = spectra._synthesis_grid(traj.t, v["delta_n"], v["two_pi"])[0]
         _kernel_size("kappa_csv", traj.t, omega)

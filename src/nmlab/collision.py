@@ -103,14 +103,15 @@ def classify(eps) -> DivisibilityVerdict:
 
     Its Bloch eigenvalues are lam_x = lam_z = ((1-2eps)^2 + 4eps^2)/(1-2eps) and
     lam_y = (1-4eps)^2/(1-4eps), its Choi weights (1 +- lam_x +- lam_y +- lam_z)/4.
-    It is strong (not P-divisible) if max|lam| > 1 + 1e-10, else weak (P- but
-    not CP-divisible) if a weight is < -1e-10, else Markovian. Edges: eps = 0 is
-    Markovian with (min Choi, max|lam|) = (0.0, 1.0), |eps - 1/4| <= 1e-9
-    singular with (nan, nan), and |eps - 1/2| <= 1e-9 strong with (-inf, inf):
-    the first collision is noninvertible there too and the second undoes it.
+    It is strong (not P-divisible) if max|lam| > 1 + tol, else weak (P- but
+    not CP-divisible) if a weight is < -tol, else Markovian (eps = 0 too, with
+    (min Choi, max|lam|) = (0.0, 1.0)); tol is qcore.PSD_TOL = 1e-10. Two edges:
+    |eps - 1/4| <= 1e-9 is singular with (nan, nan), and |eps - 1/2| <= 1e-9
+    strong with (-inf, inf): the first collision is noninvertible there too and
+    the second undoes it.
     Scalar eps gives the enum and floats, an eps array arrays of enum values.
     """
-    eps, tol = _check_eps(eps), 1e-10  # tol: is_cp's and is_positive's default
+    eps, tol = _check_eps(eps), qcore.PSD_TOL
     x = np.atleast_1d(eps)  # the edges below are set in place
     with np.errstate(all="ignore"):
         lam_xz, b = _lam_xz(x), 1 - 4 * x
@@ -118,8 +119,7 @@ def classify(eps) -> DivisibilityVerdict:
         min_choi = np.minimum.reduce(qcore.kraus_weights(mid))
         max_bloch = np.maximum(np.abs(lam_xz), np.abs(mid.lam_y))
     code = np.where(max_bloch > 1 + tol, 2, min_choi < -tol)  # index into Classification
-    for at, edge in ((x == 0, (0, 0.0, 1.0)),
-                     (abs(x - SINGULAR_EPS) <= SINGULAR_EPS_TOL, (3, np.nan, np.nan)),
+    for at, edge in ((abs(x - SINGULAR_EPS) <= SINGULAR_EPS_TOL, (3, np.nan, np.nan)),
                      (abs(x - 0.5) <= SINGULAR_EPS_TOL, (2, -np.inf, np.inf))):
         code[at], min_choi[at], max_bloch[at] = edge
     label = np.array([c.value for c in Classification])[code]
@@ -128,8 +128,8 @@ def classify(eps) -> DivisibilityVerdict:
     return DivisibilityVerdict(label, min_choi, max_bloch)
 
 
-def find_transition(tol: float = 1e-10) -> float:
-    """Locate the weak -> strong transition by bisection on the P-breaking margin.
+def find_transition() -> float:
+    """Locate the weak -> strong transition to 1e-10 by bisection on the P-breaking margin.
 
     The x/z Bloch eigenvalue of the intermediate map, extended by continuity
     through the singular point, is ((1-2e)^2 + 4e^2)/(1-2e); it crosses 1 at
@@ -138,7 +138,7 @@ def find_transition(tol: float = 1e-10) -> float:
     lo, hi = 0.05, 0.45
     if _lam_xz(lo) >= 1 or _lam_xz(hi) <= 1:
         raise RuntimeError("bisection bracket does not straddle the transition")
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if _lam_xz(mid) > 1:
             hi = mid

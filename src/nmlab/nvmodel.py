@@ -45,7 +45,7 @@ def default_params() -> NVParams:
 def envelope(params: NVParams, t):
     t = np.asarray(t, dtype=float)
     if params.envelope_shape == "gaussian":
-        out = np.exp(-((t / params.envelope_time) ** 2))
+        out = np.exp(-np.square(t / params.envelope_time))
     else:
         out = np.exp(-t / params.envelope_time)
     return float(out) if out.ndim == 0 else out
@@ -74,13 +74,13 @@ def _bloch_rows(params: NVParams, t):
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     half = params.coupling * t / 2
-    env, cos2, sin2 = envelope(params, t), np.cos(half) ** 2, np.sin(half) ** 2
+    env, cos2, sin2 = envelope(params, t), np.square(np.cos(half)), np.square(np.sin(half))
 
     def rows(phi):  # in place: a temporary per operation made nm_measure_phi up to 2x slower
-        # np.square, as ** 2 of an array: ** 2 of a scalar phi is libm pow, an ulp off at times.
         r = np.asarray(np.multiply.outer(np.square(np.cos(phi)), sin2))
         np.sqrt(np.add(r, cos2, out=r), out=r)
-        return np.multiply(r, env, out=r)[()]  # a scalar for scalar phi and t
+        np.multiply(r, env, out=r)
+        return float(r) if r.ndim == 0 else r
     return rows
 
 
@@ -89,7 +89,8 @@ def bloch_magnitude(params: NVParams, phi, t):
 
     Closed form: |c2 e^{iAt/2} + s2 e^{-iAt/2}| with c2 + s2 = 1 and
     c2 - s2 = cos(phi) gives r = env(t) sqrt(cos^2(At/2) + cos^2(phi) sin^2(At/2)).
-    Scalar phi gives the shape of t; a 1-D array of phi gives one row per phi.
+    Scalar phi gives the shape of t (a float for scalar t); a 1-D array of phi
+    gives one row per phi.
     """
     return _bloch_rows(params, t)(phi)
 
@@ -163,8 +164,8 @@ def rdja_kappa_eff(params: NVParams, phi: float, t: float, tau: float) -> comple
     The pi pulse conjugates the nuclear phase so pre- and post-pulse phases
     subtract; the residual envelope is not refocused and decays with t+tau.
     """
-    c2 = np.cos(phi / 2) ** 2
-    s2 = np.sin(phi / 2) ** 2
+    c2 = np.square(np.cos(phi / 2))
+    s2 = np.square(np.sin(phi / 2))
     phase = params.coupling * (t - tau) / 2
     return envelope(params, t + tau) * (c2 * np.exp(1j * phase) + s2 * np.exp(-1j * phase))
 

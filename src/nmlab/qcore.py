@@ -21,24 +21,24 @@ PAULIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
+PSD_TOL = 1e-10  # eigenvalues above -PSD_TOL count as >= 0: density matrices, is_cp, is_positive
 
 
 class SingularChannelError(ValueError):
     """Raised when an intermediate map is undefined (division by a zero eigenvalue)."""
 
 
-def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the array as complex."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"{name} must be 2x2 or 4x4, got shape {rho.shape}")
+        raise ValueError(f"rho must be 2x2 or 4x4, got shape {rho.shape}")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise ValueError(f"{name} is not Hermitian")
+        raise ValueError("rho is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-        raise ValueError(f"{name} does not have unit trace")
+        raise ValueError("rho does not have unit trace")
     if np.min(np.linalg.eigvalsh(rho)) < -PSD_TOL:
-        raise ValueError(f"{name} is not positive semidefinite")
+        raise ValueError("rho is not positive semidefinite")
     return rho
 
 
@@ -178,14 +178,14 @@ def bell_concurrence(ch: PauliChannel) -> float:
     return max(0.0, float(abs(lx + ly) + (lz - 1)) / 2, float(abs(lx - ly) - (lz + 1)) / 2)
 
 
-def is_cp(ch: PauliChannel, tol: float = 1e-10) -> bool:
+def is_cp(ch: PauliChannel, tol: float = PSD_TOL) -> bool:
     """Complete positivity: all four Choi eigenvalues >= -tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     return all(q >= -tol for q in kraus_weights(ch))
 
 
-def is_positive(ch: PauliChannel, tol: float = 1e-10) -> bool:
+def is_positive(ch: PauliChannel, tol: float = PSD_TOL) -> bool:
     """Positivity of a Pauli-diagonal map.
 
     Exact criterion for unital qubit maps: a pure state with Bloch vector r
@@ -203,17 +203,13 @@ def compose_channels(later: PauliChannel, earlier: PauliChannel) -> PauliChannel
     return PauliChannel(*(a * b for a, b in zip(later.as_tuple(), earlier.as_tuple())))
 
 
-def divide_channels(
-    later: PauliChannel, earlier: PauliChannel, singular_tol: float = 1e-12
-) -> PauliChannel:
+def divide_channels(later: PauliChannel, earlier: PauliChannel) -> PauliChannel:
     """Intermediate map M with M∘earlier = later (componentwise quotient).
 
     Raises SingularChannelError when any eigenvalue of `earlier` is within
-    singular_tol of zero, in which case the intermediate map is undefined.
+    1e-12 of zero, in which case the intermediate map is undefined.
     """
     for l in earlier.as_tuple():
-        if abs(l) <= singular_tol:
-            raise SingularChannelError(
-                f"earlier channel eigenvalue {l} is singular (tol {singular_tol})"
-            )
+        if abs(l) <= 1e-12:
+            raise SingularChannelError(f"earlier channel eigenvalue {l} is singular (tol 1e-12)")
     return PauliChannel(*(a / b for a, b in zip(later.as_tuple(), earlier.as_tuple())))

@@ -48,8 +48,8 @@ def joint_kappa(spec: CorrelatedSpectrum, t_a, t_b):
     t_a, t_b = np.asarray(t_a, dtype=float), np.asarray(t_b, dtype=float)
     if np.any(t_a < 0) or np.any(t_b < 0):
         raise ValueError("times must be >= 0")
-    quad = t_a**2 + t_b**2 + 2 * spec.correlation * t_a * t_b
-    return _float_if_scalar(np.exp(-0.5 * spec.delta_n**2 * spec.sigma**2 * quad))
+    quad = np.square(t_a) + np.square(t_b) + 2 * spec.correlation * t_a * t_b
+    return _float_if_scalar(np.exp(-0.5 * np.square(spec.delta_n) * np.square(spec.sigma) * quad))
 
 
 def marginal_kappa(spec: CorrelatedSpectrum, t):

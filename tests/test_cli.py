@@ -289,6 +289,7 @@ class TestRun:
         report = json.loads(err[0])
         assert report["error"] == "invalid input file"
         assert str(path) in report["violations"][0]
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_fig2_grid_over_budget(self, tmp_path, capsys):
         params = {"eps_min": 0, "eps_max": 0.5, "eps_step": 1e-300}
@@ -505,15 +506,17 @@ class TestKernelBudget:
         assert cli.run(scenario, params, tmp_path / "out") == 0
 
 
-    @pytest.mark.parametrize("scenario, write, overrides, size", [
-        ("fig6", write_spectrum, {"n_t": 5}, "spectrum_csv: 11 rows"),
+    @pytest.mark.parametrize("scenario, write, rows, overrides, size", [
+        ("fig6", write_spectrum, 11, {"n_t": 5}, "spectrum_csv: 11 rows"),
         # synth would write and round-trip its spectrum on 2 * 11 - 2 rows.
-        ("synth", write_kappa, {}, "kappa_csv: 20 rows"),
-    ], ids=["fig6", "synth"])
-    def test_input_over_row_budget_is_not_parsed(self, scenario, write, overrides, size,
+        ("synth", write_kappa, 11, {}, "kappa_csv: 20 rows"),
+        # Fewer rows than ROWS_MAX, but 2 * 7 - 2 of them above it.
+        ("synth", write_kappa, 7, {}, "kappa_csv: 12 rows"),
+    ], ids=["fig6", "synth", "synth_below_rows_max"])
+    def test_input_over_row_budget_is_not_parsed(self, scenario, write, rows, overrides, size,
                                                  tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "ROWS_MAX", 10)
-        path = write(tmp_path / "in.csv", 11)
+        path = write(tmp_path / "in.csv", rows)
         monkeypatch.setattr(spectra.np, "loadtxt", fail)
         out = tmp_path / "out"
         assert cli.run(scenario, dict(input_params(scenario, path), **overrides), out) == 2

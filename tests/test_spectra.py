@@ -147,6 +147,24 @@ class TestKappaNumeric:
         value = kappa_numeric(profile, 1.3, 0.7)
         assert abs(value - dense_kappa(profile, 1.3, 0.7)[0]) < 1e-14
 
+    def test_2d_time_keeps_its_shape(self):
+        # Rows not uniform, so each 1-D call takes the dense sum as the 2-D call does.
+        profile = double_gaussian_profile(make_spec(), n_points=256)
+        t = np.array([[0.0, 0.5, 2.0], [1.0, 1.5, 4.0]])
+        kappa = kappa_numeric(profile, 1.3, t)
+        assert kappa.shape == kappa_double_gaussian_mag(make_spec(), t).shape == (2, 3)
+        for row, t_row in zip(kappa, t):
+            np.testing.assert_allclose(row, kappa_numeric(profile, 1.3, t_row), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("t", [np.linspace(0, 1e300, 3), np.array([0.0, 1.0, 1e300])],
+                             ids=["chirp", "dense"])
+    def test_non_finite_phase_raises_before_either_kernel(self, t, monkeypatch):
+        profile = double_gaussian_profile(make_spec(), n_points=64)
+        for name in ("_kappa_chirp", "_kappa_dense"):
+            monkeypatch.setattr(spectra, name, mock.Mock(side_effect=AssertionError(name)))
+        with pytest.raises(ValueError, match=r"phase \|scale\|\*max\|t\|\*max\|omega\|"):
+            kappa_numeric(profile, 1e300, t, two_pi=True)
+
     def test_nonuniform_grid_rejected(self):
         omega = np.array([0.0, 1.0, 3.0])
         with pytest.raises(ValueError):
