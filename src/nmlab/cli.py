@@ -251,7 +251,7 @@ def _synth(v):
         omega = spectra._synthesis_grid(traj.t, v["delta_n"], v["two_pi"])[0]
         _kernel_size("kappa_csv", traj.t, omega)
         result = spectra.synthesize_spectrum(traj, v["delta_n"], two_pi=v["two_pi"])
-    except ValueError as exc:  # the time grid is non-uniform or too short
+    except ValueError as exc:  # the time grid is non-uniform, too short or not from 0
         raise InputFileError(f"{v['kappa_csv']}: {exc}") from exc
     p = result.profile
     extra = {"roundtrip_error": result.roundtrip_error, "realizable": result.realizable}

@@ -135,9 +135,7 @@ def find_transition() -> float:
     through the singular point, is ((1-2e)^2 + 4e^2)/(1-2e); it crosses 1 at
     the transition.
     """
-    lo, hi = 0.05, 0.45
-    if _lam_xz(lo) >= 1 or _lam_xz(hi) <= 1:
-        raise RuntimeError("bisection bracket does not straddle the transition")
+    lo, hi = 0.05, 0.45  # _lam_xz is 0.91 and 8.2 there
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if _lam_xz(mid) > 1:

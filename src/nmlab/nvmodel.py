@@ -127,19 +127,6 @@ BALANCED_GATES = (Gate.U3, Gate.U4)
 _GATE_Y_ANGLE = {Gate.U1: 0.0, Gate.U2: 2 * np.pi, Gate.U3: 3 * np.pi, Gate.U4: np.pi}
 
 
-@dataclass(frozen=True)
-class RDJAConfig:
-    """Echo timing: wait t, pi pulse, wait tau, then read out."""
-
-    t: float
-    tau: float
-    gate: Gate
-
-    def __post_init__(self):
-        if self.t < 0 or self.tau < 0:
-            raise ValueError("t and tau must be >= 0")
-
-
 def rotation(axis: str, angle: float) -> np.ndarray:
     """exp(-i angle sigma_axis / 2)."""
     sigma = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}[axis]
@@ -187,25 +174,10 @@ def rdja_p0_table(params: NVParams, phi: float, t: float, tau_grid) -> dict:
     return {gate: balanced if is_balanced(gate) else constant for gate in Gate}
 
 
-def rdja_p0(params: NVParams, phi: float, cfg: RDJAConfig) -> float:
-    """P0 of one gate and echo timing (see rdja_p0_table)."""
-    return float(rdja_p0_table(params, phi, cfg.t, cfg.tau)[cfg.gate][0])
-
-
-def rdja_contrast(params: NVParams, phi: float, t: float, tau: float) -> float:
-    """Success contrast P0(balanced) - P0(constant) at the given timing."""
-    return rdja_success(params, phi, t, tau)[0][1]
-
-
 def rdja_success(params: NVParams, phi: float, t: float, tau_grid) -> list[tuple[float, float]]:
-    """Contrast sweep over readout delays tau."""
+    """Success contrast P0(balanced) - P0(constant) over readout delays tau."""
     tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     if tau_grid.size == 0:
         raise ValueError("tau_grid must be nonempty")
     p0 = rdja_p0_table(params, phi, t, tau_grid)
     return list(zip(tau_grid.tolist(), (p0[Gate.U3] - p0[Gate.U1]).tolist()))
-
-
-def no_echo_contrast(params: NVParams, phi: float, t: float) -> float:
-    """Immediate-readout baseline: no pi pulse, read out after waiting t."""
-    return abs(nv_kappa(params, phi, t).real)

@@ -52,7 +52,7 @@ def density_from_bloch(r) -> np.ndarray:
     """2x2 density matrix with the given Bloch vector (|r| <= 1)."""
     rx, ry, rz = r
     norm = np.sqrt(rx * rx + ry * ry + rz * rz)
-    if norm > 1 + 1e-10:
+    if norm > 1 + PSD_TOL:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
     return 0.5 * (IDENTITY + rx * SIGMA_X + ry * SIGMA_Y + rz * SIGMA_Z)
 

@@ -97,15 +97,6 @@ def capacity_at(spec: CorrelatedSpectrum, t):
     return _float_if_scalar(2 - _bell_entropy(joint_kappa(spec, t, t)))
 
 
-def concurrence_at_encoding(spec: CorrelatedSpectrum, t_a):
-    """Shared concurrence after Alice-side dephasing of a Bell pair.
-
-    Dephasing by a real kappa is the Pauli channel (kappa, kappa, 1), whose
-    concurrence on one half of Phi+ (qcore.bell_concurrence) is exactly kappa.
-    """
-    return marginal_kappa(spec, t_a)
-
-
 def bell_probabilities(spec: CorrelatedSpectrum, t_a, t_b, encoding: str) -> np.ndarray:
     """Bell-measurement outcome probabilities (phi+, phi-, psi+, psi-), last axis.
 
@@ -146,21 +137,16 @@ def simulate_protocol(spec: CorrelatedSpectrum, t_a, t_b, n_states: int = 4):
 def fig4_columns(spec: CorrelatedSpectrum, t):
     """fig4's (c_a, mi_4state, mi_3state, mi_4state_alice_only) at t_b = t_a = t.
 
+    c_a is the concurrence shared after Alice-side dephasing of Phi+: dephasing by a real
+    kappa is the Pauli channel (kappa, kappa, 1), whose concurrence on one half of Phi+
+    (qcore.bell_concurrence) is exactly kappa, so c_a = marginal_kappa(t).
     The encoded states are Bell-diagonal (bell_probabilities): each encoding gives its Bell
     outcome with p = (1 + f)/2 and its partner with 1 - p, so H(Y|X) = H(p), and H(Y) is 2
     for four encodings, log2(3) + H(p)/3 for I, X, Z; f is joint_kappa(t, t), or c_a for
     Alice's photon alone. mi_4state is capacity_at bit for bit; a nan f gives nan columns.
     """
-    c_a = concurrence_at_encoding(spec, t)
+    c_a = marginal_kappa(spec, t)
     mi_alice = 2 - _bell_entropy(c_a)  # before h: one array fewer at the peak
     h = _bell_entropy(joint_kappa(spec, t, t))
     return tuple(map(_float_if_scalar, (c_a, 2 - h, np.log2(3) - 2 / 3 * h, mi_alice)))
 
-
-def fig4_curve(spec: CorrelatedSpectrum, n_states: int, t_grid) -> list[tuple[float, float]]:
-    """Sweep of fig4_columns' (c_a, mi_4state or mi_3state, by n_states 4 or 3), t_b = t_a."""
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t_grid.size == 0 or n_states not in (3, 4):
-        raise ValueError("t_grid must be nonempty and n_states 3 or 4")
-    c_a, mi_4state, mi_3state, _ = fig4_columns(spec, t_grid)
-    return list(zip(c_a.tolist(), (mi_4state if n_states == 4 else mi_3state).tolist()))

@@ -116,10 +116,6 @@ class DecoherenceTrajectory:
         if abs(t[0]) < 1e-15 and abs(kappa[0] - 1.0) > KAPPA_MAG_TOL:
             raise ValueError("kappa(0) must equal 1")
 
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.kappa)
-
 
 def kappa_double_gaussian_mag(spec: DoubleGaussianSpec, t):
     """|kappa(t)| for the double-Gaussian frequency density (closed form).
@@ -285,27 +281,17 @@ class DephasingChannel:
         return qcore.PauliChannel(k, k, 1.0)
 
 
-def dephasing_channel(kappa: complex) -> DephasingChannel:
-    return DephasingChannel(kappa=complex(kappa))
-
-
 def blp_from_magnitudes(mag) -> float:
-    """Sum of positive increments of a sampled coherence magnitude."""
+    """Discrete trace-distance non-Markovianity of pure dephasing from sampled |kappa|.
+
+    The optimal state pair is antipodal on the equator, with trace distance |kappa|;
+    the measure is the total revival (sum of positive increments) of |kappa|.
+    """
     mag = np.asarray(mag, dtype=float)
     if mag.size < 2:
         raise ValueError("need at least 2 samples")
     inc = np.diff(mag)
     return float(np.sum(inc[inc > 0]))
-
-
-def blp_measure(traj: DecoherenceTrajectory) -> float:
-    """Discrete trace-distance non-Markovianity of a dephasing trajectory.
-
-    For pure dephasing the optimal state pair is antipodal on the equator,
-    for which the trace distance equals |kappa|; the measure is the total
-    revival (sum of increases) of |kappa| over the grid.
-    """
-    return blp_from_magnitudes(traj.magnitude)
 
 
 @dataclass(frozen=True)
@@ -320,10 +306,13 @@ class SynthesisResult:
 def _synthesis_grid(t: np.ndarray, delta_n: float, two_pi: bool):
     """(omega, order): the sorted fftfreq grid (2*t.size - 2 points) conjugate to the Hermitian
     extension of t, on which synthesize_spectrum recovers a spectrum, and the order sorting its
-    DFT onto it; ValueError unless t is increasing, uniform within 1e-9 and >= 3 samples long."""
+    DFT onto it; ValueError unless t is increasing, uniform within 1e-9 dt, starts at 0 within
+    1e-9 dt (the extension assumes t_m = m dt) and is >= 3 samples long."""
     dt = t[1] - t[0]
     if not dt > 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
         raise ValueError("time grid must be uniform and increasing")
+    if abs(t[0]) > 1e-9 * dt:
+        raise ValueError("time grid must start at 0")
     if t.size < 3:
         raise ValueError("need at least 3 time samples")
     omega = 2 * np.pi * np.fft.fftfreq(2 * t.size - 2, d=dt) / _kernel_scale(delta_n, two_pi)

@@ -256,12 +256,15 @@ class TestRun:
             ("synth", "t,re_kappa,im_kappa", lambda rows: [], {}),
             ("synth", None, lambda rows: [], {}),
             ("synth", "t,re_kappa,im_kappa", set_cell(0, 0, "0_0.0"), {}),
+            # Synthesis assumes t_m = m dt: a grid from another start gave a wrong spectrum.
+            ("synth", "t,re_kappa,im_kappa", each_row(lambda r: [r[0] + 0.5] + r[1:]), {}),
+            ("synth", "t,re_kappa,im_kappa", each_row(lambda r: [r[0] + 2.0] + r[1:]), {}),
         ],
         ids=["missing_column", "unnormalized", "negative", "nonuniform", "short_row", "huge_field",
              "phase_overflow", "kappa_missing_column", "kappa_above_one", "kappa_nonuniform_t",
              "kappa_two_rows", "kappa_constant_t", "nan_density", "inf_phase", "kappa_nan_re",
              "kappa_nan_t", "quoted_cell", "comment_row", "header_only", "empty_file",
-             "underscore_cell"],
+             "underscore_cell", "kappa_t_from_half", "kappa_t_from_two"],
     )
     def test_invalid_input_file_exit_code(self, scenario, header, transform, overrides, tmp_path,
                                           capsys, recwarn):
@@ -410,6 +413,32 @@ class TestRun:
         assert len(err) == 1
         assert json.loads(err[0]) == {"error": "invalid config", "violations": [violation]}
         assert not out.exists()
+
+
+# (config file text or None for no file, exit code, error, end of the one violation or detail)
+REJECTIONS = [
+    pytest.param(json.dumps({"eps_min": 0.3, "eps_max": 0.1, "eps_step": 0.01}), 2,
+                 "invalid config", "eps_max: must be >= eps_min", id="eps_max_below_eps_min"),
+    pytest.param("[0.0, 0.5, 0.01]", 2, "invalid config", "config: must be a JSON object",
+                 id="config_not_an_object"),
+    pytest.param(None, 3, "io failure", "cfg.json'", id="unreadable_config"),
+]
+
+
+@pytest.mark.parametrize("config, code, error, detail_end", REJECTIONS)
+def test_rejected_by_main(config, code, error, detail_end, tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    if config is not None:
+        cfg.write_text(config)
+    assert cli.main(["fig2", "--config", str(cfg), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    report = json.loads(err[0])
+    assert report["error"] == error
+    (detail,) = report["violations"] if "violations" in report else [report["detail"]]
+    assert detail.endswith(detail_end)
+    assert not out.exists()
 
 
 def fail(*args):
@@ -672,7 +701,7 @@ class TestFig4Oracle:
         spec = sdc.CorrelatedSpectrum(sigma=sigma, correlation=K, delta_n=delta_n)
         t = col["t_a"]
         assert np.array_equal(t, np.linspace(0, t_max, n_t))
-        assert np.array_equal(col["c_a"], sdc.concurrence_at_encoding(spec, t))
+        assert np.array_equal(col["c_a"], sdc.marginal_kappa(spec, t))
         oracle = {"mi_4state": sdc.simulate_protocol(spec, t, t, 4),
                   "mi_3state": sdc.simulate_protocol(spec, t, t, 3),
                   "mi_4state_alice_only": sdc.simulate_protocol(spec, t, 0.0, 4),
@@ -682,19 +711,19 @@ class TestFig4Oracle:
         assert cells[header.index("mi_4state")] == cells[header.index("capacity")]
 
     @settings(max_examples=50, deadline=None)
-    @given(**FIG4_PARAMS, n_states=st.sampled_from([3, 4]))
-    @example(**FIG4_UNDERFLOW, n_states=4)
-    def test_fig4_curve_is_the_cli_column(self, sigma, K, delta_n, t_max, n_t, n_states,
-                                          tmp_path_factory):
-        # sdc.fig4_curve and the CLI share one closed form, so the cells are equal bit for bit.
+    @given(**FIG4_PARAMS)
+    @example(**FIG4_UNDERFLOW)
+    def test_fig4_curve_is_the_cli_column(self, sigma, K, delta_n, t_max, n_t, tmp_path_factory):
+        # sdc.fig4_columns is the CLI's closed form, so the cells are equal bit for bit.
         out = tmp_path_factory.mktemp("fig4")
         params = {"sigma": sigma, "K": K, "delta_n": delta_n, "t_max": t_max, "n_t": n_t}
         assert cli.run("fig4", params, out) == 0
         header, cells = read_columns(out / "fig4.csv")
         spec = sdc.CorrelatedSpectrum(sigma=sigma, correlation=K, delta_n=delta_n)
-        c_a, mi = zip(*sdc.fig4_curve(spec, n_states, np.linspace(0, t_max, n_t)))
-        assert list(map(repr, c_a)) == list(cells[header.index("c_a")])
-        assert list(map(repr, mi)) == list(cells[header.index(f"mi_{n_states}state")])
+        columns = sdc.fig4_columns(spec, np.linspace(0, t_max, n_t))
+        names = ("c_a", "mi_4state", "mi_3state", "mi_4state_alice_only")
+        for name, column in zip(names, columns, strict=True):
+            assert list(map(repr, column.tolist())) == list(cells[header.index(name)]), name
 
 
 def read_columns(path):

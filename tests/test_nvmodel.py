@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmlab import nvmodel, qcore, spectra
-from nmlab.nvmodel import Gate, NVParams, RDJAConfig
+from nmlab.nvmodel import Gate, NVParams
 
 
 def flat_env_params(coupling=2 * np.pi):
@@ -60,7 +60,7 @@ class TestNvKappa:
         minus = qcore.pure_state(np.array([1, -1]) / np.sqrt(2))
         for phi, t in ((0.7, 1.3), (np.pi / 2, 2.9), (2.2, 0.4)):
             kappa = nvmodel.nv_kappa(params, phi, t)
-            ch = spectra.dephasing_channel(kappa)
+            ch = spectra.DephasingChannel(kappa)
             d = qcore.trace_distance(ch.apply(plus), ch.apply(minus))
             assert d == pytest.approx(nvmodel.bloch_magnitude(params, phi, t), abs=1e-12)
 
@@ -207,10 +207,10 @@ class TestGates:
         assert p0(Gate.U4) == pytest.approx(0.0, abs=1e-12)
 
 
-def density_matrix_p0(params, phi, cfg):
+def density_matrix_p0(params, phi, t, tau, gate):
     """Full simulation of the echo sequence, branch-resolved over the nucleus.
 
-    Independent oracle for rdja_p0: explicit 2x2 unitaries for the pulses,
+    Independent oracle for rdja_p0_table: explicit 2x2 unitaries for the pulses,
     exact +-A/2 phase branches for the nuclear spin, and the residual
     envelope applied to the coherence before readout.
     """
@@ -218,14 +218,14 @@ def density_matrix_p0(params, phi, cfg):
     s2 = np.sin(phi / 2) ** 2
     half = nvmodel.rotation("x", np.pi / 2)
     pi_pulse = nvmodel.rotation("x", np.pi)
-    env = nvmodel.envelope(params, cfg.t + cfg.tau)
+    env = nvmodel.envelope(params, t + tau)
     rho_total = np.zeros((2, 2), dtype=complex)
     for branch, weight in ((+1, c2), (-1, s2)):
         def wait(duration):
             phase = branch * params.coupling * duration / 4
             return np.diag([np.exp(1j * phase), np.exp(-1j * phase)])
 
-        chain = wait(cfg.tau) @ pi_pulse @ wait(cfg.t) @ nvmodel.rdja_gate(cfg.gate) @ half
+        chain = wait(tau) @ pi_pulse @ wait(t) @ nvmodel.rdja_gate(gate) @ half
         psi = chain @ np.array([1, 0], dtype=complex)
         rho = np.outer(psi, psi.conj())
         rho[0, 1] *= env
@@ -240,30 +240,30 @@ class TestRdja:
         for gate in Gate:
             for phi in (0.0, 0.8, np.pi / 2):
                 for t, tau in ((0.3, 0.3), (0.5, 0.1), (0.0, 0.7), (1.2, 0.9)):
-                    cfg = RDJAConfig(t, tau, gate)
-                    assert nvmodel.rdja_p0(params, phi, cfg) == pytest.approx(
-                        density_matrix_p0(params, phi, cfg), abs=1e-12
+                    assert nvmodel.rdja_p0_table(params, phi, t, tau)[gate][0] == pytest.approx(
+                        density_matrix_p0(params, phi, t, tau, gate), abs=1e-12
                     )
 
     def test_perfect_echo_at_matched_delays(self):
         params = flat_env_params()
         t = 0.37
         for phi in (0.0, 0.9, np.pi / 2):
-            assert nvmodel.rdja_p0(params, phi, RDJAConfig(t, t, Gate.U3)) == pytest.approx(1.0)
-            assert nvmodel.rdja_p0(params, phi, RDJAConfig(t, t, Gate.U1)) == pytest.approx(0.0)
-            assert nvmodel.rdja_contrast(params, phi, t, t) == pytest.approx(1.0)
+            assert nvmodel.rdja_p0_table(params, phi, t, t)[Gate.U3][0] == pytest.approx(1.0)
+            assert nvmodel.rdja_p0_table(params, phi, t, t)[Gate.U1][0] == pytest.approx(0.0)
+            assert nvmodel.rdja_success(params, phi, t, t)[0][1] == pytest.approx(1.0)
 
     def test_equator_prep_cancellation(self):
         params = flat_env_params()
         t = 0.5
         tau = t - np.pi / params.coupling  # A(t - tau) = pi
         assert nvmodel.rdja_kappa_eff(params, np.pi / 2, t, tau) == pytest.approx(0.0, abs=1e-12)
-        assert nvmodel.rdja_contrast(params, np.pi / 2, t, tau) == pytest.approx(0.0, abs=1e-12)
+        contrast = nvmodel.rdja_success(params, np.pi / 2, t, tau)[0][1]
+        assert contrast == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_and_balanced_pairs_identical(self):
         params = nvmodel.default_params()
         for t, tau in ((0.4, 0.2), (1.0, 1.0)):
-            p = {g: nvmodel.rdja_p0(params, 0.6, RDJAConfig(t, tau, g)) for g in Gate}
+            p = {g: p0[0] for g, p0 in nvmodel.rdja_p0_table(params, 0.6, t, tau).items()}
             assert p[Gate.U1] == pytest.approx(p[Gate.U2], abs=1e-12)
             assert p[Gate.U3] == pytest.approx(p[Gate.U4], abs=1e-12)
 
@@ -280,22 +280,23 @@ class TestRdja:
         t, phi = 0.9, 0.0
         period = 4 * np.pi / params.coupling
         taus = np.linspace(0, 3, 400)
-        c = np.array([nvmodel.rdja_contrast(params, phi, t, tau) for tau in taus])
-        c_shift = np.array([nvmodel.rdja_contrast(params, phi, t, tau + period) for tau in taus])
+        c = np.array([nvmodel.rdja_success(params, phi, t, tau)[0][1] for tau in taus])
+        c_shift = np.array([nvmodel.rdja_success(params, phi, t, tau + period)[0][1]
+                            for tau in taus])
         assert np.allclose(c, c_shift, atol=1e-10)
 
     def test_delayed_readout_beats_immediate(self):
         # Slowly decaying envelope: the echo optimum exceeds reading out at t.
         params = NVParams(coupling=2 * np.pi * 2.16, envelope_time=10.0)
         phi, t = np.pi / 2, 1.1
-        baseline = nvmodel.no_echo_contrast(params, phi, t)
+        baseline = abs(nvmodel.nv_kappa(params, phi, t).real)  # no pi pulse, read out at t
         taus = np.linspace(0, 2 * t, 600)
         best = max(c for _, c in nvmodel.rdja_success(params, phi, t, taus))
         assert best > baseline
 
     def test_bad_timing_rejected(self):
         with pytest.raises(ValueError):
-            RDJAConfig(-1.0, 0.0, Gate.U1)
+            nvmodel.rdja_p0_table(flat_env_params(), 0.0, -1.0, 0.0)
 
 
 class TestParams:
@@ -314,3 +315,19 @@ class TestParams:
     def test_default_params_scale(self):
         params = nvmodel.default_params()
         assert params.envelope_time == pytest.approx(10 * 2 * np.pi / params.coupling)
+
+
+REJECTIONS = [
+    pytest.param(lambda p: nvmodel.nv_kappa(p, 0.3, np.array([0.0, -1e-9])), "t must be >= 0",
+                 id="nv_kappa_negative_t"),
+    pytest.param(lambda p: nvmodel.nm_measure_phi(p, [], np.linspace(0, 1, 5)),
+                 "phi_grid must be nonempty", id="nm_measure_phi_empty_phi_grid"),
+    pytest.param(lambda p: nvmodel.rdja_success(p, 0.3, 0.5, []), "tau_grid must be nonempty",
+                 id="rdja_success_empty_tau_grid"),
+]
+
+
+@pytest.mark.parametrize("call, message", REJECTIONS)
+def test_rejected_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(nvmodel.default_params())

@@ -282,3 +282,28 @@ class TestValidation:
     def test_overlong_bloch_vector_rejected(self):
         with pytest.raises(ValueError):
             qcore.density_from_bloch([1, 1, 1])
+
+    def test_bloch_norm_edge_is_psd_tol(self):
+        # |r| up to 1 + PSD_TOL is a state: its smallest eigenvalue (1 - |r|)/2 is >= -PSD_TOL/2.
+        rho = qcore.density_from_bloch([0.0, 0.0, 1 + qcore.PSD_TOL / 2])
+        qcore.validate_density_matrix(rho)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            qcore.density_from_bloch([0.0, 0.0, 1 + 2 * qcore.PSD_TOL])
+
+
+REJECTIONS = [
+    pytest.param(lambda: qcore.validate_density_matrix(np.eye(3) / 3), "2x2 or 4x4",
+                 id="validate_wrong_shape"),
+    pytest.param(lambda: qcore.validate_density_matrix(np.diag([1.5, -0.5])),
+                 "not positive semidefinite", id="validate_not_psd"),
+    pytest.param(lambda: qcore.bell_state("phi_zero"), "unknown Bell state",
+                 id="bell_state_unknown_name"),
+    pytest.param(lambda: qcore.apply_channel(PauliChannel(0.5, 0.5, 1.0), qcore.bell_state()),
+                 "needs a 2x2 state", id="apply_channel_4x4_state"),
+]
+
+
+@pytest.mark.parametrize("call, message", REJECTIONS)
+def test_rejected_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

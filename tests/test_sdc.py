@@ -137,23 +137,23 @@ class TestCapacity:
 
 class TestConcurrenceAtEncoding:
     def test_no_noise(self):
-        assert sdc.concurrence_at_encoding(make_spec(0.0), 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert sdc.marginal_kappa(make_spec(0.0), 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form(self):
         spec = make_spec(0.0)
-        assert sdc.concurrence_at_encoding(spec, 1.0) == pytest.approx(np.exp(-0.5), abs=1e-10)
+        assert sdc.marginal_kappa(spec, 1.0) == pytest.approx(np.exp(-0.5), abs=1e-10)
 
     def test_long_time_limit(self):
-        assert sdc.concurrence_at_encoding(make_spec(0.0), 50.0) == pytest.approx(0.0, abs=1e-12)
+        assert sdc.marginal_kappa(make_spec(0.0), 50.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_brute_force_wootters(self):
         spec = make_spec(-0.4, sigma=0.9, delta_n=1.1)
         for t in (0.3, 0.8, 1.6):
             kappa = sdc.marginal_kappa(spec, t)
             bell = qcore.bell_state("phi_plus")
-            ch = spectra.dephasing_channel(kappa).as_pauli()
+            ch = spectra.DephasingChannel(kappa).as_pauli()
             rho = qcore.apply_channel_one_sided(ch, bell)
-            assert sdc.concurrence_at_encoding(spec, t) == pytest.approx(
+            assert sdc.marginal_kappa(spec, t) == pytest.approx(
                 qcore.concurrence(rho), abs=1e-10
             )
 
@@ -187,7 +187,7 @@ class TestProtocol:
         for k in (-1.0, -0.5, 0.0, 0.5):
             spec = make_spec(k)
             for t in np.linspace(0, 2.5, 8):
-                c_a = sdc.concurrence_at_encoding(spec, float(t))
+                c_a = sdc.marginal_kappa(spec, float(t))
                 mi = sdc.simulate_protocol(spec, float(t), float(t), 4)
                 assert mi <= sdc.capacity(c_a, k) + 1e-9
 
@@ -259,16 +259,16 @@ class TestProtocol:
 class TestFig4Curve:
     def test_anticorrelated_curve_flat_at_two(self):
         spec = make_spec(-1.0)
-        curve = sdc.fig4_curve(spec, 4, np.linspace(0, 2.5, 12))
-        for _, mi in curve:
+        mi_4state = sdc.fig4_columns(spec, np.linspace(0, 2.5, 12))[1]
+        for mi in mi_4state:
             assert mi == pytest.approx(2.0, abs=1e-6)
 
     def test_pairs_concurrence_with_mi(self):
         spec = make_spec(0.0)
         t_grid = np.linspace(0, 2, 5)
-        curve = sdc.fig4_curve(spec, 4, t_grid)
-        for (c_a, _), t in zip(curve, t_grid):
-            assert c_a == pytest.approx(sdc.concurrence_at_encoding(spec, float(t)), abs=1e-12)
+        c_a_column = sdc.fig4_columns(spec, t_grid)[0]
+        for c_a, t in zip(c_a_column, t_grid):
+            assert c_a == pytest.approx(sdc.marginal_kappa(spec, float(t)), abs=1e-12)
 
 
 class TestValidation:
@@ -318,7 +318,7 @@ class TestArrayPath:
     @example(spec=make_spec(-0.99609375, sigma=2.0, delta_n=4.0), times=[(5.0, 5.0)])
     def test_invariants(self, spec, times):
         t = np.array([a for a, _ in times])
-        c_a = sdc.concurrence_at_encoding(spec, t)
+        c_a = sdc.marginal_kappa(spec, t)
         assert np.all((0 <= c_a) & (c_a <= 1))
         mi4, mi3 = sdc.simulate_protocol(spec, t, t, 4), sdc.simulate_protocol(spec, t, t, 3)
         assert np.all((0 <= mi4) & (mi4 <= 2 + 1e-12))
@@ -331,7 +331,7 @@ class TestArrayPath:
 
     def test_capacity_at_survives_c_a_underflow(self):
         spec, t = make_spec(-0.99609375, sigma=2.0, delta_n=4.0), np.array([1.0, 4.0, 5.0])
-        c_a = sdc.concurrence_at_encoding(spec, t)
+        c_a = sdc.marginal_kappa(spec, t)
         assert c_a[-1] == 0.0 and sdc.capacity(c_a[-1], spec.correlation) == 1.0
         mi4 = sdc.simulate_protocol(spec, t, t, 4)
         assert np.max(np.abs(sdc.capacity_at(spec, t) - mi4)) <= 1e-12
@@ -364,13 +364,6 @@ class TestArrayPath:
                  for v in x]
             assert np.max(np.abs(sdc.capacity(c_a, k) - (2 - np.array(h)))) <= 1e-12
 
-    def test_fig4_curve_is_one_sweep(self):
-        # fig4_curve is the closed form of fig4_columns; the simulation is its oracle.
-        spec, t = make_spec(-0.3), np.linspace(0, 3, 7)
-        c_a, mi = zip(*sdc.fig4_curve(spec, 3, t))
-        assert list(c_a) == sdc.concurrence_at_encoding(spec, t).tolist()
-        assert np.max(np.abs(np.array(mi) - sdc.simulate_protocol(spec, t, t, 3))) <= 1e-12
-
     def test_invalid_array_entries_rejected(self):
         spec = make_spec(0.0)
         with pytest.raises(ValueError):
@@ -389,7 +382,7 @@ class TestScalarApi:
         spec = make_spec(-0.3)
         values = [
             sdc.joint_kappa(spec, t, 0.2), sdc.marginal_kappa(spec, t),
-            sdc.concurrence_at_encoding(spec, t), sdc.binary_entropy(0.3),
+            sdc.binary_entropy(0.3),
             sdc.capacity(sdc.marginal_kappa(spec, t), -0.3),
             sdc.mutual_information(np.eye(4)),
             sdc.simulate_protocol(spec, t, t, 4), sdc.simulate_protocol(spec, t, 0.0, 3),

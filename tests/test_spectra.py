@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 from nmlab import _floatfmt, qcore, spectra
 from nmlab.spectra import (
     DecoherenceTrajectory,
+    DephasingChannel,
     DoubleGaussianSpec,
     SpectralProfile,
     blp_from_magnitudes,
-    blp_measure,
-    dephasing_channel,
     double_gaussian_profile,
     kappa_double_gaussian_mag,
     kappa_numeric,
@@ -272,23 +271,23 @@ class TestChirpKernel:
 
 class TestDephasingChannel:
     def test_identity(self):
-        assert np.allclose(dephasing_channel(1.0).apply(PLUS), PLUS)
+        assert np.allclose(DephasingChannel(1.0).apply(PLUS), PLUS)
 
     def test_complete_dephasing(self):
-        out = dephasing_channel(0.0).apply(PLUS)
+        out = DephasingChannel(0.0).apply(PLUS)
         assert np.allclose(out, np.eye(2) / 2)
 
     def test_half_dephasing_bloch(self):
-        out = dephasing_channel(0.5).apply(PLUS)
+        out = DephasingChannel(0.5).apply(PLUS)
         assert np.allclose(qcore.bloch_vector(out), [0.5, 0, 0], atol=1e-14)
 
     def test_unphysical_kappa_rejected(self):
         with pytest.raises(ValueError):
-            dephasing_channel(1.1)
+            DephasingChannel(1.1)
 
     def test_complex_kappa_direction(self):
         kappa = 0.5 * np.exp(1j * 0.3)
-        out = dephasing_channel(kappa).apply(PLUS)
+        out = DephasingChannel(kappa).apply(PLUS)
         assert out[1, 0] == pytest.approx(0.5 * kappa)
         assert out[0, 1] == pytest.approx(0.5 * np.conj(kappa))
 
@@ -296,8 +295,8 @@ class TestDephasingChannel:
         for _ in range(20):
             kappa = rng.uniform(0, 1)
             rho = qcore.density_from_bloch(rng.uniform(-0.5, 0.5, 3))
-            via_deph = dephasing_channel(kappa).apply(rho)
-            via_pauli = qcore.apply_channel(dephasing_channel(kappa).as_pauli(), rho)
+            via_deph = DephasingChannel(kappa).apply(rho)
+            via_pauli = qcore.apply_channel(DephasingChannel(kappa).as_pauli(), rho)
             assert np.allclose(via_deph, via_pauli, atol=1e-14)
 
 
@@ -305,7 +304,7 @@ class TestBlpMeasure:
     def test_monotone_decay_is_markovian(self):
         t = np.linspace(0, 5, 200)
         traj = DecoherenceTrajectory(t, np.exp(-t).astype(complex))
-        assert blp_measure(traj) == 0
+        assert blp_from_magnitudes(np.abs(traj.kappa)) == 0
 
     def test_single_revival(self):
         assert blp_from_magnitudes([1.0, 0.2, 0.3, 0.1]) == pytest.approx(0.1)
@@ -397,6 +396,23 @@ class TestSynthesis:
         kappa = np.exp(-0.5 * t**2).astype(complex)
         result = synthesize_spectrum(DecoherenceTrajectory(t, kappa), delta_n=0.7, two_pi=True)
         assert result.roundtrip_error < 1e-6
+
+
+    @pytest.mark.parametrize("t0", [0.5, 2.0, -1e-6])
+    def test_time_grid_must_start_at_zero(self, t0):
+        # The Hermitian extension assumes t_m = m dt; shifted grids gave round trips of 0.88-1.0.
+        t = np.linspace(0, 8, 512) + t0
+        kappa = np.exp(-0.5 * (t - t0) ** 2).astype(complex)
+        with pytest.raises(ValueError, match="time grid must start at 0"):
+            synthesize_spectrum(DecoherenceTrajectory(t, kappa), delta_n=1.0)
+
+    def test_start_within_its_tolerance_is_zero(self):
+        t = np.linspace(0, 8, 512)
+        kappa = np.exp(-0.5 * t**2).astype(complex)
+        exact = synthesize_spectrum(DecoherenceTrajectory(t, kappa), delta_n=1.0)
+        nudged = synthesize_spectrum(DecoherenceTrajectory(t + 0.5e-9 * t[1], kappa), delta_n=1.0)
+        assert nudged.realizable
+        assert np.allclose(nudged.profile.density, exact.profile.density, rtol=1e-9, atol=0)
 
 
 class TestTrajectoryValidation:
@@ -858,3 +874,32 @@ class TestKappaProperties:
         assert np.max(np.abs(chirp - dense)) < 1e-11
         for kappa in (chirp, dense):
             assert np.max(np.abs(kappa)) <= 1 + spectra.KAPPA_MAG_TOL
+
+
+ONE_TO_TWO = np.linspace(1.0, 2.0, 5)
+REJECTIONS = [
+    pytest.param(lambda: DoubleGaussianSpec(1.0, 1.0, -0.1, 1.0), "delta_omega must be >= 0",
+                 id="double_gaussian_negative_delta_omega"),
+    pytest.param(lambda: DoubleGaussianSpec(1.0, 1.0, 2.0, 0.0), "delta_n must be nonzero",
+                 id="double_gaussian_zero_delta_n"),
+    pytest.param(lambda: SpectralProfile(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2))),
+                 "1-D with at least 2 points", id="profile_2d_omega"),
+    pytest.param(lambda: SpectralProfile([0.0], [1.0], [0.0]), "1-D with at least 2 points",
+                 id="profile_one_point_omega"),
+    pytest.param(lambda: SpectralProfile(ONE_TO_TWO, np.ones(5), np.zeros(4)),
+                 "must match the omega grid", id="profile_mismatched_shapes"),
+    pytest.param(lambda: DecoherenceTrajectory(np.linspace(0, 1, 5), np.ones(4, dtype=complex)),
+                 "must match the time grid", id="trajectory_mismatched_shapes"),
+    pytest.param(lambda: DephasingChannel(0.5).apply(qcore.bell_state()), "needs a 2x2 state",
+                 id="dephasing_apply_4x4_state"),
+    pytest.param(lambda: DephasingChannel(0.5j).as_pauli(), "only real kappa",
+                 id="dephasing_as_pauli_complex_kappa"),
+    pytest.param(lambda: blp_from_magnitudes([1.0]), "at least 2 samples",
+                 id="blp_one_sample"),
+]
+
+
+@pytest.mark.parametrize("call, message", REJECTIONS)
+def test_rejected_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
