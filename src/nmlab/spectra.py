@@ -93,6 +93,11 @@ class SpectralProfile:
         return float(self.omega[1] - self.omega[0])
 
 
+def _starts_at_zero(t: np.ndarray) -> bool:
+    """Whether a time grid starts at 0: |t[0]| within 1e-9 of its first step."""
+    return abs(t[0]) <= 1e-9 * abs(t[1] - t[0])
+
+
 @dataclass(frozen=True)
 class DecoherenceTrajectory:
     """Finite complex decoherence function sampled on a uniform time grid."""
@@ -113,7 +118,7 @@ class DecoherenceTrajectory:
             raise ValueError("t and kappa must be finite")
         if np.max(np.abs(kappa)) > 1 + KAPPA_MAG_TOL:
             raise ValueError("|kappa| must not exceed 1")
-        if abs(t[0]) < 1e-15 and abs(kappa[0] - 1.0) > KAPPA_MAG_TOL:
+        if _starts_at_zero(t) and abs(kappa[0] - 1.0) > KAPPA_MAG_TOL:
             raise ValueError("kappa(0) must equal 1")
 
 
@@ -311,7 +316,7 @@ def _synthesis_grid(t: np.ndarray, delta_n: float, two_pi: bool):
     dt = t[1] - t[0]
     if not dt > 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
         raise ValueError("time grid must be uniform and increasing")
-    if abs(t[0]) > 1e-9 * dt:
+    if not _starts_at_zero(t):
         raise ValueError("time grid must start at 0")
     if t.size < 3:
         raise ValueError("need at least 3 time samples")
@@ -356,20 +361,19 @@ def synthesize_spectrum(
 
 PROFILE_COLUMNS = ("omega", "density", "phase")
 TRAJECTORY_COLUMNS = ("t", "re_kappa", "im_kappa")
-_WRITE_BLOCK_ROWS = 1 << 10
-# Cells formatted per block, at most (unless one block of _WRITE_BLOCK_ROWS rows
-# holds more): a write holds about 350-400 B per cell of a block, 260 of them the
-# kernel's temporaries, and the kernel has a fixed cost per call. 6144 rather than 4096
-# cut the writes of fig1's and fig3's scaled tables by 5-8 %, within the peaks that
-# 4096-cell blocks of uncropped cells took (tests/test_cli.py::TestWriterMemory).
+# Cells of the full-size columns formatted per block, whatever their number (at least
+# one row), and per chunk of a small column. A write holds about 180 B per cell of a
+# block, most of them the kernel's temporaries (fig6 at 9766x4: 1.05 MiB), so fig5's
+# and fig6's four columns take 6144-cell blocks too, within the peaks of
+# tests/test_cli.py::TestWriterMemory; fig6 at 9766x4 makes 7 kernel calls, not 10.
 _WRITE_BLOCK_CELLS = 6 << 10
-# Tables of fewer cells are joined with one % operation. The kernel costs about 0.2 ms
-# per call whatever its size. It breaks even with % at 1200-1800 cells of tables of
-# distinct full columns (fig4, fig5, fig6), but at 2000-4500 on fig1's, whose repeated
-# t and A_theta % formats once, and above 3500 on fig2's, whose labels it formats with
-# str() either way. On 2 CPUs, 2000 rather than 6000 cut the benchmark's spectral
-# latency by 11 % (mean) and 17 % (median), for about 1 MB more peak RSS (BENCH_16.json).
-_KERNEL_MIN_CELLS = 2000
+# A call's float cells go through the kernel if they are at least this many, else repr;
+# a table none of whose calls would is joined with one % operation. The kernel costs
+# about 0.25 ms per call plus 0.15 us per cell on 2 CPUs. In-process, alternating, 60-100
+# writes each, it breaks even with % at about 600 float cells of fig6's tables, 700 of
+# fig5's, 1100 of fig4's and 1200 of fig2's, whose labels it formats with str() either
+# way; 1200 keeps fig2 and fig4 (the sweep benchmark) off the kernel where it is slower.
+_KERNEL_MIN_CELLS = 1200
 
 
 def _str_cells(values):
@@ -383,19 +387,23 @@ def _str_cells(values):
 
 def _cells(arrays):
     """(chars, keep) byte matrices of the cells of each 1-D array: row i of chars
-    masked by row i of keep is the cell's text. Float64 cells of all arrays come
-    from one _floatfmt call."""
+    masked by row i of keep is the cell's text. The float64 cells of all arrays come
+    from one _floatfmt call if there are at least _KERNEL_MIN_CELLS of them, else
+    from repr."""
     floats = [a for a in arrays if a.dtype == np.float64]
-    if floats:
-        chars, keep = _floatfmt.format_repr(np.concatenate(floats))
-        bounds = np.cumsum([a.size for a in floats])[:-1]
-        floats = iter(zip(np.split(chars, bounds), np.split(keep, bounds)))
+    if sum(a.size for a in floats) < _KERNEL_MIN_CELLS:
+        return [_str_cells(a) for a in arrays]
+    chars, keep = _floatfmt.format_repr(np.concatenate(floats))
+    bounds = np.cumsum([a.size for a in floats])[:-1]
+    floats = iter(zip(np.split(chars, bounds), np.split(keep, bounds)))
     return [next(floats) if a.dtype == np.float64 else _str_cells(a) for a in arrays]
 
 
 def _packed(values):
-    """(chars, keep) of a 1-D array's cells, formatted in chunks of _WRITE_BLOCK_CELLS,
-    with each cell's kept bytes first, in rows as wide as the longest cell."""
+    """(chars, keep) of a 1-D array's cells, with each cell's kept bytes first, in rows
+    as wide as the longest cell. The cells are formatted in chunks of _WRITE_BLOCK_CELLS,
+    each routed by _cells: a chunk of fewer than _KERNEL_MIN_CELLS cells, such as
+    fig1's A_theta or fig3's phi, costs no kernel call."""
     chunks = [_cells([values[i:i + _WRITE_BLOCK_CELLS]])[0]
               for i in range(0, values.size, _WRITE_BLOCK_CELLS)]
     lengths = np.concatenate([keep.sum(axis=1) for _, keep in chunks])
@@ -405,35 +413,37 @@ def _packed(values):
     return packed, narrow
 
 
-def _table_blocks(distinct, order, shape, size):
-    """Rows of the broadcast table as uint8 arrays, in blocks of whole multiples of
-    _WRITE_BLOCK_ROWS rows: as many as keep the cells formatted per block within
-    _WRITE_BLOCK_CELLS, at least one. Column j of the table is distinct[order[j]]."""
-    small = [d.size < size for d in distinct]
-    full = len(distinct) - sum(small)
-    block = _WRITE_BLOCK_ROWS * max(1, _WRITE_BLOCK_CELLS // (_WRITE_BLOCK_ROWS * max(1, full)))
+def _block_rows(sources, small, order, start, stop):
+    """Rows start:stop of the broadcast table as one uint8 array: the full-size columns'
+    cells formatted in one _cells call, the small columns' taken by index."""
+    fresh = iter(_cells([src[start:stop] for src, is_small in zip(sources, small)
+                         if not is_small]))
+    pieces = []
+    for src, is_small in zip(sources, small):
+        if is_small:
+            (cells, kept), index = src
+            rows = index[start:stop]
+            pieces.append((cells.take(rows, axis=0), kept.take(rows, axis=0)))
+        else:
+            pieces.append(next(fresh))
+    chars, keep = [], []
+    for n, j in enumerate(order):
+        sep = ord("\n") if n == len(order) - 1 else ord(",")
+        chars += [pieces[j][0], np.full((stop - start, 1), sep, dtype=np.uint8)]
+        keep += [pieces[j][1], np.ones((stop - start, 1), dtype=bool)]
+    return np.concatenate(chars, axis=1).ravel()[np.concatenate(keep, axis=1).ravel()]
+
+
+def _table_blocks(distinct, order, shape, small, block):
+    """Rows of the broadcast table as uint8 arrays, block rows at a time. Column j of
+    the table is distinct[order[j]], small[j] if it is smaller than the table."""
     # A column smaller than the table is formatted once, packed narrow as it repeats;
     # each block takes its rows by index.
     sources = [(_packed(d.ravel()), np.broadcast_to(np.arange(d.size).reshape(d.shape), shape).flat)
                if is_small else d.reshape(-1) for d, is_small in zip(distinct, small)]
+    size = math.prod(shape)
     for i in range(0, size, block):
-        stop = min(i + block, size)
-        fresh = iter(_cells([src[i:stop] for src, is_small in zip(sources, small)
-                             if not is_small]))
-        pieces = []
-        for src, is_small in zip(sources, small):
-            if is_small:
-                (cells, kept), index = src
-                rows = index[i:stop]
-                pieces.append((cells.take(rows, axis=0), kept.take(rows, axis=0)))
-            else:
-                pieces.append(next(fresh))
-        chars, keep = [], []
-        for n, j in enumerate(order):
-            sep = ord("\n") if n == len(order) - 1 else ord(",")
-            chars += [pieces[j][0], np.full((stop - i, 1), sep, dtype=np.uint8)]
-            keep += [pieces[j][1], np.ones((stop - i, 1), dtype=bool)]
-        yield np.concatenate(chars, axis=1).ravel()[np.concatenate(keep, axis=1).ravel()]
+        yield _block_rows(sources, small, order, i, min(i + block, size))
 
 
 def _joined(distinct, order, shape, size) -> bytes:
@@ -463,14 +473,17 @@ def write_csv(path, header, columns) -> str:
 
     Each distinct cell is formatted once: an array passed as two columns (as
     fig5's U1/U2 and U3/U4 are) once, and a column smaller than the table on
-    its own shape, its text repeated where the broadcast repeats it. A table
-    of fewer than _KERNEL_MIN_CELLS cells is joined with one % operation. A
-    larger one goes through _floatfmt, which turns a float64 array into the
-    bytes of repr of each cell with numpy integer arithmetic (nan and inf
-    fall back to repr), in blocks of rows (see _table_blocks): each block's
-    float cells in one call, its other cells with str(), all laid out in one
-    byte matrix that one mask compacts into the block's bytes. Blocks bound
-    the memory to about 400 B per cell formatted at once; the bytes are
+    its own shape, its text repeated where the broadcast repeats it. The
+    table is written in blocks of _WRITE_BLOCK_CELLS cells of its full-size
+    columns (see _table_blocks): each block's float cells in one call of
+    _floatfmt, which turns a float64 array into the bytes of repr of each
+    cell with numpy integer arithmetic (nan and inf fall back to repr), its
+    other cells with str(), all laid out in one byte matrix that one mask
+    compacts into the block's bytes. One rule routes each call: fewer than
+    _KERNEL_MIN_CELLS float cells (a short column such as fig1's A_theta, a
+    table's last block) go through repr instead, and a table none of whose
+    calls would reach the kernel is joined with one % operation. Blocks bound
+    the memory to about 180 B per cell formatted at once; the bytes are
     hashed as they are written.
     """
     columns = [np.asarray(column) for column in columns]
@@ -484,11 +497,19 @@ def write_csv(path, header, columns) -> str:
             digest.update(data)
             fh.write(data)
         put((",".join(header) + "\n").encode("utf-8"))
-        if size * len(columns) < _KERNEL_MIN_CELLS:
+        small = [d.size < size for d in distinct]
+        block = max(1, _WRITE_BLOCK_CELLS // max(1, small.count(False)))
+        # The float cells of the first block's call and of each small column's first chunk.
+        floats = [(d.size, is_small) for d, is_small in zip(distinct, small)
+                  if d.dtype == np.float64]
+        calls = [min(block, size) * sum(not is_small for _, is_small in floats)]
+        calls += [min(n, _WRITE_BLOCK_CELLS) for n, is_small in floats if is_small]
+        if max(calls) < _KERNEL_MIN_CELLS:
             put(_joined(distinct, order, shape, size))
         else:
-            for block in _table_blocks(distinct, order, shape, size):
-                put(block)
+            for rows in _table_blocks(distinct, order, shape, small, block):
+                put(rows)
+                del rows  # before the next block is formatted
     return digest.hexdigest()
 
 

@@ -259,12 +259,15 @@ class TestRun:
             # Synthesis assumes t_m = m dt: a grid from another start gave a wrong spectrum.
             ("synth", "t,re_kappa,im_kappa", each_row(lambda r: [r[0] + 0.5] + r[1:]), {}),
             ("synth", "t,re_kappa,im_kappa", each_row(lambda r: [r[0] + 2.0] + r[1:]), {}),
+            # A start within 1e-9 dt is a start at 0 for kappa(0) = 1 too.
+            ("synth", "t,re_kappa,im_kappa",
+             lambda rows: [[1e-14, 0.5, rows[0][2]]] + rows[1:], {}),
         ],
         ids=["missing_column", "unnormalized", "negative", "nonuniform", "short_row", "huge_field",
              "phase_overflow", "kappa_missing_column", "kappa_above_one", "kappa_nonuniform_t",
              "kappa_two_rows", "kappa_constant_t", "nan_density", "inf_phase", "kappa_nan_re",
              "kappa_nan_t", "quoted_cell", "comment_row", "header_only", "empty_file",
-             "underscore_cell", "kappa_t_from_half", "kappa_t_from_two"],
+             "underscore_cell", "kappa_t_from_half", "kappa_t_from_two", "kappa_t_from_1e-14"],
     )
     def test_invalid_input_file_exit_code(self, scenario, header, transform, overrides, tmp_path,
                                           capsys, recwarn):

@@ -90,6 +90,77 @@ class TestAgainstRepr:
                        env=dict(os.environ, PYTHONPATH=str(SRC)))
 
 
+def mulhi_words(a_hi, a_lo, b_hi, b_lo):
+    """High 64 bits of the 128-bit product of a and b, given as 32-bit words."""
+    m32, w = np.uint64(0xFFFF_FFFF), np.uint64(32)
+    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (lo_lo >> w) + (lo_hi & m32) + (hi_lo & m32)
+    return a_hi * b_hi + (lo_hi >> w) + (hi_lo >> w) + (mid >> w)
+
+
+def three_product_decimal(bits):
+    """Oracle for _floatfmt._decimal: Schubfach's (f, k) with the value and both bounds of the
+    rounding interval each from its own round-to-odd product (64x128 bits, 32-bit words)."""
+    u, m32, m63 = np.uint64, np.uint64(0xFFFF_FFFF), np.uint64((1 << 63) - 1)
+    g1, g0 = _floatfmt._tables()[0]
+    words = np.array([g1 >> u(32), g0 >> u(32), g1 & m32, g0 & m32, g1])
+
+    def rop(g, cp):
+        y1, x1 = mulhi_words(g[0:2], g[2:4], cp >> u(32), cp & m32)
+        z = ((g[4] * cp) >> u(1)) + x1
+        return (y1 + (z >> u(63))) | (((z & m63) + m63) >> u(63))
+
+    bq = ((bits >> u(52)) & u(0x7FF)).astype(np.int64)
+    t = bits & u((1 << 52) - 1)
+    c = np.where(bq != 0, t | u(1 << 52), t)
+    q = np.maximum(bq, 1) - 1075
+    regular = (c != u(1 << 52)) | (q == -1074)
+    k = np.where(regular, _floatfmt._flog10pow2(q), _floatfmt._flog10_three_quarters_pow2(q))
+    h = (q + _floatfmt._flog2pow10(-k) + 2).astype(u)
+    g = words.take(k - _floatfmt._K_MIN, axis=1)
+    out = c & u(1)
+    cb = c << u(2)
+    vb = rop(g, cb << h)
+    low = rop(g, (cb - np.where(regular, u(2), u(1))) << h) + out
+    high = rop(g, (cb + u(2)) << h) - out
+    s = vb >> u(2)
+    sp10 = s // u(10) * u(10)
+    upin, wpin = low <= sp10 << u(2), (sp10 << u(2)) + u(40) <= high
+    s4 = s << u(2)
+    up = (s4 + u(4) <= high) & ((low > s4) | (vb + (s & u(1)) > s4 + u(2)))
+    return np.where(upin != wpin, np.where(upin, sp10, sp10 + u(10)), s + up), k
+
+
+def assert_decimal_matches_oracle(bits):
+    bits = np.asarray(bits, dtype=np.uint64)
+    bq = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64)
+    finite = (bq != 0x7FF) & ((bits << np.uint64(1)) != 0)  # other cells give garbage
+    f, k = _floatfmt._decimal(bits, bq, _floatfmt._tables()[0])
+    f_oracle, k_oracle = three_product_decimal(bits)
+    assert np.array_equal(f[finite], f_oracle[finite])
+    assert np.array_equal(k[finite], k_oracle[finite])
+
+
+POWER_OF_TWO = 0x3FF0_0000_0000_0000  # 1.0: c = 2**52, the irregular interval
+SMALLEST_NORMAL = 0x0010_0000_0000_0000
+
+
+class TestDerivedBounds:
+    """_decimal's interval bounds, derived from the value's product, against three products."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    @example([POWER_OF_TWO, 0x0020_0000_0000_0000, 0x7FE0_0000_0000_0000, 1 << 63 | POWER_OF_TWO])
+    @example([SMALLEST_NORMAL - 1, SMALLEST_NORMAL, SMALLEST_NORMAL + 1, 1, 2, 3])
+    def test_bit_patterns(self, bits):
+        assert_decimal_matches_oracle(bits)
+
+    def test_powers_of_two_and_the_subnormal_edge(self):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024)).view(np.uint64)
+        edge = SMALLEST_NORMAL + np.arange(-4096, 4096, dtype=np.int64)
+        assert_decimal_matches_oracle(np.r_[powers, edge.astype(np.uint64)])
+
+
 SPECIALS = [float("nan"), float("inf"), float("-inf")]
 
 

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import io
+import json
+import math
 import os
 from pathlib import Path
 from unittest import mock
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nmlab import _floatfmt, qcore, spectra
+from nmlab import _floatfmt, cli, qcore, spectra
 from nmlab.spectra import (
     DecoherenceTrajectory,
     DephasingChannel,
@@ -420,6 +422,17 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError):
             DecoherenceTrajectory(np.array([0.0, 1.0]), np.array([0.5, 0.2], dtype=complex))
 
+    @pytest.mark.parametrize("t0", [1e-14, -1e-14, 0.5e-9 * 0.25])
+    def test_kappa_zero_checked_at_a_start_within_tolerance(self, t0):
+        # The rule of _synthesis_grid: a start within 1e-9 of the first step is a start at 0.
+        t = t0 + np.linspace(0, 2, 9)
+        with pytest.raises(ValueError, match="kappa\\(0\\) must equal 1"):
+            DecoherenceTrajectory(t, np.full(9, 0.5, dtype=complex))
+
+    def test_kappa_zero_not_checked_past_the_tolerance(self):
+        t = 2e-9 * 0.25 + np.linspace(0, 2, 9)
+        assert DecoherenceTrajectory(t, np.full(9, 0.5, dtype=complex)).t[0] == t[0]
+
     def test_magnitude_bound(self):
         with pytest.raises(ValueError):
             DecoherenceTrajectory(np.array([0.0, 1.0]), np.array([1.0, 1.5], dtype=complex))
@@ -465,7 +478,7 @@ class TestCsvInterchange:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["block_minus_1", "block", "block_plus_1"])
     def test_writer_matches_csv_module(self, offset, tmp_path):
-        n = spectra._WRITE_BLOCK_ROWS + offset
+        n = spectra._WRITE_BLOCK_CELLS // 4 + offset  # the rows of a block of four full columns
         rng = np.random.default_rng(n)
         floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
         floats[:4] = [-0.0, 1e-300, 5e299, 0.1]
@@ -486,13 +499,13 @@ class TestCsvInterchange:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(k=st.integers(1, 3),
-           n=st.sampled_from([1, spectra._WRITE_BLOCK_ROWS - 1, spectra._WRITE_BLOCK_ROWS,
-                              spectra._WRITE_BLOCK_ROWS + 1]),
+           n=st.sampled_from([1] + [spectra._WRITE_BLOCK_CELLS // 2 + d for d in (-1, 0, 1)]),
            small=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                           min_size=3, max_size=3),
            seed=st.integers(0, 2**32 - 1))
     def test_broadcast_columns_match_expanded(self, k, n, small, seed, tmp_path):
         # Rows of the broadcast (k, n) table in C order: A_theta-like (k, 1), t-like (n,), full.
+        # Blocks hold _WRITE_BLOCK_CELLS cells of t and full at k = 1, of full at k > 1.
         rng = np.random.default_rng(seed)
         a = np.c_[small[:k]]
         labels = np.c_[["markovian", "weak", "strong"][:k]]
@@ -529,7 +542,7 @@ class TestCsvInterchange:
         assert (tmp_path / "c.csv").read_bytes() == b"t,a,x\n"
         assert digest == hashlib.sha256(b"t,a,x\n").hexdigest()
 
-    @pytest.mark.parametrize("n", [3, spectra._WRITE_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [3, 1025, spectra._KERNEL_MIN_CELLS + 25])  # % path, then kernel
     def test_column_passed_twice(self, n, tmp_path):
         rng = np.random.default_rng(n)
         x, y, a = rng.normal(size=n), rng.normal(size=n), np.c_[[0.5, -1e-300]]
@@ -657,30 +670,82 @@ def mixed_columns(n, n_columns, seed):
     return [floats, ints, labels, np.float64(-2.5e-7), floats, *extra]
 
 
+def kernel_calls(monkeypatch):
+    """The float cells of each _floatfmt.format_repr call from now on."""
+    calls = []
+    kernel = _floatfmt.format_repr
+    monkeypatch.setattr(_floatfmt, "format_repr", lambda x: calls.append(x.size) or kernel(x))
+    return calls
+
+
+def scenario_table(scenario, **overrides):
+    """(header, columns) of the first CSV a scenario writes from its shipped config."""
+    params = dict(json.loads((CONFIGS / f"{scenario}.json").read_text()), **overrides)
+    if scenario == "fig6":
+        params["spectrum_csv"] = str(CONFIGS / "fig6_spectrum.csv")
+    values, violations = cli._validated(scenario, params)
+    assert not violations
+    (_, header, columns), *_ = cli.SCENARIOS[scenario].runner(values)[0]
+    return header, list(map(np.asarray, columns))
+
+
 class TestWriterPaths:
-    """The % path below _KERNEL_MIN_CELLS cells and the kernel path from it, block by block."""
+    """The % path for tables none of whose kernel calls would format _KERNEL_MIN_CELLS
+    float cells, and the kernel path from there, block by block."""
 
     @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
     def test_switch_edges(self, offset, tmp_path, monkeypatch):
+        # One block: floats, ints, labels, a 0-d float (repr) and the floats again, so the
+        # one kernel call would format the floats' cells once.
         cells = spectra._KERNEL_MIN_CELLS + offset
-        n_columns = next(d for d in range(5, cells + 1) if cells % d == 0)
-        columns = mixed_columns(cells // n_columns, n_columns, cells)
-        calls = []
-        kernel = _floatfmt.format_repr
-        monkeypatch.setattr(_floatfmt, "format_repr", lambda x: calls.append(x.size) or kernel(x))
-        header = [f"c{j}" for j in range(n_columns)]
+        columns = mixed_columns(cells, 5, cells)
+        calls = kernel_calls(monkeypatch)
+        header = [f"c{j}" for j in range(5)]
         digest = spectra.write_csv(tmp_path / "t.csv", header, columns)
         data = (tmp_path / "t.csv").read_bytes()
         assert data == csv_module_bytes(header, columns)
         assert digest == hashlib.sha256(data).hexdigest()
-        assert bool(calls) == (offset >= 0)
+        assert calls == [cells] * (offset >= 0)
 
-    @pytest.mark.parametrize("rows", [spectra._WRITE_BLOCK_ROWS + d for d in (-1, 0, 1)]
-                             + [2 * spectra._WRITE_BLOCK_ROWS + 1])
-    def test_block_edges(self, rows, tmp_path):
-        header = list("fiLzFxy")
-        columns = mixed_columns(rows, 7, rows)
+    def test_table_of_short_calls_is_joined(self, tmp_path, monkeypatch):
+        # fig1-like: t and the block of kappa_mag each below the threshold, together above it.
+        n = spectra._KERNEL_MIN_CELLS * 2 // 5
+        header, columns = ["t", "a", "mag"], [np.linspace(0, 1, n), np.c_[[0.5, 1.0]],
+                                              np.random.default_rng(n).uniform(size=(2, n))]
+        calls, joined = kernel_calls(monkeypatch), []
+        monkeypatch.setattr(spectra, "_joined", lambda *args, f=spectra._joined: joined.append(1)
+                            or f(*args))
         spectra.write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(header, columns)
+        assert calls == [] and joined == [1]
+
+    @pytest.mark.parametrize("rows", [spectra._WRITE_BLOCK_CELLS // 6 + d for d in (-1, 0, 1)]
+                             + [2 * (spectra._WRITE_BLOCK_CELLS // 6) + 1])
+    def test_block_edges(self, rows, tmp_path):
+        # Six distinct full-size columns, so blocks of _WRITE_BLOCK_CELLS // 6 rows.
+        header = list("fiLzFxyw")
+        columns = mixed_columns(rows, 8, rows)
+        spectra.write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(header, columns)
+
+    @pytest.mark.parametrize("scenario, overrides, n_calls", [
+        ("fig1", {"n_t": 3000, "a_theta_values": [0.0, 0.5, 1.0]}, 3),
+        ("fig3", {"n_t": 9000}, 7), ("fig5", {"n_tau": 3010}, 2), ("fig6", {"n_t": 9766}, 7)],
+        ids=["fig1_3000x3", "fig3_9000x3", "fig5_3010", "fig6_9766x4"])
+    def test_kernel_calls(self, scenario, overrides, n_calls, tmp_path, monkeypatch):
+        # Each call formats at least _KERNEL_MIN_CELLS cells (fig1's A_theta and fig3's phi
+        # go through repr) and a whole block or chunk of _WRITE_BLOCK_CELLS, except the
+        # last of the table or of a small column.
+        header, columns = scenario_table(scenario, **overrides)
+        size = math.prod(np.broadcast_shapes(*(c.shape for c in columns)))
+        columns_last = {c.size % spectra._WRITE_BLOCK_CELLS for c in columns if c.size < size}
+        table_last = size * len({id(c) for c in columns if c.size == size})
+        calls = kernel_calls(monkeypatch)
+        spectra.write_csv(tmp_path / "t.csv", header, columns)
+        assert len(calls) == n_calls
+        assert min(calls) >= spectra._KERNEL_MIN_CELLS
+        assert all(n == spectra._WRITE_BLOCK_CELLS for n in calls[:-1] if n not in columns_last)
+        assert calls[-1] == (table_last - 1) % spectra._WRITE_BLOCK_CELLS + 1
         assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(header, columns)
 
     @pytest.mark.parametrize("k, n", [pytest.param(k, n, id=str(n)) for k in (2, 3)
@@ -702,21 +767,21 @@ class TestWriterPaths:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(kinds=st.lists(st.sampled_from(["full", "t", "a", "0-d", "labels", "kinds", "again"]),
                           min_size=1, max_size=6),
-           k=st.integers(1, 3), edge=st.sampled_from(["switch", "rows", "block", "chunk"]),
+           k=st.integers(1, 3), edge=st.sampled_from(["switch", "block", "chunk"]),
            offset=st.integers(-2, 2), seed=st.integers(0, 2**32 - 1))
     @example(kinds=["t", "full", "again", "kinds"], k=2, edge="chunk", offset=1, seed=0)
     def test_random_tables_match_csv_module(self, kinds, k, edge, offset, seed, tmp_path):
         # A (k, m) table of float columns, each of one magnitude range or of all, both signs;
         # broadcast columns, string columns, and the previous column passed again. m puts the
-        # table's cells at _KERNEL_MIN_CELLS, its rows at a block's edge, or a (m,) column
-        # at the edge of the chunks it is formatted in.
+        # table's kernel calls at _KERNEL_MIN_CELLS, its rows at a block's edge, or a (m,)
+        # column at the edge of the chunks it is formatted in.
         rng = np.random.default_rng(seed)
-        full = sum(kind in ("full", "labels") or kind == "t" and k == 1 for kind in kinds)
-        block = spectra._WRITE_BLOCK_ROWS * max(
-            1, spectra._WRITE_BLOCK_CELLS // (spectra._WRITE_BLOCK_ROWS * max(1, full)))
-        rows = {"switch": -(-spectra._KERNEL_MIN_CELLS // len(kinds)),
-                "rows": spectra._WRITE_BLOCK_ROWS, "block": block,
-                "chunk": k * spectra._WRITE_BLOCK_CELLS}[edge]
+        full_floats = sum(kind == "full" or kind == "t" and k == 1 for kind in kinds)
+        block = spectra._WRITE_BLOCK_CELLS // max(1, full_floats + kinds.count("labels"))
+        # The switch: a block's full-size float cells, or else a t column's, at the threshold.
+        switch = (-(-spectra._KERNEL_MIN_CELLS // full_floats) if full_floats
+                  else k * spectra._KERNEL_MIN_CELLS)
+        rows = {"switch": switch, "block": block, "chunk": k * spectra._WRITE_BLOCK_CELLS}[edge]
         m = max(1, rows // k + offset)
         shapes = {"full": (k, m), "t": (m,), "a": (k, 1), "0-d": ()}
         columns = []
