@@ -187,9 +187,9 @@ def _fig2_check(v):
 
 def _fig3(v):
     nv = nvmodel.NVParams(**{key: v[key] for key in NV_KEYS})
-    t, phis = np.linspace(0, v["t_max"], v["n_t"]), v["phi_values"]
-    bloch = (t, np.c_[phis], nvmodel.bloch_magnitude(nv, phis, t))
-    nm = list(zip(*nvmodel.nm_measure_phi(nv, np.linspace(0, np.pi, v["n_phi"]), t)))
+    t, grid = np.linspace(0, v["t_max"], v["n_t"]), np.linspace(0, np.pi, v["n_phi"])
+    bloch = (t, np.c_[v["phi_values"]], nvmodel.bloch_magnitude(nv, v["phi_values"], t))
+    nm = (grid, nvmodel.nm_measure_phi(nv, grid, t))
     return [("fig3_bloch.csv", ["t", "phi", "r"], bloch), ("fig3_nm.csv", ["phi", "nm"], nm)], {}
 
 
@@ -233,9 +233,8 @@ def _fig6(v):
 
 
 def _classify(v):
-    eps = v["epsilon"]
-    verdict = collision.classify(eps)
-    mid = collision.intermediate_channel(eps)  # raises SingularChannelError at eps = 1/4
+    eps = v["epsilon"]  # intermediate_channel raises SingularChannelError on classify's edges
+    verdict, mid = collision.classify(eps), collision.intermediate_channel(eps)
     header = ["epsilon", "lambda_x", "lambda_y", "lambda_z", "min_choi_eigenvalue",
               "max_abs_bloch_eigenvalue", "classification"]
     row = (eps, mid.lam_x, mid.lam_y, mid.lam_z, verdict.min_choi_eigenvalue,

@@ -82,14 +82,10 @@ def two_collision_channel(eps: float) -> PauliChannel:
     return PauliChannel(q_i, b * b, q_i)
 
 
-def intermediate_channel(eps: float) -> PauliChannel:
-    """Map between the first and second collision (divisibility quotient)."""
-    eps = float(_check_eps(eps))
-    if abs(eps - SINGULAR_EPS) <= SINGULAR_EPS_TOL:
-        raise SingularChannelError(
-            "intermediate map undefined at eps = 0.25 (first collision is singular)"
-        )
-    return qcore.divide_channels(two_collision_channel(eps), first_collision_channel(eps))
+def _edges(eps):
+    """Edge table: (mask, (Classification index, min Choi, max|lam|)) at eps = 1/4 and 1/2."""
+    return ((abs(eps - SINGULAR_EPS) <= SINGULAR_EPS_TOL, (3, np.nan, np.nan)),
+            (abs(eps - 0.5) <= SINGULAR_EPS_TOL, (2, -np.inf, np.inf)))
 
 
 def _lam_xz(eps):
@@ -98,29 +94,40 @@ def _lam_xz(eps):
     return (a * a + 4 * (eps * eps)) / a
 
 
+def _intermediate(eps) -> PauliChannel:
+    """The intermediate map two_collision_channel / first_collision_channel, bit for bit:
+    lam_x = lam_z = ((1-2eps)^2 + 4eps^2)/(1-2eps) and lam_y = (1-4eps)^2/(1-4eps)."""
+    lam_xz, b = _lam_xz(eps), 1 - 4 * eps
+    return PauliChannel(lam_xz, b * b / b, lam_xz)
+
+
+def intermediate_channel(eps: float) -> PauliChannel:
+    """Map between the first and second collision; SingularChannelError on classify's edges."""
+    eps = float(_check_eps(eps))
+    if any(at for at, _ in _edges(eps)):
+        raise SingularChannelError(f"no intermediate map at eps = {eps} (first collision singular)")
+    return _intermediate(eps)
+
+
 def classify(eps) -> DivisibilityVerdict:
     """Weak/strong non-Markovianity verdict for the intermediate map; broadcasts over eps.
 
-    Its Bloch eigenvalues are lam_x = lam_z = ((1-2eps)^2 + 4eps^2)/(1-2eps) and
-    lam_y = (1-4eps)^2/(1-4eps), its Choi weights (1 +- lam_x +- lam_y +- lam_z)/4.
-    It is strong (not P-divisible) if max|lam| > 1 + tol, else weak (P- but
-    not CP-divisible) if a weight is < -tol, else Markovian (eps = 0 too, with
-    (min Choi, max|lam|) = (0.0, 1.0)); tol is qcore.PSD_TOL = 1e-10. Two edges:
-    |eps - 1/4| <= 1e-9 is singular with (nan, nan), and |eps - 1/2| <= 1e-9
-    strong with (-inf, inf): the first collision is noninvertible there too and
-    the second undoes it.
+    The map (_intermediate) has Choi weights (1 +- lam_x +- lam_y +- lam_z)/4. It is
+    strong (not P-divisible) if max|lam| > 1 + tol, else weak (P- but not CP-divisible)
+    if a weight is < -tol, else Markovian (eps = 0 too, with (min Choi, max|lam|) =
+    (0.0, 1.0)); tol is qcore.PSD_TOL = 1e-10. The edge table (_edges) overrides
+    |eps - 1/4| <= 1e-9 as singular with (nan, nan) and |eps - 1/2| <= 1e-9 as strong
+    with (-inf, inf): the first collision is noninvertible there and the second undoes it.
     Scalar eps gives the enum and floats, an eps array arrays of enum values.
     """
     eps, tol = _check_eps(eps), qcore.PSD_TOL
     x = np.atleast_1d(eps)  # the edges below are set in place
     with np.errstate(all="ignore"):
-        lam_xz, b = _lam_xz(x), 1 - 4 * x
-        mid = PauliChannel(lam_xz, b * b / b, lam_xz)
+        mid = _intermediate(x)
         min_choi = np.minimum.reduce(qcore.kraus_weights(mid))
-        max_bloch = np.maximum(np.abs(lam_xz), np.abs(mid.lam_y))
+        max_bloch = np.maximum(np.abs(mid.lam_x), np.abs(mid.lam_y))
     code = np.where(max_bloch > 1 + tol, 2, min_choi < -tol)  # index into Classification
-    for at, edge in ((abs(x - SINGULAR_EPS) <= SINGULAR_EPS_TOL, (3, np.nan, np.nan)),
-                     (abs(x - 0.5) <= SINGULAR_EPS_TOL, (2, -np.inf, np.inf))):
+    for at, edge in _edges(x):
         code[at], min_choi[at], max_bloch[at] = edge
     label = np.array([c.value for c in Classification])[code]
     if eps.ndim == 0:
@@ -129,12 +136,8 @@ def classify(eps) -> DivisibilityVerdict:
 
 
 def find_transition() -> float:
-    """Locate the weak -> strong transition to 1e-10 by bisection on the P-breaking margin.
-
-    The x/z Bloch eigenvalue of the intermediate map, extended by continuity
-    through the singular point, is ((1-2e)^2 + 4e^2)/(1-2e); it crosses 1 at
-    the transition.
-    """
+    """Locate the weak -> strong transition to 1e-10 by bisection on where _lam_xz, the
+    intermediate map's x/z eigenvalue extended through the singular point, crosses 1."""
     lo, hi = 0.05, 0.45  # _lam_xz is 0.91 and 8.2 there
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)

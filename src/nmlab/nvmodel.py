@@ -95,8 +95,8 @@ def bloch_magnitude(params: NVParams, phi, t):
     return _bloch_rows(params, t)(phi)
 
 
-def nm_measure_phi(params: NVParams, phi_grid, t_grid) -> list[tuple[float, float]]:
-    """Non-Markovianity (total revival of r(t)) for each preparation angle.
+def nm_measure_phi(params: NVParams, phi_grid, t_grid) -> np.ndarray:
+    """Non-Markovianity (total revival of r(t)) for each preparation angle: an array over phi.
 
     Positive increments of the bloch_magnitude closed form, summed in blocks
     of phi rows of at most _PHI_BLOCK_CELLS cells (no n_phi x n_t array).
@@ -109,7 +109,7 @@ def nm_measure_phi(params: NVParams, phi_grid, t_grid) -> list[tuple[float, floa
     for i in range(0, phi_grid.size, rows):
         inc = np.diff(bloch(phi_grid[i:i + rows]), axis=1)
         nm[i:i + rows] = np.sum(inc, axis=1, where=inc > 0)
-    return list(zip(phi_grid.tolist(), nm.tolist()))
+    return nm
 
 
 # --- refined single-qubit constant/balanced discrimination -----------------
@@ -135,14 +135,12 @@ def rotation(axis: str, angle: float) -> np.ndarray:
 
 def rdja_gate(gate: Gate | str) -> np.ndarray:
     """Phase gate (-pi/2)_x (theta)_y (-pi/2)_x as a 2x2 unitary."""
-    gate = Gate(gate) if not isinstance(gate, Gate) else gate
-    rx = rotation("x", -np.pi / 2)
-    return rx @ rotation("y", _GATE_Y_ANGLE[gate]) @ rx
+    rx = rotation("x", -np.pi / 2)  # Gate() of a Gate is that Gate
+    return rx @ rotation("y", _GATE_Y_ANGLE[Gate(gate)]) @ rx
 
 
 def is_balanced(gate: Gate | str) -> bool:
-    gate = Gate(gate) if not isinstance(gate, Gate) else gate
-    return gate in BALANCED_GATES
+    return Gate(gate) in BALANCED_GATES
 
 
 def rdja_kappa_eff(params: NVParams, phi: float, t: float, tau: float) -> complex:
@@ -174,10 +172,9 @@ def rdja_p0_table(params: NVParams, phi: float, t: float, tau_grid) -> dict:
     return {gate: balanced if is_balanced(gate) else constant for gate in Gate}
 
 
-def rdja_success(params: NVParams, phi: float, t: float, tau_grid) -> list[tuple[float, float]]:
-    """Success contrast P0(balanced) - P0(constant) over readout delays tau."""
-    tau_grid = np.atleast_1d(np.asarray(tau_grid, dtype=float))
-    if tau_grid.size == 0:
+def rdja_success(params: NVParams, phi: float, t: float, tau_grid) -> np.ndarray:
+    """Success contrast P0(balanced) - P0(constant): an array over readout delays tau."""
+    if np.size(tau_grid) == 0:
         raise ValueError("tau_grid must be nonempty")
     p0 = rdja_p0_table(params, phi, t, tau_grid)
-    return list(zip(tau_grid.tolist(), (p0[Gate.U3] - p0[Gate.U1]).tolist()))
+    return p0[Gate.U3] - p0[Gate.U1]

@@ -178,24 +178,20 @@ def bell_concurrence(ch: PauliChannel) -> float:
     return max(0.0, float(abs(lx + ly) + (lz - 1)) / 2, float(abs(lx - ly) - (lz + 1)) / 2)
 
 
-def is_cp(ch: PauliChannel, tol: float = PSD_TOL) -> bool:
-    """Complete positivity: all four Choi eigenvalues >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return all(q >= -tol for q in kraus_weights(ch))
+def is_cp(ch: PauliChannel) -> bool:
+    """Complete positivity: all four Choi eigenvalues >= -PSD_TOL."""
+    return all(q >= -PSD_TOL for q in kraus_weights(ch))
 
 
-def is_positive(ch: PauliChannel, tol: float = PSD_TOL) -> bool:
+def is_positive(ch: PauliChannel) -> bool:
     """Positivity of a Pauli-diagonal map.
 
     Exact criterion for unital qubit maps: a pure state with Bloch vector r
     goes to lam * r (componentwise), whose smallest eigenvalue
     (1 - |lam * r|)/2 is negative for some unit r iff max |lam_i| > 1, so
-    the map is positive iff max |lam_i| <= 1 + tol.
+    the map is positive iff max |lam_i| <= 1 + PSD_TOL.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return max(abs(l) for l in ch.as_tuple()) <= 1 + tol
+    return max(abs(l) for l in ch.as_tuple()) <= 1 + PSD_TOL
 
 
 def compose_channels(later: PauliChannel, earlier: PauliChannel) -> PauliChannel:

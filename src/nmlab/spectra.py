@@ -79,8 +79,7 @@ class SpectralProfile:
             raise ValueError("omega grid must be 1-D with at least 2 points")
         if density.shape != omega.shape or phase.shape != omega.shape:
             raise ValueError("density and phase must match the omega grid")
-        d = np.diff(omega)
-        if np.any(d <= 0) or np.max(np.abs(d - d[0])) > 1e-9 * abs(d[0]):
+        if not _uniform_steps(np.diff(omega)):
             raise ValueError("omega grid must be strictly increasing and uniform")
         if np.min(density) < 0:
             raise ValueError("density must be nonnegative")
@@ -91,6 +90,11 @@ class SpectralProfile:
     @property
     def step(self) -> float:
         return float(self.omega[1] - self.omega[0])
+
+
+def _uniform_steps(d: np.ndarray) -> bool:
+    """Whether a grid's steps d are uniform: d[0] > 0 and every step within 1e-9 d[0] of it."""
+    return d[0] > 0 and not np.max(np.abs(d - d[0])) > 1e-9 * d[0]
 
 
 def _starts_at_zero(t: np.ndarray) -> bool:
@@ -311,15 +315,15 @@ class SynthesisResult:
 def _synthesis_grid(t: np.ndarray, delta_n: float, two_pi: bool):
     """(omega, order): the sorted fftfreq grid (2*t.size - 2 points) conjugate to the Hermitian
     extension of t, on which synthesize_spectrum recovers a spectrum, and the order sorting its
-    DFT onto it; ValueError unless t is increasing, uniform within 1e-9 dt, starts at 0 within
-    1e-9 dt (the extension assumes t_m = m dt) and is >= 3 samples long."""
-    dt = t[1] - t[0]
-    if not dt > 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
+    DFT onto it; ValueError unless t is increasing and uniform (_uniform_steps), starts at 0
+    (_starts_at_zero: the extension assumes t_m = m dt) and is >= 3 samples long."""
+    if not _uniform_steps(np.diff(t)):
         raise ValueError("time grid must be uniform and increasing")
     if not _starts_at_zero(t):
         raise ValueError("time grid must start at 0")
     if t.size < 3:
         raise ValueError("need at least 3 time samples")
+    dt = t[1] - t[0]
     omega = 2 * np.pi * np.fft.fftfreq(2 * t.size - 2, d=dt) / _kernel_scale(delta_n, two_pi)
     order = np.argsort(omega)
     return omega[order], order

@@ -216,6 +216,27 @@ class TestRun:
         assert code == 4
         assert "singular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", [0.5, 0.5 - 1e-12, 0.5 - 1e-10])
+    def test_half_window_exit_code(self, eps, tmp_path, capsys):
+        # The first collision is singular within 1e-9 of eps = 1/2 too: exit 4, nothing written.
+        assert cli.run("classify", {"epsilon": eps}, tmp_path) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "singular channel"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("eps, row", [
+        (0.5 - 2e-9, "0.499999998,249999998.13158897,-0.999999992,249999998.13158897,"
+                     "-124999999.06579448,249999998.13158897,strong"),
+        (0.25 + 2e-9, "0.250000002,1.000000008,-7.999999995789153e-09,1.000000008,"
+                      "-0.250000006,1.000000008,strong"),
+    ])
+    def test_just_outside_the_edge_windows(self, eps, row, tmp_path):
+        # Locked bytes: the closed form and the channel path's quotient agree here bit for bit.
+        assert cli.run("classify", {"epsilon": eps}, tmp_path) == 0
+        header = ("epsilon,lambda_x,lambda_y,lambda_z,min_choi_eigenvalue,"
+                  "max_abs_bloch_eigenvalue,classification")
+        assert (tmp_path / "classify.csv").read_bytes() == f"{header}\n{row}\n".encode()
+
     def test_io_failure_exit_code(self, tmp_path, capsys):
         params = load_config("synth")
         params["kappa_csv"] = str(tmp_path / "missing.csv")
@@ -642,14 +663,25 @@ class TestOutputs:
         assert all(float(r["capacity"]) >= float(r["mi_4state"]) for r in rows)
 
     def test_fig2_labels_match_classify_scenario(self, tmp_path):
-        params = {"eps_min": 0.2, "eps_max": 0.3, "eps_step": 0.01}
-        assert cli.run("fig2", params, tmp_path / "fig2") == 0
-        for row in read_rows(tmp_path / "fig2" / "fig2.csv"):
-            out = tmp_path / row["epsilon"]
-            if cli.run("classify", {"epsilon": float(row["epsilon"])}, out) == 0:
-                assert read_rows(out / "classify.csv")[0]["classification"] == row["classification"]
+        # Both scenarios read one edge table: classify exits 4 exactly where |eps - 1/4| or
+        # |eps - 1/2| is <= 1e-9, and elsewhere writes fig2's label. The grids cross both edges.
+        rows = []
+        for i, (lo, hi, step) in enumerate([(0.0, 0.5, 0.025), (0.25 - 3e-9, 0.25 + 3e-9, 5e-10),
+                                            (0.5 - 3e-9, 0.5, 5e-10)]):
+            params = {"eps_min": lo, "eps_max": hi, "eps_step": step}
+            assert cli.run("fig2", params, tmp_path / f"fig2_{i}") == 0
+            rows += read_rows(tmp_path / f"fig2_{i}" / "fig2.csv")
+        codes = []
+        for i, row in enumerate(rows):
+            eps, out = float(row["epsilon"]), tmp_path / str(i)
+            codes.append(cli.run("classify", {"epsilon": eps}, out))
+            if abs(eps - 0.25) <= 1e-9 or abs(eps - 0.5) <= 1e-9:
+                assert codes[-1] == 4 and list(out.iterdir()) == []
+                assert row["classification"] == ("singular" if eps < 0.4 else "strong")
             else:
-                assert row["classification"] == "singular"
+                assert codes[-1] == 0
+                assert read_rows(out / "classify.csv")[0]["classification"] == row["classification"]
+        assert 0 in codes and 4 in codes
 
     def test_fig5_cells_are_float_literals(self, tmp_path):
         assert cli.run("fig5", load_config("fig5"), tmp_path) == 0

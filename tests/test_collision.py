@@ -110,6 +110,28 @@ class TestChannels:
         with pytest.raises(SingularChannelError):
             collision.intermediate_channel(0.25)
 
+    @pytest.mark.parametrize("eps", [0.25 - 5e-10, 0.25 + 9e-10, 0.5, 0.5 - 1e-12, 0.5 - 1e-10,
+                                     0.5 - 5e-10])
+    def test_intermediate_singular_on_classify_edges(self, eps):
+        with pytest.raises(SingularChannelError):
+            collision.intermediate_channel(eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(eps=st.one_of(st.floats(0.0, 0.5), st.floats(0.25 - 4e-9, 0.25 + 4e-9),
+                         st.floats(0.5 - 4e-4, 0.5)))
+    @example(eps=0.4999923596)
+    @example(eps=0.5 - 2e-9)
+    @example(eps=0.25 + 2e-9)
+    def test_intermediate_is_the_channel_quotient(self, eps):
+        # Off both edges the closed form is the channel path's quotient, bit for bit.
+        if abs(eps - 0.25) <= 1e-9 or abs(eps - 0.5) <= 1e-9:
+            with pytest.raises(SingularChannelError):
+                collision.intermediate_channel(eps)
+            return
+        want = qcore.divide_channels(collision.two_collision_channel(eps),
+                                     collision.first_collision_channel(eps))
+        assert collision.intermediate_channel(eps).as_tuple() == want.as_tuple()
+
 
 class TestClassification:
     def test_markovian_at_zero(self):
@@ -238,7 +260,8 @@ def classify_oracle(eps):
         return "singular", float("nan"), float("nan")
     if abs(eps - 0.5) <= 1e-9:
         return "strong", float("-inf"), float("inf")
-    mid = collision.intermediate_channel(eps)
+    mid = qcore.divide_channels(collision.two_collision_channel(eps),
+                                collision.first_collision_channel(eps))
     label = ("strong" if not qcore.is_positive(mid) else
              "weak" if not qcore.is_cp(mid) else "markovian")
     return label, min(qcore.kraus_weights(mid)), max(abs(l) for l in mid.as_tuple())

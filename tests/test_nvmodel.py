@@ -72,8 +72,7 @@ def oracle_bloch_rows(params, phis, t):
 
 def oracle_nm(params, phis, t):
     """Oracle: the BLP revival of each oracle row, one phi at a time."""
-    return [(float(phi), spectra.blp_from_magnitudes(row))
-            for phi, row in zip(phis, oracle_bloch_rows(params, phis, t))]
+    return np.array([spectra.blp_from_magnitudes(row) for row in oracle_bloch_rows(params, phis, t)])
 
 
 def oracle_p0(params, phi, t, taus):
@@ -126,9 +125,8 @@ class TestArrayPath:
             mp.setattr(nvmodel, "_PHI_BLOCK_CELLS", block_rows * n_t + int(spare * n_t))
             got = nvmodel.nm_measure_phi(params, phis, t)
         want = oracle_nm(params, phis, t)
-        assert [phi for phi, _ in got] == [phi for phi, _ in want]
-        np.testing.assert_allclose([nm for _, nm in got], [nm for _, nm in want],
-                                   rtol=0, atol=1e-12)
+        assert got.shape == want.shape == (len(phis),)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_t", [2**15, 2**15 + 1, 2**16 + 1])
     def test_nm_matches_oracle_at_shipped_block_size(self, n_t):
@@ -136,8 +134,8 @@ class TestArrayPath:
         params = nvmodel.default_params()
         phis = np.linspace(0, np.pi, 5)
         t = np.linspace(0, 3 * params.envelope_time, n_t)
-        np.testing.assert_allclose([nm for _, nm in nvmodel.nm_measure_phi(params, phis, t)],
-                                   [nm for _, nm in oracle_nm(params, phis, t)], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(nvmodel.nm_measure_phi(params, phis, t),
+                                   oracle_nm(params, phis, t), rtol=0, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(params=nv_params, phi=angles, t=st.floats(0.0, 20.0),
@@ -158,20 +156,20 @@ class TestNmMeasure:
     def test_zero_at_phi_zero(self):
         params = nvmodel.default_params()
         t = np.linspace(0, 3 * params.envelope_time, 4000)
-        assert nvmodel.nm_measure_phi(params, [0.0], t)[0][1] == 0
+        assert nvmodel.nm_measure_phi(params, [0.0], t)[0] == 0
 
     def test_nondecreasing_up_to_equator(self):
         params = nvmodel.default_params()
         t = np.linspace(0, 3 * params.envelope_time, 8000)
         phis = np.linspace(0, np.pi / 2, 10)
-        values = [v for _, v in nvmodel.nm_measure_phi(params, phis, t)]
+        values = nvmodel.nm_measure_phi(params, phis, t).tolist()
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_maximal_at_equator(self):
         params = nvmodel.default_params()
         t = np.linspace(0, 3 * params.envelope_time, 8000)
         phis = np.linspace(0, np.pi, 13)
-        results = dict(nvmodel.nm_measure_phi(params, phis, t))
+        results = dict(zip(phis, nvmodel.nm_measure_phi(params, phis, t)))
         assert max(results, key=results.get) == pytest.approx(np.pi / 2)
         assert results[phis[3]] < results[np.pi / 2]
 
@@ -250,14 +248,14 @@ class TestRdja:
         for phi in (0.0, 0.9, np.pi / 2):
             assert nvmodel.rdja_p0_table(params, phi, t, t)[Gate.U3][0] == pytest.approx(1.0)
             assert nvmodel.rdja_p0_table(params, phi, t, t)[Gate.U1][0] == pytest.approx(0.0)
-            assert nvmodel.rdja_success(params, phi, t, t)[0][1] == pytest.approx(1.0)
+            assert nvmodel.rdja_success(params, phi, t, t)[0] == pytest.approx(1.0)
 
     def test_equator_prep_cancellation(self):
         params = flat_env_params()
         t = 0.5
         tau = t - np.pi / params.coupling  # A(t - tau) = pi
         assert nvmodel.rdja_kappa_eff(params, np.pi / 2, t, tau) == pytest.approx(0.0, abs=1e-12)
-        contrast = nvmodel.rdja_success(params, np.pi / 2, t, tau)[0][1]
+        contrast = nvmodel.rdja_success(params, np.pi / 2, t, tau)[0]
         assert contrast == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_and_balanced_pairs_identical(self):
@@ -271,8 +269,7 @@ class TestRdja:
         params = flat_env_params()
         t = 0.61
         taus = np.linspace(0, 2 * t, 1001)
-        sweep = nvmodel.rdja_success(params, 0.8, t, taus)
-        best_tau = max(sweep, key=lambda pair: pair[1])[0]
+        best_tau = taus[np.argmax(nvmodel.rdja_success(params, 0.8, t, taus))]
         assert best_tau == pytest.approx(t, abs=taus[1] - taus[0])
 
     def test_contrast_period_in_tau(self):
@@ -280,8 +277,8 @@ class TestRdja:
         t, phi = 0.9, 0.0
         period = 4 * np.pi / params.coupling
         taus = np.linspace(0, 3, 400)
-        c = np.array([nvmodel.rdja_success(params, phi, t, tau)[0][1] for tau in taus])
-        c_shift = np.array([nvmodel.rdja_success(params, phi, t, tau + period)[0][1]
+        c = np.array([nvmodel.rdja_success(params, phi, t, tau)[0] for tau in taus])
+        c_shift = np.array([nvmodel.rdja_success(params, phi, t, tau + period)[0]
                             for tau in taus])
         assert np.allclose(c, c_shift, atol=1e-10)
 
@@ -291,7 +288,7 @@ class TestRdja:
         phi, t = np.pi / 2, 1.1
         baseline = abs(nvmodel.nv_kappa(params, phi, t).real)  # no pi pulse, read out at t
         taus = np.linspace(0, 2 * t, 600)
-        best = max(c for _, c in nvmodel.rdja_success(params, phi, t, taus))
+        best = nvmodel.rdja_success(params, phi, t, taus).max()
         assert best > baseline
 
     def test_bad_timing_rejected(self):

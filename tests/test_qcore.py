@@ -172,36 +172,30 @@ class TestKrausWeights:
 class TestPredicates:
     def test_identity_is_cp_and_positive(self):
         ch = PauliChannel.identity()
-        assert qcore.is_cp(ch, 1e-10)
-        assert qcore.is_positive(ch, 1e-10)
+        assert qcore.is_cp(ch)
+        assert qcore.is_positive(ch)
 
     def test_weakly_nonmarkovian_intermediate(self):
         ch = PauliChannel(0.85, 0.6, 0.85)
-        assert not qcore.is_cp(ch, 1e-10)
-        assert qcore.is_positive(ch, 1e-10)
+        assert not qcore.is_cp(ch)
+        assert qcore.is_positive(ch)
 
     def test_depolarizing_family(self):
-        assert qcore.is_cp(PauliChannel(0.5, 0.5, 0.5), 1e-10)
-        assert qcore.is_positive(PauliChannel(0.5, 0.5, 0.5), 1e-10)
+        assert qcore.is_cp(PauliChannel(0.5, 0.5, 0.5))
+        assert qcore.is_positive(PauliChannel(0.5, 0.5, 0.5))
 
     def test_positivity_broken_above_transition(self):
         lam = ((1 - 2 * 0.26) ** 2 + 4 * 0.26**2) / (1 - 2 * 0.26)
         assert lam == pytest.approx(1.0433333333333334, abs=1e-12)
-        assert not qcore.is_positive(PauliChannel(lam, 1 - 4 * 0.26, lam), 1e-10)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            qcore.is_cp(PauliChannel.identity(), -1)
-        with pytest.raises(ValueError):
-            qcore.is_positive(PauliChannel.identity(), -1)
+        assert not qcore.is_positive(PauliChannel(lam, 1 - 4 * 0.26, lam))
 
     @settings(max_examples=200, deadline=None)
     @given(cp_weights)
     def test_cp_channels_pass_both_predicates(self, raw):
         q = np.array(raw) / sum(raw)
         ch = qcore.channel_from_weights(KrausWeights(*q))
-        assert qcore.is_cp(ch, 1e-10)
-        assert qcore.is_positive(ch, 1e-10)
+        assert qcore.is_cp(ch)
+        assert qcore.is_positive(ch)
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(*[st.floats(-1.5, 1.5) for _ in range(3)]))
@@ -210,7 +204,7 @@ class TestPredicates:
         # violation with max |lam_i| >= 1.01; below that one can fall between points.
         assume(not 1 + 1e-10 < max(map(abs, lam)) < 1.01)
         ch = PauliChannel(*lam)
-        assert qcore.is_positive(ch, 1e-10) == sphere_is_positive(ch, 1e-10)
+        assert qcore.is_positive(ch) == sphere_is_positive(ch, qcore.PSD_TOL)
 
 
 def fibonacci_sphere(n):
