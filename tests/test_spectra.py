@@ -12,10 +12,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nmlab import _floatfmt, cli, qcore, spectra
+from nmlab import _floatfmt, cli, spectra
 from nmlab.spectra import (
     DecoherenceTrajectory,
-    DephasingChannel,
     DoubleGaussianSpec,
     SpectralProfile,
     blp_from_magnitudes,
@@ -25,7 +24,10 @@ from nmlab.spectra import (
     synthesize_spectrum,
 )
 
-PLUS = qcore.pure_state(np.array([1, 1]) / np.sqrt(2))
+import oracles
+from oracles import DephasingChannel
+
+PLUS = oracles.pure_state(np.array([1, 1]) / np.sqrt(2))
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED_INPUTS = [pytest.param("fig6_spectrum.csv", spectra.PROFILE_COLUMNS, id="fig6_spectrum"),
                   pytest.param("synth_kappa.csv", spectra.TRAJECTORY_COLUMNS, id="synth_kappa")]
@@ -281,7 +283,7 @@ class TestDephasingChannel:
 
     def test_half_dephasing_bloch(self):
         out = DephasingChannel(0.5).apply(PLUS)
-        assert np.allclose(qcore.bloch_vector(out), [0.5, 0, 0], atol=1e-14)
+        assert np.allclose(oracles.bloch_vector(out), [0.5, 0, 0], atol=1e-14)
 
     def test_unphysical_kappa_rejected(self):
         with pytest.raises(ValueError):
@@ -296,9 +298,9 @@ class TestDephasingChannel:
     def test_real_kappa_matches_pauli_channel(self, rng):
         for _ in range(20):
             kappa = rng.uniform(0, 1)
-            rho = qcore.density_from_bloch(rng.uniform(-0.5, 0.5, 3))
+            rho = oracles.density_from_bloch(rng.uniform(-0.5, 0.5, 3))
             via_deph = DephasingChannel(kappa).apply(rho)
-            via_pauli = qcore.apply_channel(DephasingChannel(kappa).as_pauli(), rho)
+            via_pauli = oracles.apply_channel(DephasingChannel(kappa).as_pauli(), rho)
             assert np.allclose(via_deph, via_pauli, atol=1e-14)
 
 
@@ -955,7 +957,7 @@ REJECTIONS = [
                  "must match the omega grid", id="profile_mismatched_shapes"),
     pytest.param(lambda: DecoherenceTrajectory(np.linspace(0, 1, 5), np.ones(4, dtype=complex)),
                  "must match the time grid", id="trajectory_mismatched_shapes"),
-    pytest.param(lambda: DephasingChannel(0.5).apply(qcore.bell_state()), "needs a 2x2 state",
+    pytest.param(lambda: DephasingChannel(0.5).apply(oracles.bell_state()), "needs a 2x2 state",
                  id="dephasing_apply_4x4_state"),
     pytest.param(lambda: DephasingChannel(0.5j).as_pauli(), "only real kappa",
                  id="dephasing_as_pauli_complex_kappa"),
