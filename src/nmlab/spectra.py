@@ -346,11 +346,12 @@ TRAJECTORY_COLUMNS = ("t", "re_kappa", "im_kappa")
 # tests/test_cli.py::TestWriterMemory; fig6 at 9766x4 makes 7 kernel calls, not 10.
 _WRITE_BLOCK_CELLS = 6 << 10
 # A call's float cells go through the kernel if they are at least this many, else repr;
-# a table none of whose calls would is joined with one % operation. The kernel costs
-# about 0.25 ms per call plus 0.15 us per cell on 2 CPUs. In-process, alternating, 60-100
-# writes each, it breaks even with % at about 600 float cells of fig6's tables, 700 of
-# fig5's, 1100 of fig4's and 1200 of fig2's, whose labels it formats with str() either
-# way; 1200 keeps fig2 and fig4 (the sweep benchmark) off the kernel where it is slower.
+# a table whose full-size columns hold fewer distinct float cells than this is joined
+# with one % operation, any other written in blocks. The kernel costs about 0.25 ms per
+# call plus 0.15 us per cell on 2 CPUs. In-process, alternating, 60-100 writes each, it
+# breaks even with % at about 600 float cells of fig6's tables, 700 of fig5's, 1100 of
+# fig4's and 1200 of fig2's, whose labels it formats with str() either way; 1200 keeps
+# fig2 and fig4 (the sweep benchmark) off the kernel where it is slower.
 _KERNEL_MIN_CELLS = 1200
 
 
@@ -412,14 +413,16 @@ def _block_rows(sources, small, order, start, stop):
     return np.concatenate(chars, axis=1).ravel()[np.concatenate(keep, axis=1).ravel()]
 
 
-def _table_blocks(distinct, order, shape, small, block):
-    """Rows of the broadcast table as uint8 arrays, block rows at a time. Column j of
-    the table is distinct[order[j]], small[j] if it is smaller than the table."""
+def _table_blocks(distinct, order, shape):
+    """Rows of the broadcast table as uint8 arrays, in blocks of _WRITE_BLOCK_CELLS cells
+    of its full-size columns (at least one row). Column j of the table is distinct[order[j]]."""
+    size = math.prod(shape)
+    small = [d.size < size for d in distinct]
+    block = max(1, _WRITE_BLOCK_CELLS // small.count(False))
     # A column smaller than the table is formatted once, packed narrow as it repeats;
     # each block takes its rows by index.
     sources = [(_packed(d.ravel()), np.broadcast_to(np.arange(d.size).reshape(d.shape), shape).flat)
                if is_small else d.reshape(-1) for d, is_small in zip(distinct, small)]
-    size = math.prod(shape)
     for i in range(0, size, block):
         yield _block_rows(sources, small, order, i, min(i + block, size))
 
@@ -457,12 +460,12 @@ def write_csv(path, header, columns) -> str:
     _floatfmt, which turns a float64 array into the bytes of repr of each
     cell with numpy integer arithmetic (nan and inf fall back to repr), its
     other cells with str(), all laid out in one byte matrix that one mask
-    compacts into the block's bytes. One rule routes each call: fewer than
-    _KERNEL_MIN_CELLS float cells (a short column such as fig1's A_theta, a
-    table's last block) go through repr instead, and a table none of whose
-    calls would reach the kernel is joined with one % operation. Blocks bound
-    the memory to about 180 B per cell formatted at once; the bytes are
-    hashed as they are written.
+    compacts into the block's bytes. A call of fewer than _KERNEL_MIN_CELLS
+    float cells (a short column such as fig1's A_theta, a table's last block)
+    goes through repr instead. A table whose full-size columns hold fewer than
+    _KERNEL_MIN_CELLS distinct float cells is joined with one % operation
+    instead of written in blocks. Blocks bound the memory to about 180 B per
+    cell formatted at once; the bytes are hashed as they are written.
     """
     columns = [np.asarray(column) for column in columns]
     shape = np.broadcast_shapes(*(column.shape for column in columns))
@@ -475,17 +478,11 @@ def write_csv(path, header, columns) -> str:
             digest.update(data)
             fh.write(data)
         put((",".join(header) + "\n").encode("utf-8"))
-        small = [d.size < size for d in distinct]
-        block = max(1, _WRITE_BLOCK_CELLS // max(1, small.count(False)))
-        # The float cells of the first block's call and of each small column's first chunk.
-        floats = [(d.size, is_small) for d, is_small in zip(distinct, small)
-                  if d.dtype == np.float64]
-        calls = [min(block, size) * sum(not is_small for _, is_small in floats)]
-        calls += [min(n, _WRITE_BLOCK_CELLS) for n, is_small in floats if is_small]
-        if max(calls) < _KERNEL_MIN_CELLS:
+        full_floats = sum(d.dtype == np.float64 and d.size == size for d in distinct)
+        if size * full_floats < _KERNEL_MIN_CELLS:
             put(_joined(distinct, order, shape, size))
         else:
-            for rows in _table_blocks(distinct, order, shape, small, block):
+            for rows in _table_blocks(distinct, order, shape):
                 put(rows)
                 del rows  # before the next block is formatted
     return digest.hexdigest()
@@ -541,7 +538,7 @@ def _read_columns(path, names, max_rows=None) -> np.ndarray:
     columns = _column_cache.pop(key, None)  # put back below as the most recent key
     if columns is None:
         # Universal newlines, as open() in text mode: io.StringIO would not split CR-only files.
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh, \
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as fh, \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             index = {name: i for i, name in enumerate(fh.readline().rstrip("\n").split(","))}

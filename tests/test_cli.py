@@ -22,6 +22,7 @@ import oracles
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+FIG4_VALUES = ["c_a", "mi_4state", "mi_3state", "mi_4state_alice_only", "capacity"]
 
 
 def load_config(name):
@@ -251,6 +252,27 @@ class TestRun:
         assert cli.main(["fig2", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "fig2.csv").exists()
 
+    # Excel's "CSV UTF-8" export starts a file with a UTF-8 byte-order mark.
+    @pytest.mark.parametrize("scenario, key", [("fig6", "spectrum_csv"), ("synth", "kappa_csv")])
+    def test_input_with_a_bom_writes_the_same_bytes(self, scenario, key, tmp_path):
+        params = patch_paths(scenario, load_config(scenario), tmp_path)
+        bom, plain = tmp_path / "bom", tmp_path / "plain"
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + Path(params[key]).read_bytes())
+        assert cli.run(scenario, params, plain) == 0
+        assert cli.run(scenario, dict(params, **{key: str(tmp_path / "bom.csv")}), bom) == 0
+        written = sorted(f.name for f in plain.glob("*.csv"))
+        assert written == sorted(f.name for f in bom.glob("*.csv"))
+        for name in written:
+            assert (bom / name).read_bytes() == (plain / name).read_bytes()
+
+    def test_config_with_a_bom_runs(self, tmp_path):
+        cfg, bom, plain = tmp_path / "cfg.json", tmp_path / "bom", tmp_path / "plain"
+        cfg.write_bytes(b"\xef\xbb\xbf" + (CONFIGS / "fig2.json").read_bytes())
+        assert cli.main(["fig2", "--config", str(cfg), "--out", str(bom)]) == 0
+        assert cli.main(["fig2", "--config", str(CONFIGS / "fig2.json"), "--out", str(plain)]) == 0
+        for name in ("fig2.csv", "fig2_manifest.json"):
+            assert (bom / name).read_bytes() == (plain / name).read_bytes()
+
     @pytest.mark.parametrize(
         "scenario, header, transform, overrides",
         [
@@ -352,23 +374,29 @@ class TestRun:
         assert report["violations"] == [f"{column} is not finite" for column in columns]
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("scenario, overrides, key",
-                             [("fig1", {"sigma": 1e200}, "sigma"),
-                              ("fig4", {"delta_n": 1e200}, "delta_n"),
-                              ("fig4", {"sigma": 1e150, "delta_n": 1e150}, "delta_n"),
-                              ("fig4", {"sigma": 1e-300, "t_max": 1e300}, "delta_n"),
-                              ("fig4", {"K": 1.0, "t_max": 1.7e308}, "delta_n")],
+    @pytest.mark.parametrize("scenario, overrides, columns",
+                             [("fig1", {"sigma": 1e200}, ["kappa_mag"]),
+                              ("fig4", {"delta_n": 1e200}, FIG4_VALUES),
+                              ("fig4", {"sigma": 1e150, "delta_n": 1e150}, FIG4_VALUES),
+                              ("fig4", {"sigma": 1e-300, "t_max": 1e300}, FIG4_VALUES),
+                              ("fig4", {"K": 1.0, "t_max": 1.7e308},
+                               ["c_a", "mi_4state_alice_only"]),
+                              ("fig4", {"K": -1.0, "t_max": 1.7e308}, FIG4_VALUES)],
                              ids=["fig1_sigma", "fig4_delta_n", "fig4_rate", "fig4_zero_rate",
-                                  "fig4_cross_term"])
-    def test_square_overflow_is_a_config_error(self, scenario, overrides, key, tmp_path, capsys,
-                                               recwarn):
-        assert cli.run(scenario, dict(load_config(scenario), **overrides), tmp_path / "out") == 2
+                                  "fig4_cross_term", "fig4_anticorrelated"])
+    def test_square_overflow_is_a_config_error(self, scenario, overrides, columns, tmp_path,
+                                               capsys, recwarn):
+        # A square that overflows to inf meets a 0 (t = 0, a rate that underflows, or K*t_a*t_b
+        # at t_b = 0): the nan cells are refused by the one check of every output column.
+        out = tmp_path / "out"
+        assert cli.run(scenario, dict(load_config(scenario), **overrides), out) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and not recwarn.list
         report = json.loads(err[0])
-        assert report["error"] == "invalid config"
-        assert report["violations"][0].startswith(key)
-        assert not (tmp_path / "out").exists()
+        assert report["error"] == "non-finite output"
+        assert report["violations"] == [f"{scenario}.csv: column {c} is not finite"
+                                         for c in columns]
+        assert list(out.iterdir()) == []
 
     def test_fig4_overflowed_joint_kappa_refused(self, tmp_path, capsys, recwarn):
         # t^2 overflows, so the K = -1 joint coherence is inf - inf at t_max: exit 2, not a crash.
@@ -382,11 +410,16 @@ class TestRun:
                                          for c in ("mi_4state", "mi_3state", "capacity")]
         assert list(out.iterdir()) == []
 
-    def test_square_check_edge(self):
-        # sigma**2 of a Python float overflows from 2**512 on, and not below it.
+    def test_square_check_edge(self, tmp_path, capsys, recwarn):
+        # sigma**2 overflows from 2**512 on, and not below it: kappa_mag at t = 0 is inf * 0.
         params = load_config("fig1")
-        assert cli.validate("fig1", dict(params, sigma=math.nextafter(2.0**512, 0))) == []
-        assert cli.validate("fig1", dict(params, sigma=2.0**512)) != []
+        below, at = tmp_path / "below", tmp_path / "at"
+        assert cli.run("fig1", dict(params, sigma=math.nextafter(2.0**512, 0)), below) == 0
+        assert cli.run("fig1", dict(params, sigma=2.0**512), at) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {"error": "non-finite output",
+                                    "violations": ["fig1.csv: column kappa_mag is not finite"]}
+        assert not recwarn.list and list(at.iterdir()) == []
 
     def test_fig2_scaled_grid_within_budget(self):
         # Ten times the benchmark's largest (1001-point) grid.

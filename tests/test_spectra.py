@@ -692,8 +692,8 @@ def scenario_table(scenario, **overrides):
 
 
 class TestWriterPaths:
-    """The % path for tables none of whose kernel calls would format _KERNEL_MIN_CELLS
-    float cells, and the kernel path from there, block by block."""
+    """The % path for tables whose full-size columns hold fewer than _KERNEL_MIN_CELLS
+    distinct float cells, and the block path from there, block by block."""
 
     @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
     def test_switch_edges(self, offset, tmp_path, monkeypatch):
