@@ -191,11 +191,9 @@ def _decimal(bits, bq, g_words):
     return np.where(upin != wpin, np.where(upin, sp10, sp10 + _U(10)), s + up), k
 
 
-def format_repr(x: np.ndarray):
-    """(chars, keep) for a 1-D float64 array x.
-
-    chars is uint8 (x.size, w) and keep bool of the same shape;
-    chars[i][keep[i]] are the ASCII bytes of repr(float(x[i])). The w <= WIDTH
+def format_repr(x: np.ndarray) -> np.ndarray:
+    """uint8 (x.size, w) for a 1-D float64 array x: row i is the ASCII bytes of
+    repr(float(x[i])) in order, with NUL (0) in every other byte. The w <= WIDTH
     columns are the template's that some cell of x keeps.
     """
     g_words, keep_rows, digit_quads, last_digit, exp_digits = _tables()
@@ -247,16 +245,13 @@ def format_repr(x: np.ndarray):
     cols = np.flatnonzero(used)
     index = np.zeros(len(keep_rows), dtype=np.intp)
     index[present] = np.arange(present.size)
-    keep = layouts[:, cols].take(index.take(rows), axis=0)
-    del rows
     chars = np.tile(_TEMPLATE[cols], (n, 1))
     for lo, hi, source in ((_INT, _DOT, digits), (_FRAC, _EXP, digits),
                            (_EXP + 3, WIDTH, exp_digits.take(mag, axis=0))):
         a, b = np.searchsorted(cols, (lo, hi))
         first = np.argmax(used[lo:hi])
         chars[:, a:b] = source[:, first:first + b - a]
+    chars *= layouts[:, cols].take(index.take(rows), axis=0)  # NUL in the bytes repr drops
     for i in special:
-        text = repr(float(x[i])).encode("ascii")
-        chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-        keep[i] = np.arange(cols.size) < len(text)
-    return chars, keep
+        chars[i] = np.frombuffer(repr(float(x[i])).encode().ljust(cols.size, b"\0"), np.uint8)
+    return chars

@@ -17,7 +17,7 @@ values, not the raw config, to the runner, which returns its outputs as
 (file name, header, columns) whose columns broadcast (fig1 and fig3 pass t,
 the swept parameter as a column and the values as a table). run runs it
 with numpy's floating-point warnings off, refuses a nan or inf in any
-numeric column before it opens an output file, and alone writes the
+numeric column before it creates the output directory, and alone writes the
 outputs as deterministic CSV (header row, LF endings, repr-exact floats),
 plus a JSON manifest recording parameters, package version and the sha256
 of each file, hashed while it is written; it removes the scenario's old
@@ -338,13 +338,13 @@ def run(scenario: str, params: dict, out_dir) -> int:
         return _fail(EXIT_CONFIG, "invalid config", violations=violations)
     out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         with np.errstate(all="ignore"):  # non-finite cells are reported below, not warned
             outputs, extra = SCENARIOS[scenario].runner(values)
         outputs = [(name, header, list(map(np.asarray, columns)))
                    for name, header, columns in outputs]
         if non_finite := _non_finite(outputs):
             return _fail(EXIT_CONFIG, "non-finite output", violations=non_finite)
+        out.mkdir(parents=True, exist_ok=True)
         manifest_path = out / f"{scenario}_manifest.json"
         manifest_path.unlink(missing_ok=True)
         hashes = [{"file": name, "sha256": spectra.write_csv(out / name, header, columns)}

@@ -76,8 +76,8 @@ def _bloch_rows(params: NVParams, t):
     half = params.coupling * t / 2
     env, cos2, sin2 = envelope(params, t), np.square(np.cos(half)), np.square(np.sin(half))
 
-    def rows(phi):  # in place: a temporary per operation made nm_measure_phi up to 2x slower
-        r = np.asarray(np.multiply.outer(np.square(np.cos(phi)), sin2))
+    def rows(phi, out=None):  # in place, into out if given: temporaries cost up to 2x
+        r = np.asarray(np.multiply.outer(np.square(np.cos(phi)), sin2, out=out))
         np.sqrt(np.add(r, cos2, out=r), out=r)
         np.multiply(r, env, out=r)
         return float(r) if r.ndim == 0 else r
@@ -99,15 +99,16 @@ def nm_measure_phi(params: NVParams, phi_grid, t_grid) -> np.ndarray:
     """Non-Markovianity (total revival of r(t)) for each preparation angle: an array over phi.
 
     blp_from_magnitudes of the bloch_magnitude closed form, in blocks of phi
-    rows of at most _PHI_BLOCK_CELLS cells (no n_phi x n_t array).
+    rows of at most _PHI_BLOCK_CELLS cells (no n_phi x n_t array), all in one buffer.
     """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     if phi_grid.size == 0 or np.size(t_grid) < 2:
         raise ValueError("phi_grid must be nonempty and t_grid have >= 2 points")
     bloch, nm = _bloch_rows(params, t_grid), np.empty(phi_grid.size)
     rows = max(1, _PHI_BLOCK_CELLS // np.size(t_grid))
+    buf = np.empty((min(rows, phi_grid.size), *np.shape(t_grid)))
     for i in range(0, phi_grid.size, rows):
-        nm[i:i + rows] = blp_from_magnitudes(bloch(phi_grid[i:i + rows]))
+        nm[i:i + rows] = blp_from_magnitudes(bloch(phi_grid[i:i + rows], buf[:phi_grid.size - i]))
     return nm
 
 

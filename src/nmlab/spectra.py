@@ -341,9 +341,9 @@ PROFILE_COLUMNS = ("omega", "density", "phase")
 TRAJECTORY_COLUMNS = ("t", "re_kappa", "im_kappa")
 # Cells of the full-size columns formatted per block, whatever their number (at least
 # one row), and per chunk of a small column. A write holds about 180 B per cell of a
-# block, most of them the kernel's temporaries (fig6 at 9766x4: 1.05 MiB), so fig5's
-# and fig6's four columns take 6144-cell blocks too, within the peaks of
-# tests/test_cli.py::TestWriterMemory; fig6 at 9766x4 makes 7 kernel calls, not 10.
+# block, nearly all the kernel's temporaries, not its NUL-padded bytes (at most 47 B per
+# cell; fig6 at 9766x4: 1.05 MiB in all), so fig5's and fig6's four columns take 6144-cell
+# blocks too, within tests/test_cli.py::TestWriterMemory; fig6 then makes 7 calls, not 10.
 _WRITE_BLOCK_CELLS = 6 << 10
 # A call's float cells go through the kernel if they are at least this many, else repr;
 # a table whose full-size columns hold fewer distinct float cells than this is joined
@@ -356,73 +356,70 @@ _KERNEL_MIN_CELLS = 1200
 
 
 def _str_cells(values):
-    """(chars, keep) of str() of each cell of a 1-D array, as UTF-8 bytes."""
-    text = [str(v).encode("utf-8") for v in values.tolist()]
-    chars = np.array(text, dtype=bytes)
-    lengths = np.fromiter(map(len, text), dtype=np.intp, count=len(text))
-    width = chars.dtype.itemsize
-    return chars.view(np.uint8).reshape(-1, width), np.arange(width) < lengths[:, None]
+    """str() of each cell of a 1-D array as UTF-8 bytes, one NUL-padded row each."""
+    chars = np.array([str(v).encode("utf-8") for v in values.tolist()], dtype=bytes)
+    return chars.view(np.uint8).reshape(-1, chars.dtype.itemsize)
 
 
 def _cells(arrays):
-    """(chars, keep) byte matrices of the cells of each 1-D array: row i of chars
-    masked by row i of keep is the cell's text. The float64 cells of all arrays come
-    from one _floatfmt call if there are at least _KERNEL_MIN_CELLS of them, else
-    from repr."""
+    """The cells of each 1-D array as a uint8 matrix whose row i is the text of cell i,
+    NUL-padded. The float64 cells of all arrays come from one _floatfmt call if there
+    are at least _KERNEL_MIN_CELLS of them, else from repr."""
     floats = [a for a in arrays if a.dtype == np.float64]
     if sum(a.size for a in floats) < _KERNEL_MIN_CELLS:
         return [_str_cells(a) for a in arrays]
-    chars, keep = _floatfmt.format_repr(np.concatenate(floats))
-    bounds = np.cumsum([a.size for a in floats])[:-1]
-    floats = iter(zip(np.split(chars, bounds), np.split(keep, bounds)))
+    chars = _floatfmt.format_repr(np.concatenate(floats))
+    floats = iter(np.split(chars, np.cumsum([a.size for a in floats])[:-1]))
     return [next(floats) if a.dtype == np.float64 else _str_cells(a) for a in arrays]
 
 
 def _packed(values):
-    """(chars, keep) of a 1-D array's cells, with each cell's kept bytes first, in rows
-    as wide as the longest cell. The cells are formatted in chunks of _WRITE_BLOCK_CELLS,
-    each routed by _cells: a chunk of fewer than _KERNEL_MIN_CELLS cells, such as
-    fig1's A_theta or fig3's phi, costs no kernel call."""
+    """A 1-D array's cells as _cells gives them, in rows as narrow as the longest cell, in
+    chunks of _WRITE_BLOCK_CELLS each routed by _cells: a chunk of fewer than
+    _KERNEL_MIN_CELLS cells, such as fig1's A_theta or fig3's phi, costs no kernel call."""
     chunks = [_cells([values[i:i + _WRITE_BLOCK_CELLS]])[0]
               for i in range(0, values.size, _WRITE_BLOCK_CELLS)]
-    lengths = np.concatenate([keep.sum(axis=1) for _, keep in chunks])
-    narrow = np.arange(lengths.max()) < lengths[:, None]
-    packed = np.zeros(narrow.shape, dtype=np.uint8)
-    packed[narrow] = np.concatenate([chars.ravel()[keep.ravel()] for chars, keep in chunks])
-    return packed, narrow
+    lengths = np.concatenate([np.count_nonzero(chars, axis=1) for chars in chunks])
+    packed = np.zeros((lengths.size, lengths.max()), dtype=np.uint8)
+    packed[np.arange(lengths.max()) < lengths[:, None]] = np.frombuffer(
+        b"".join(chars.tobytes().translate(None, b"\0") for chars in chunks), dtype=np.uint8)
+    return packed
+
+
+def _row_steps(shape, d_shape):
+    """(stride, extent, step) of each axis of a broadcast table of shape along which a
+    column of d_shape varies: a table row's index into the column's cells is the sum of
+    (row // stride % extent) * step, with no index array over the table."""
+    steps = np.broadcast_to(np.empty(d_shape, np.uint8), shape).strides  # 0 where broadcast
+    return [(math.prod(shape[axis + 1:]), n, step)
+            for axis, (n, step) in enumerate(zip(shape, steps)) if step]
 
 
 def _block_rows(sources, small, order, start, stop):
-    """Rows start:stop of the broadcast table as one uint8 array: the full-size columns'
-    cells formatted in one _cells call, the small columns' taken by index."""
+    """The bytes of rows start:stop of the broadcast table: the full-size columns' cells
+    formatted in one _cells call, the small columns' taken by index."""
     fresh = iter(_cells([src[start:stop] for src, is_small in zip(sources, small)
                          if not is_small]))
-    pieces = []
-    for src, is_small in zip(sources, small):
-        if is_small:
-            (cells, kept), index = src
-            rows = index[start:stop]
-            pieces.append((cells.take(rows, axis=0), kept.take(rows, axis=0)))
-        else:
-            pieces.append(next(fresh))
-    chars, keep = [], []
-    for n, j in enumerate(order):
-        sep = ord("\n") if n == len(order) - 1 else ord(",")
-        chars += [pieces[j][0], np.full((stop - start, 1), sep, dtype=np.uint8)]
-        keep += [pieces[j][1], np.ones((stop - start, 1), dtype=bool)]
-    return np.concatenate(chars, axis=1).ravel()[np.concatenate(keep, axis=1).ravel()]
+    rows = np.arange(start, stop)
+    pieces = [src[0].take(sum((rows // stride % n * step for stride, n, step in src[1]),
+                              rows * 0), axis=0) if is_small else next(fresh)
+              for src, is_small in zip(sources, small)]
+    seps = np.full((stop - start, len(order)), ord(","), dtype=np.uint8)
+    seps[:, -1] = ord("\n")
+    chars = [m for n, j in enumerate(order) for m in (pieces[j], seps[:, n:n + 1])]
+    return np.concatenate(chars, axis=1).tobytes().translate(None, b"\0")
 
 
 def _table_blocks(distinct, order, shape):
-    """Rows of the broadcast table as uint8 arrays, in blocks of _WRITE_BLOCK_CELLS cells
-    of its full-size columns (at least one row). Column j of the table is distinct[order[j]]."""
+    """Rows of the broadcast table as bytes, in blocks of _WRITE_BLOCK_CELLS cells of its
+    full-size columns (at least one row). Column j of the table is distinct[order[j]]."""
     size = math.prod(shape)
     small = [d.size < size for d in distinct]
     block = max(1, _WRITE_BLOCK_CELLS // small.count(False))
     # A column smaller than the table is formatted once, packed narrow as it repeats;
     # each block takes its rows by index.
-    sources = [(_packed(d.ravel()), np.broadcast_to(np.arange(d.size).reshape(d.shape), shape).flat)
-               if is_small else d.reshape(-1) for d, is_small in zip(distinct, small)]
+    sources = [(_packed(d.ravel()), _row_steps(shape, d.shape)) if is_small else d.reshape(-1)
+               for d, is_small in zip(distinct, small)]
     for i in range(0, size, block):
         yield _block_rows(sources, small, order, i, min(i + block, size))
 
@@ -446,11 +443,12 @@ def _joined(distinct, order, shape, size) -> bytes:
 def write_csv(path, header, columns) -> str:
     """CSV with a header row and LF endings; returns the sha256 of its bytes.
 
-    columns broadcast against each other (else ValueError, before the file
-    is opened), each all numbers or all strings whose cells need no CSV
-    quoting; the rows are the broadcast table in C order, so 0-d columns
-    alone give one row. Every float cell, numpy scalars included, is written
-    as repr(float(v)), so it reads back exactly; any other cell as str(v).
+    columns broadcast against each other, each all numbers or all strings;
+    the rows are the broadcast table in C order, so 0-d columns alone give
+    one row. Every float cell, numpy scalars included, is written as
+    repr(float(v)), so it reads back exactly; any other cell as str(v).
+    Columns that do not broadcast, and text (cells or header) with a comma,
+    '"', CR, LF or NUL raise ValueError before the file is opened.
 
     Each distinct cell is formatted once: an array passed as two columns (as
     fig5's U1/U2 and U3/U4 are) once, and a column smaller than the table on
@@ -459,10 +457,11 @@ def write_csv(path, header, columns) -> str:
     columns (see _table_blocks): each block's float cells in one call of
     _floatfmt, which turns a float64 array into the bytes of repr of each
     cell with numpy integer arithmetic (nan and inf fall back to repr), its
-    other cells with str(), all laid out in one byte matrix that one mask
-    compacts into the block's bytes. A call of fewer than _KERNEL_MIN_CELLS
-    float cells (a short column such as fig1's A_theta, a table's last block)
-    goes through repr instead. A table whose full-size columns hold fewer than
+    other cells with str(), all laid out in one uint8 matrix, a cell per row
+    padded with NUL bytes, whose NULs one bytes.translate drops to give the
+    block's bytes. A call of fewer than _KERNEL_MIN_CELLS float cells (a
+    short column such as fig1's A_theta, a table's last block) goes through
+    repr instead. A table whose full-size columns hold fewer than
     _KERNEL_MIN_CELLS distinct float cells is joined with one % operation
     instead of written in blocks. Blocks bound the memory to about 180 B per
     cell formatted at once; the bytes are hashed as they are written.
@@ -472,6 +471,11 @@ def write_csv(path, header, columns) -> str:
     size = math.prod(shape)
     distinct = list({id(column): column for column in columns}.values())  # ids of held arrays
     order = [next(j for j, d in enumerate(distinct) if d is column) for column in columns]
+    # Each distinct text once: it is written verbatim, and a NUL would be compacted away.
+    texts = set(header).union(*(map(str, set(d.ravel().tolist())) for d in distinct
+                                if d.dtype.kind not in "biufc"))
+    if bad := sorted(filter(re.compile(r'[,"\r\n\x00]').search, texts)):
+        raise ValueError(f"cells must hold no comma, quote, CR, LF or NUL: {bad[:3]!r}")
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         def put(data):

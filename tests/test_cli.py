@@ -215,9 +215,10 @@ class TestRun:
         assert err["violations"]
 
     def test_singular_epsilon_exit_code(self, tmp_path, capsys):
-        code = cli.run("classify", {"epsilon": 0.25}, tmp_path)
+        code = cli.run("classify", {"epsilon": 0.25}, tmp_path / "out")
         assert code == 4
         assert "singular" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("eps", [0.5, 0.5 - 1e-12, 0.5 - 1e-10])
     def test_half_window_exit_code(self, eps, tmp_path, capsys):
@@ -243,7 +244,8 @@ class TestRun:
     def test_io_failure_exit_code(self, tmp_path, capsys):
         params = load_config("synth")
         params["kappa_csv"] = str(tmp_path / "missing.csv")
-        assert cli.run("synth", params, tmp_path) == 3
+        assert cli.run("synth", params, tmp_path / "out") == 3
+        assert not (tmp_path / "out").exists()
 
     def test_main_entrypoint(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -340,7 +342,7 @@ class TestRun:
         report = json.loads(err[0])
         assert report["error"] == "invalid input file"
         assert str(path) in report["violations"][0]
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_fig2_grid_over_budget(self, tmp_path, capsys):
         params = {"eps_min": 0, "eps_max": 0.5, "eps_step": 1e-300}
@@ -372,7 +374,7 @@ class TestRun:
         report = json.loads(err[0])
         assert report["error"] == "non-finite output"
         assert report["violations"] == [f"{column} is not finite" for column in columns]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("scenario, overrides, columns",
                              [("fig1", {"sigma": 1e200}, ["kappa_mag"]),
@@ -396,7 +398,7 @@ class TestRun:
         assert report["error"] == "non-finite output"
         assert report["violations"] == [f"{scenario}.csv: column {c} is not finite"
                                          for c in columns]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_fig4_overflowed_joint_kappa_refused(self, tmp_path, capsys, recwarn):
         # t^2 overflows, so the K = -1 joint coherence is inf - inf at t_max: exit 2, not a crash.
@@ -408,7 +410,7 @@ class TestRun:
         assert report["error"] == "non-finite output"
         assert report["violations"] == [f"fig4.csv: column {c} is not finite"
                                          for c in ("mi_4state", "mi_3state", "capacity")]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_square_check_edge(self, tmp_path, capsys, recwarn):
         # sigma**2 overflows from 2**512 on, and not below it: kappa_mag at t = 0 is inf * 0.
@@ -419,7 +421,7 @@ class TestRun:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert json.loads(line) == {"error": "non-finite output",
                                     "violations": ["fig1.csv: column kappa_mag is not finite"]}
-        assert not recwarn.list and list(at.iterdir()) == []
+        assert not recwarn.list and not at.exists()
 
     def test_fig2_scaled_grid_within_budget(self):
         # Ten times the benchmark's largest (1001-point) grid.
@@ -620,7 +622,7 @@ class TestKernelBudget:
         assert len(err) == 1
         violation = f"{size} exceed the budget {budget} = {limit - 1}"
         assert json.loads(err[0]) == {"error": "invalid input file", "violations": [violation]}
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(*INPUT_BUDGETS)
     def test_input_at_budget_runs(self, scenario, write, budget, limit, size, kernel, tmp_path,
@@ -649,7 +651,7 @@ class TestKernelBudget:
         assert len(err) == 1
         violation = f"{size} exceed the budget ROWS_MAX = 10"
         assert json.loads(err[0]) == {"error": "invalid input file", "violations": [violation]}
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("ending", [b"\r\n\r\n", b"\r\r", b"\n\n"],
                              ids=["crlf", "cr", "lf"])
@@ -748,7 +750,7 @@ class TestOutputs:
             eps, out = float(row["epsilon"]), tmp_path / str(i)
             codes.append(cli.run("classify", {"epsilon": eps}, out))
             if abs(eps - 0.25) <= 1e-9 or abs(eps - 0.5) <= 1e-9:
-                assert codes[-1] == 4 and list(out.iterdir()) == []
+                assert codes[-1] == 4 and not out.exists()
                 assert row["classification"] == ("singular" if eps < 0.4 else "strong")
             else:
                 assert codes[-1] == 0

@@ -572,6 +572,20 @@ class TestCsvInterchange:
             spectra.write_csv(tmp_path / "c.csv", ["a", "b"], columns)
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n", "\0"],
+                             ids=["comma", "quote", "cr", "lf", "nul"])
+    def test_text_that_needs_quoting_is_refused(self, char, tmp_path):
+        # Text is written verbatim: a cell or header that would need quoting, or a NUL, which
+        # the blocks' compaction would drop, raises before the file is opened, on either path.
+        t, label = np.linspace(0, 1, spectra._KERNEL_MIN_CELLS), f"str{char}ong"
+        cases = [(["t", "c"], (t, np.array(["weak", label] * (t.size // 2)))),
+                 (["t", "c"], (t[:3], np.c_[["weak", label]])), (["t", "c"], (t[:3], label)),
+                 (["t", f"c{char}"], (t, "weak"))]
+        for header, columns in cases:
+            with pytest.raises(ValueError, match="comma, quote, CR, LF or NUL"):
+                spectra.write_csv(tmp_path / "c.csv", header, columns)
+            assert not (tmp_path / "c.csv").exists()
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
@@ -941,6 +955,40 @@ class TestKappaProperties:
         assert np.max(np.abs(chirp - dense)) < 1e-11
         for kappa in (chirp, dense):
             assert np.max(np.abs(kappa)) <= 1 + spectra.KAPPA_MAG_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_t=st.integers(2, 1024),
+        n_w=st.integers(2, 1024),
+        log_phase=st.floats(-2, 5.99),
+        t_span=st.floats(0.1, 20),
+        w0_frac=st.floats(0, 1),
+        delta_n=st.floats(0.1, 2) | st.floats(-2, -0.1),
+        two_pi=st.booleans(),
+        uniform_t=st.booleans(),
+        zeros=st.floats(0, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_magnitude_at_most_the_density_integral(self, n_t, n_w, log_phase, t_span, w0_frac,
+                                                     delta_n, two_pi, uniform_t, zeros, seed):
+        # |kappa(t)| <= trapz(density), the triangle inequality on the trapezoid sum, up to the
+        # kernels' rounding: the chirp-z kernel on uniform grids (at most 4e-12 below 1e6 rad
+        # of chirp phase, which bounds these grids), the dense sum on a non-uniform t.
+        rng = np.random.default_rng(seed)
+        scale = 2 * np.pi * delta_n if two_pi else delta_n
+        t = np.linspace(0, t_span, n_t) if uniform_t else np.sort(rng.uniform(0, t_span, n_t + 1))
+        d_omega = 2 * 10**log_phase / ((t.size + n_w) ** 2 * abs(scale) * (t_span / (t.size - 1)))
+        width = d_omega * (n_w - 1)
+        omega = np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w)
+        # Densities from flat to a few spikes among zeros.
+        density = rng.uniform(0, 1, n_w) * (rng.random(n_w) >= zeros)
+        density[rng.integers(n_w)] += 1
+        density /= np.trapezoid(density, omega)
+        profile = SpectralProfile(omega, density, rng.uniform(-np.pi, np.pi, n_w))
+        unused = "_kappa_dense" if uniform_t else "_kappa_chirp"
+        with mock.patch.object(spectra, unused, side_effect=AssertionError):
+            kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
+        assert np.max(np.abs(kappa)) <= np.trapezoid(profile.density, profile.omega) + 1e-11
 
 
 ONE_TO_TWO = np.linspace(1.0, 2.0, 5)
