@@ -374,15 +374,14 @@ def _cells(arrays):
 
 
 def _packed(values):
-    """A 1-D array's cells as _cells gives them, in rows as narrow as the longest cell, in
-    chunks of _WRITE_BLOCK_CELLS each routed by _cells: a chunk of fewer than
-    _KERNEL_MIN_CELLS cells, such as fig1's A_theta or fig3's phi, costs no kernel call."""
-    chunks = [_cells([values[i:i + _WRITE_BLOCK_CELLS]])[0]
-              for i in range(0, values.size, _WRITE_BLOCK_CELLS)]
-    lengths = np.concatenate([np.count_nonzero(chars, axis=1) for chars in chunks])
-    packed = np.zeros((lengths.size, lengths.max()), dtype=np.uint8)
-    packed[np.arange(lengths.max()) < lengths[:, None]] = np.frombuffer(
-        b"".join(chars.tobytes().translate(None, b"\0") for chars in chunks), dtype=np.uint8)
+    """The cells of a 1-D array as _cells lays them out, a NUL-padded row each, formatted in
+    chunks of _WRITE_BLOCK_CELLS each routed by _cells (fig1's A_theta or fig3's phi, below
+    _KERNEL_MIN_CELLS, costs no kernel call); narrower chunks are padded with NUL columns."""
+    starts = range(0, values.size, _WRITE_BLOCK_CELLS)
+    chunks = [_cells([values[i:i + _WRITE_BLOCK_CELLS]])[0] for i in starts]
+    packed = np.zeros((values.size, max(chars.shape[1] for chars in chunks)), dtype=np.uint8)
+    for i, chars in zip(starts, chunks):
+        packed[i:i + len(chars), :chars.shape[1]] = chars
     return packed
 
 
@@ -416,8 +415,8 @@ def _table_blocks(distinct, order, shape):
     size = math.prod(shape)
     small = [d.size < size for d in distinct]
     block = max(1, _WRITE_BLOCK_CELLS // small.count(False))
-    # A column smaller than the table is formatted once, packed narrow as it repeats;
-    # each block takes its rows by index.
+    # A column smaller than the table is formatted once, in NUL-padded rows as every
+    # other piece; each block takes its rows by index, and its translate compacts them.
     sources = [(_packed(d.ravel()), _row_steps(shape, d.shape)) if is_small else d.reshape(-1)
                for d, is_small in zip(distinct, small)]
     for i in range(0, size, block):

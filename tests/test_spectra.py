@@ -779,6 +779,25 @@ class TestWriterPaths:
         spectra.write_csv(tmp_path / "t.csv", header, columns)
         assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(header, columns)
 
+    @pytest.mark.parametrize("n", [spectra._WRITE_BLOCK_CELLS + 1,
+                                   spectra._WRITE_BLOCK_CELLS + spectra._KERNEL_MIN_CELLS,
+                                   2 * spectra._WRITE_BLOCK_CELLS + 7])
+    def test_repeated_column_across_chunks(self, n, tmp_path):
+        # A (2, n) table whose t-like column spans chunks of different template widths: its
+        # first chunk is in [0, 1) (the kernel's narrowest crop), the rest spans +-1e-300 to
+        # 1e300, and a last chunk below _KERNEL_MIN_CELLS (at n = 6145 and 12295) goes
+        # through repr.
+        rng = np.random.default_rng(n)
+        t = rng.uniform(1, 10, n) * 10.0 ** rng.integers(-300, 301, n)
+        t[rng.random(n) < 0.5] *= -1
+        t[:spectra._WRITE_BLOCK_CELLS] = rng.uniform(0, 1, spectra._WRITE_BLOCK_CELLS)
+        assert len({spectra._cells([t[i:i + spectra._WRITE_BLOCK_CELLS]])[0].shape[1]
+                    for i in range(0, n, spectra._WRITE_BLOCK_CELLS)}) > 1
+        header = ["t", "a", "mag"]
+        columns = (t, np.c_[[0.5, -1e-300]], rng.uniform(size=(2, n)))
+        spectra.write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(header, columns)
+
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(kinds=st.lists(st.sampled_from(["full", "t", "a", "0-d", "labels", "kinds", "again"]),
