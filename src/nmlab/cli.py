@@ -4,9 +4,9 @@ Usage: nmlab <scenario> --config <file.json> --out <dir>
 
 SCENARIOS is the one table of scenarios. Each entry gives a parameter
 schema, a runner and an optional check across parameters, which first
-bounds the output rows and dense cells of a run (ROWS_MAX, CELLS_MAX) before
-anything is allocated; fig6 and synth bound their input file's rows before
-it is parsed and its dense cells before any quadrature. A schema maps
+bounds the output rows of a run (ROWS_MAX) and fig3's dense cells (CELLS_MAX)
+before anything is allocated; fig6 and synth bound their input file's rows
+before it is parsed. A schema maps
 each config key to a (kind, check, message) rule: the kind converts the
 JSON value (a finite number, an integer, a list of finite numbers, a string
 or a boolean) and the check bounds the converted value. Numeric parameters
@@ -129,7 +129,8 @@ EPSILON = (_real, lambda x: 0 <= x <= 0.5, "epsilon must be <= 0.5 and >= 0")
 GRID_SIZE = (_integer, lambda n: n >= 2, "must be >= 2")
 PATH = (_string, None, None)
 FLAG = (_flag, None, None)
-# Largest rows one run writes (over all files) or reads, and dense grid cells it evaluates.
+# Largest rows one run writes (over all files) or reads, and dense grid cells fig3 evaluates
+# (kappa_numeric needs no cell budget: O((n_t + n_omega) log) per Taylor term on any grid).
 ROWS_MAX = 1_000_000
 CELLS_MAX = 10_000_000
 NV_KEYS = {
@@ -140,23 +141,13 @@ NV_KEYS = {
 }
 
 
-def _size(keys: str, rows: int, cells: int | None = None):
+def _size(keys: str, rows: int, cells: int = 0):
     """Violation if a run writes or reads more than ROWS_MAX rows or evaluates more
-    than CELLS_MAX dense cells (by default its rows), else None."""
-    cells = rows if cells is None else cells
+    than CELLS_MAX dense cells (fig3 alone counts them), else None."""
     if rows > ROWS_MAX:
         return f"{keys}: {rows} rows exceed the budget ROWS_MAX = {ROWS_MAX}"
     if cells > CELLS_MAX:
         return f"{keys}: {cells} dense cells exceed the budget CELLS_MAX = {CELLS_MAX}"
-
-
-def _kernel_size(key: str, t, omega):
-    """Raise InputFileError if kappa_numeric takes the dense sum on (t, omega) and
-    n_t * n_omega exceeds CELLS_MAX. omega's rows, which bound the chirp-z kernel's exact
-    phases j^2, have one bound: _read_input's read budget."""
-    if spectra._chirp_grids(t, omega) is None and (
-            violation := _size(key, 0, t.size * omega.size)):
-        raise InputFileError(violation)
 
 
 # --- runners: validated values -> ([(file name, header, columns)], manifest extras)
@@ -208,10 +199,9 @@ def _fig5(v):
 def _fig6(v):
     profile = _read_input(spectra.read_profile_csv, v, "spectrum_csv", ROWS_MAX)
     t = np.linspace(0, v["t_max"], v["n_t"])
-    _kernel_size("spectrum_csv", t, profile.omega)
     try:
         kappa = spectra.kappa_numeric(profile, v["delta_n"], t, two_pi=v["two_pi"])
-    except ValueError as exc:  # the largest kernel phase is not finite
+    except ValueError as exc:  # the largest phase is not finite, or the grid's series diverges
         raise InputFileError(f"{v['spectrum_csv']}: {exc}") from exc
     # hypot matches abs() of each complex scalar bit for bit; np.abs does not.
     columns = (t, kappa.real, kappa.imag, np.hypot(kappa.real, kappa.imag))
@@ -229,12 +219,10 @@ def _classify(v):
 
 
 def _synth(v):
-    # The synthesis grid (spectra._synthesis_grid) has 2 * rows - 2 points.
+    # synthesize_spectrum's frequency grid has 2 * rows - 2 points.
     traj = _read_input(spectra.read_trajectory_csv, v, "kappa_csv", (ROWS_MAX + 2) // 2,
                        lambda rows: 2 * rows - 2)
     try:
-        omega = spectra._synthesis_grid(traj.t, v["delta_n"], v["two_pi"])[0]
-        _kernel_size("kappa_csv", traj.t, omega)
         result = spectra.synthesize_spectrum(traj, v["delta_n"], two_pi=v["two_pi"])
     except ValueError as exc:  # the time grid is non-uniform, too short or not from 0
         raise InputFileError(f"{v['kappa_csv']}: {exc}") from exc

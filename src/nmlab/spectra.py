@@ -160,26 +160,14 @@ def double_gaussian_profile(
     return SpectralProfile(omega=omega, density=density, phase=np.zeros_like(omega))
 
 
-# Cells per block of the dense fallback: bounds its memory at any grid size.
-_DENSE_BLOCK_CELLS = 1 << 16
-
-
 def _uniform_fit(x: np.ndarray):
-    """(x0, step) if the 1-D grid x equals x0 + j*step up to rounding, else None."""
-    if x.ndim != 1 or x.size < 2:
-        return None
-    step = (x[-1] - x[0]) / (x.size - 1)
-    dev = np.max(np.abs(x - (x[0] + step * np.arange(x.size))))
-    if not dev <= 8 * np.finfo(float).eps * np.max(np.abs(x)):  # NaN fails too
-        return None
-    return float(x[0]), float(step)
-
-
-def _chirp_grids(t: np.ndarray, omega: np.ndarray):
-    """The kernel choice of kappa_numeric: ((t0, dt), (w0, dw)) if t and omega are both
-    uniform up to rounding (the chirp-z kernel), else None (the dense sum)."""
-    t_fit, w_fit = _uniform_fit(t), _uniform_fit(omega)
-    return None if t_fit is None or w_fit is None else (t_fit, w_fit)
+    """(x0, step, dev) with x_j = x0 + j*step + dev_j for a 1-D grid x; dev is None if every
+    |dev_j| is within 8 ulp of max|x| (rounding: the grid is uniform), as for one point."""
+    step = (x[-1] - x[0]) / max(x.size - 1, 1)
+    dev = x - (x[0] + step * np.arange(x.size))
+    if np.max(np.abs(dev)) <= 8 * np.finfo(float).eps * np.max(np.abs(x)):  # NaN keeps dev
+        dev = None
+    return float(x[0]), float(step), dev
 
 
 def _chirp(c: float, m2: np.ndarray) -> np.ndarray:
@@ -215,12 +203,26 @@ def _kappa_chirp(g, omega, scale, t_fit, w_fit, n_t):
     return conv * np.exp(1j * s * w0 * m[:n_t]) * chirp[:n_t]
 
 
-def _kappa_dense(g, omega, scale, t):
-    """Trapezoid sum evaluated in row blocks of at most _DENSE_BLOCK_CELLS."""
-    out = np.empty(t.size, dtype=complex)
-    rows = max(1, _DENSE_BLOCK_CELLS // omega.size)
-    for i in range(0, t.size, rows):
-        out[i:i + rows] = np.exp(1j * scale * np.outer(t[i:i + rows], omega)) @ g
+def _taylor(c, y, w):
+    """(n, z, w/max|w|): exp(i c y_j w_k) = sum_{p<=n} z_j^p/p! (w_k/max|w|)^p, z = i c max|w| y,
+    to a dropped term x^(n+1)/(n+1)! below 1e-16, x = |c| max|y| max|w|; ValueError past x = 1,
+    where float64 cannot sum the series. No deviation (y or w None) gives (0, None, 1.0)."""
+    if y is None or w is None:
+        return 0, None, 1.0
+    w_max = float(np.max(np.abs(w)))
+    x = abs(c) * float(np.max(np.abs(y))) * w_max
+    if not x <= 1:
+        raise ValueError(f"the grids' deviation from uniform reaches a phase of {x:.3g} rad, "
+                         "above 1, where its Taylor series cannot converge")
+    n = next(n for n in itertools.count() if x ** (n + 1) / math.factorial(n + 1) < 1e-16)
+    return n, 1j * c * w_max * y, w / w_max
+
+
+def _horner(z, term, order):
+    """sum_{n<=order} z^n/n! term(n) by Horner's rule: term(0) itself at order 0."""
+    out = term(order)
+    for n in range(order - 1, -1, -1):
+        out = term(n) + z / (n + 1) * out
     return out
 
 
@@ -228,21 +230,26 @@ def kappa_numeric(profile: SpectralProfile, delta_n: float, t, two_pi: bool = Fa
     """Decoherence function by trapezoidal quadrature of the spectral integral.
 
     kappa(t) = int density(w) exp(i phase(w)) exp(i w * dn * t) dw
-    (with dn replaced by 2*pi*dn when two_pi is set). Vectorized over t.
+    (with dn replaced by 2*pi*dn when two_pi is set), at a scalar t (a complex
+    result) or on a 1-D t, increasing and uniform as omega is (_uniform_steps);
+    any other t raises ValueError.
 
-    When t and the omega grid are both uniform up to rounding, the sum over
-    omega for every t is a chirp-z transform, evaluated with one FFT
-    convolution of length 2^ceil(log2(n_t + n_w - 1)) (Bluestein 1970): time
-    O((n_t + n_w) log(n_t + n_w)), memory O(n_t + n_w). The chirp phases are
-    formed from exact integers j^2 (max(n_t, n_w) below 9.4e7: j^2 < 2^53),
-    but the rounding of scale*dt*dw makes the error grow with the largest
-    chirp phase |scale*dt*dw| * (n_t + n_w)^2 / 2, as the dense sum's does,
-    a few times larger: against an 80-bit long double dense sum on 700 random
-    grids, at most 4e-12 below 1e6 rad, 6e-11 below 1e7 and 6e-10 to 1.6e8.
-    Only t not 1-D and grids not uniform up to rounding take the dense sum,
-    in row blocks so that no n_t x n_w array is ever allocated. The result
-    has t's shape (a complex for scalar t). ValueError if the largest phase
-    |scale| max|t| max|omega| is not finite, before either kernel runs.
+    With s the kernel scale and the grids' uniform fits (_uniform_fit)
+    omega_k = w0 + k dw + delta_k and t_j = t0 + j dt + eps_j,
+    kappa_j = sum_{p,q} (i s j dt)^p/p! (i s eps_j)^q/q! CZ[g delta^p omega^q]_j
+    (Anderson & Dahleh 1996), g the trapezoid weights and CZ the chirp-z
+    transform on the fits, one FFT convolution of length 2^ceil(log2(n_t +
+    n_w - 1)) (Bluestein 1970). Each order is the fewest whose dropped term
+    x^(n+1)/(n+1)! is below 1e-16, x_p = |s dt| (n_t - 1) max|delta| and x_q =
+    |s| max|eps| max|omega|: 0 for a deviation within 8 ulp, so grids uniform
+    to rounding take one CZ call. ValueError before CZ runs if x_p or x_q
+    exceeds 1, where the series cannot converge in float64 (phases above
+    about 1e10 rad), or if |s| max|t| max|omega| is not finite.
+
+    CZ's error grows with its largest chirp phase |s*dt*dw| (n_t + n_w)^2 / 2
+    (its j^2 are exact for max(n_t, n_w) below 9.4e7; s*dt*dw is rounded):
+    against an 80-bit long double dense sum on 700 random grids, at most
+    4e-12 below 1e6 rad, 6e-11 below 1e7 and 6e-10 to 1.6e8.
     """
     t = np.asarray(t, dtype=float)
     scale = _kernel_scale(delta_n, two_pi)
@@ -250,16 +257,24 @@ def kappa_numeric(profile: SpectralProfile, delta_n: float, t, two_pi: bool = Fa
     if not math.isfinite(abs(scale) * float(np.max(np.abs(t), initial=0.0))
                          * float(np.max(np.abs(omega)))):
         raise ValueError("phase |scale|*max|t|*max|omega| is not finite")
+    if t.ndim > 1 or t.ndim == 1 and (t.size < 2 or not _uniform_steps(np.diff(t))):
+        raise ValueError("time grid must be a scalar or 1-D, increasing and uniform")
     weights = np.full(omega.size, profile.step)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     g = profile.density * np.exp(1j * profile.phase) * weights
-    fits = _chirp_grids(t, omega)
-    if fits is None:
-        out = _kappa_dense(g, omega, scale, t.ravel()).reshape(t.shape)
-    else:
-        out = _kappa_chirp(g, omega, scale, *fits, t.size)
-    return complex(out) if t.ndim == 0 else out
+    (t0, dt, eps), (w0, dw, delta) = _uniform_fit(t.reshape(-1)), _uniform_fit(omega)
+    # exp(i s t_j omega_k) is CZ's exp(i s (t0 omega_k + j dt (w0 + k dw))) times
+    # exp(i s j dt delta_k) exp(i s eps_j omega_k), each a Taylor series.
+    n_p, z_p, u = _taylor(scale * dt, np.arange(t.size), delta)
+    n_q, z_q, v = _taylor(scale, eps, omega)
+
+    def cz(p, q):
+        h = g * u**p * v**q if p or q else g
+        return _kappa_chirp(h, omega, scale, (t0, dt), (w0, dw), t.size)
+
+    out = _horner(z_p, lambda p: _horner(z_q, lambda q: cz(p, q), n_q), n_p)
+    return complex(out[0]) if t.ndim == 0 else out
 
 
 def blp_from_magnitudes(mag):
@@ -286,23 +301,6 @@ class SynthesisResult:
     realizable: bool
 
 
-def _synthesis_grid(t: np.ndarray, delta_n: float, two_pi: bool):
-    """(omega, order): the sorted fftfreq grid (2*t.size - 2 points) conjugate to the Hermitian
-    extension of t, on which synthesize_spectrum recovers a spectrum, and the order sorting its
-    DFT onto it; ValueError unless t is increasing and uniform (_uniform_steps), starts at 0
-    (_starts_at_zero: the extension assumes t_m = m dt) and is >= 3 samples long."""
-    if not _uniform_steps(np.diff(t)):
-        raise ValueError("time grid must be uniform and increasing")
-    if not _starts_at_zero(t):
-        raise ValueError("time grid must start at 0")
-    if t.size < 3:
-        raise ValueError("need at least 3 time samples")
-    dt = t[1] - t[0]
-    omega = 2 * np.pi * np.fft.fftfreq(2 * t.size - 2, d=dt) / _kernel_scale(delta_n, two_pi)
-    order = np.argsort(omega)
-    return omega[order], order
-
-
 def synthesize_spectrum(
     traj: DecoherenceTrajectory, delta_n: float, two_pi: bool = False
 ) -> SynthesisResult:
@@ -314,9 +312,21 @@ def synthesize_spectrum(
     The forward quadrature is re-run on the result; if the worst-case
     round-trip error exceeds 1e-6 (e.g. the time window is too short for
     kappa to decay, or kappa is not realizable by a positive density) the
-    `realizable` flag is False.
+    `realizable` flag is False. ValueError unless t is increasing and uniform
+    (_uniform_steps), starts at 0 (_starts_at_zero: the extension below
+    assumes t_m = m dt) and is at least 3 samples long.
     """
-    omega, order = _synthesis_grid(traj.t, delta_n, two_pi)
+    t = traj.t
+    if not _uniform_steps(np.diff(t)):
+        raise ValueError("time grid must be uniform and increasing")
+    if not _starts_at_zero(t):
+        raise ValueError("time grid must start at 0")
+    if t.size < 3:
+        raise ValueError("need at least 3 time samples")
+    scale = _kernel_scale(delta_n, two_pi)
+    omega = 2 * np.pi * np.fft.fftfreq(2 * t.size - 2, d=t[1] - t[0]) / scale
+    order = np.argsort(omega)
+    omega = omega[order]
     # Hermitian extension to negative times: keeps the DFT reconstruction
     # exact at the original nodes while making the recovered spectrum of a
     # realizable (decayed, gauge-aligned) target real and nonnegative.
@@ -330,7 +340,7 @@ def synthesize_spectrum(
     phase = np.angle(g)
     norm = np.trapezoid(density, omega)
     profile = SpectralProfile(omega=omega, density=density / norm, phase=phase)
-    kappa_back = kappa_numeric(profile, delta_n, traj.t, two_pi=two_pi)
+    kappa_back = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
     err = float(np.max(np.abs(kappa_back - traj.kappa)))
     return SynthesisResult(profile=profile, roundtrip_error=err, realizable=err <= 1e-6)
 

@@ -3,8 +3,9 @@
 Each one is a slower or more general route to a result that nmlab computes in
 closed form: density matrices and channel algebra for qcore and collision,
 explicit unitaries for the echo protocol, the full Bell-measurement protocol
-for superdense coding and the dephasing channel on a density matrix. The
-tests check the library's closed forms against them.
+for superdense coding, the dephasing channel on a density matrix and the plain
+trapezoid sum for kappa. The tests check the library's closed forms and its
+chirp-z kernel against them.
 """
 
 from __future__ import annotations
@@ -280,6 +281,23 @@ def simulate_protocol(spec: CorrelatedSpectrum, t_a, t_b, n_states: int = 4):
         raise ValueError("n_states must be 3 or 4")
     return mutual_information(
         np.stack([bell_probabilities(spec, t_a, t_b, e) for e in encodings], axis=-2))
+
+
+# --- kappa by the plain trapezoid sum -------------------------------------
+
+def dense_kappa(profile, delta_n, t, two_pi=False):
+    """The trapezoid sum of kappa_numeric over every (t, omega) cell, a few hundred rows of
+    phases at a time, on any 1-D or scalar t (returned 1-D)."""
+    scale = 2 * np.pi * delta_n if two_pi else delta_n
+    weights = np.full(profile.omega.size, profile.step)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    g = profile.density * np.exp(1j * profile.phase) * weights
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return np.concatenate(
+        [np.exp(1j * scale * np.outer(t[i:i + 256], profile.omega)) @ g
+         for i in range(0, t.size, 256)]
+    )
 
 
 # --- pure dephasing by a fixed kappa ---------------------------------------

@@ -567,37 +567,88 @@ def input_params(scenario, path):
 
 
 INPUT_BUDGETS = (
-    "scenario, write, budget, limit, size, kernel",
+    "scenario, write, budget, limit, size",
     [
         # synth writes and round-trips its spectrum on 2 * 51 - 2 = 100 rows.
         pytest.param("synth", lambda path: write_kappa(path, 51), "ROWS_MAX", 100,
-                     "kappa_csv: 100 rows", "chirp", id="synth_rows"),
+                     "kappa_csv: 100 rows", id="synth_rows"),
         pytest.param("fig6", lambda path: write_spectrum(path, 100), "ROWS_MAX", 100,
-                     "spectrum_csv: 100 rows", "chirp", id="fig6_rows"),
-        # Uniform within SpectralProfile's 1e-9 but not to rounding: the dense sum runs.
-        pytest.param("fig6", lambda path: write_spectrum(path, 400, jitter=1e-10), "CELLS_MAX",
-                     25 * 400, "spectrum_csv: 10000 dense cells", "dense", id="fig6_dense_cells"),
+                     "spectrum_csv: 100 rows", id="fig6_rows"),
+        # Uniform within SpectralProfile's 1e-9 but not to rounding: the kernel adds Taylor
+        # terms in the deviation, and the rows are the one bound.
+        pytest.param("fig6", lambda path: write_spectrum(path, 400, jitter=1e-10), "ROWS_MAX",
+                     400, "spectrum_csv: 400 rows", id="fig6_jittered_rows"),
     ],
 )
 
 
-class TestKernelBudget:
-    """fig6 and synth bound the rows of the file they read, and its dense cells only where
-    kappa_numeric takes the dense sum, before any quadrature."""
+@pytest.fixture
+def chirp_calls(monkeypatch):
+    """The argument tuples of every spectra._kappa_chirp call, which still runs."""
+    calls, chirp = [], spectra._kappa_chirp
+    monkeypatch.setattr(spectra, "_kappa_chirp", lambda *args: calls.append(args) or chirp(*args))
+    return calls
 
-    def test_synth_at_20000_samples_takes_the_chirp_kernel(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(spectra, "_kappa_dense", fail)
+
+class TestKernelBudget:
+    """fig6 and synth bound the rows of the file they read before any quadrature; kappa_numeric's
+    one kernel needs no cell budget."""
+
+    def test_synth_at_20000_samples_takes_the_chirp_kernel(self, tmp_path, chirp_calls):
         params = dict(load_config("synth"), kappa_csv=write_kappa(tmp_path / "k.csv", 20_000))
         assert cli.run("synth", params, tmp_path / "out") == 0
         manifest = json.loads((tmp_path / "out" / "synth_manifest.json").read_text())
         assert manifest["realizable"] and manifest["roundtrip_error"] <= 1e-11
+        assert len(chirp_calls) == 1  # grids uniform to rounding: no Taylor term
 
     def test_fig6_over_cell_count_on_uniform_grids_takes_the_chirp_kernel(self, tmp_path,
-                                                                         monkeypatch):
+                                                                         chirp_calls):
         # 9766 x 2048 = 2e7 n_t * n_omega cells, twice CELLS_MAX: the benchmark's largest fig6.
-        monkeypatch.setattr(spectra, "_kappa_dense", fail)
         params = patch_paths("fig6", dict(load_config("fig6"), n_t=9766), tmp_path)
         assert cli.run("fig6", params, tmp_path / "out") == 0
+        assert len(chirp_calls) == 1
+
+    def test_jittered_spectrum_needs_no_cell_budget(self, tmp_path, monkeypatch, chirp_calls):
+        monkeypatch.setattr(cli, "CELLS_MAX", 1)
+        spectrum = write_spectrum(tmp_path / "in.csv", 2048, jitter=1e-10)
+        params = dict(load_config("fig6"), spectrum_csv=spectrum, n_t=501)
+        assert cli.run("fig6", params, tmp_path / "out") == 0
+        assert len(chirp_calls) > 1  # Taylor terms in omega's deviation
+        rows = np.loadtxt(tmp_path / "out" / "fig6.csv", delimiter=",", skiprows=1)
+        t, kappa = rows[:, 0], rows[:, 1] + 1j * rows[:, 2]
+        profile = spectra.read_profile_csv(spectrum)
+        dense = oracles.dense_kappa(profile, params["delta_n"], t, params["two_pi"])
+        assert np.max(np.abs(kappa - dense)) < 1e-12
+
+    def test_jittered_kappa_file_round_trips(self, tmp_path, chirp_calls):
+        # Every t moved by 1e-10 of a step, alternately up and down: synth's round trip adds
+        # Taylor terms in t's deviation, the one CLI path with a t that is not from linspace.
+        t = np.linspace(0, 10, 512)
+        t[1:-1] += (-1) ** np.arange(1, 511) * 1e-10 * (t[1] - t[0])
+        path = tmp_path / "k.csv"
+        spectra.write_trajectory_csv(spectra.DecoherenceTrajectory(t, np.exp(-t**2 / 2 + 2j * t)),
+                                     path)
+        assert cli.run("synth", dict(load_config("synth"), kappa_csv=str(path)), tmp_path) == 0
+        manifest = json.loads((tmp_path / "synth_manifest.json").read_text())
+        assert manifest["realizable"] and manifest["roundtrip_error"] <= 1e-8
+        assert len(chirp_calls) > 1
+
+    def test_jittered_spectrum_past_the_series_limit_exits_2(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # The moved point deviates by about 1e-10 steps of 12/399 from the uniform fit, so at
+        # t_max 1e12 the phase t_max * max|delta| is about 3 rad, above 1: no series converges.
+        spectrum = write_spectrum(tmp_path / "in.csv", 400, jitter=1e-10)
+        monkeypatch.setattr(spectra, "_kappa_chirp", fail)
+        out = tmp_path / "out"
+        params = dict(load_config("fig6"), spectrum_csv=spectrum, n_t=25, t_max=1e12)
+        assert cli.run("fig6", params, out) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        report = json.loads(err[0])
+        assert report["error"] == "invalid input file"
+        (violation,) = report["violations"]
+        assert violation.startswith(f"{spectrum}: ") and "cannot converge" in violation
+        assert not out.exists()
 
     def test_nonuniform_time_grid_is_reported_before_its_size(self, tmp_path, monkeypatch,
                                                               capsys):
@@ -611,11 +662,9 @@ class TestKernelBudget:
 
     @pytest.mark.parametrize(*INPUT_BUDGETS)
     def test_input_over_budget_exits_before_quadrature(self, scenario, write, budget, limit,
-                                                        size, kernel, tmp_path, monkeypatch,
-                                                        capsys):
+                                                        size, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, budget, limit - 1)
-        for name in ("_kappa_chirp", "_kappa_dense"):
-            monkeypatch.setattr(spectra, name, fail)
+        monkeypatch.setattr(spectra, "_kappa_chirp", fail)
         out = tmp_path / "out"
         assert cli.run(scenario, input_params(scenario, write(tmp_path / "in.csv")), out) == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -625,10 +674,9 @@ class TestKernelBudget:
         assert not out.exists()
 
     @pytest.mark.parametrize(*INPUT_BUDGETS)
-    def test_input_at_budget_runs(self, scenario, write, budget, limit, size, kernel, tmp_path,
+    def test_input_at_budget_runs(self, scenario, write, budget, limit, size, tmp_path,
                                   monkeypatch):
         monkeypatch.setattr(cli, budget, limit)
-        monkeypatch.setattr(spectra, "_kappa_dense" if kernel == "chirp" else "_kappa_chirp", fail)
         params = input_params(scenario, write(tmp_path / "in.csv"))
         assert cli.run(scenario, params, tmp_path / "out") == 0
 

@@ -37,20 +37,6 @@ def make_spec(a_theta=1.0, sigma=1.0, delta_omega=4.0, delta_n=1.0):
     return DoubleGaussianSpec(a_theta, sigma, delta_omega, delta_n)
 
 
-def dense_kappa(profile, delta_n, t, two_pi=False):
-    """Oracle: the plain trapezoid sum, a few hundred rows of phases at a time."""
-    scale = 2 * np.pi * delta_n if two_pi else delta_n
-    weights = np.full(profile.omega.size, profile.step)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    g = profile.density * np.exp(1j * profile.phase) * weights
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return np.concatenate(
-        [np.exp(1j * scale * np.outer(t[i:i + 256], profile.omega)) @ g
-         for i in range(0, t.size, 256)]
-    )
-
-
 def longdouble_kappa(profile, scale, t):
     """Oracle: the trapezoid sum of kappa_numeric on the same float64 grids, scale and
     weights, with phases, sines and sums in long double (80-bit on x86-64)."""
@@ -148,23 +134,28 @@ class TestKappaNumeric:
         profile = double_gaussian_profile(make_spec())
         assert isinstance(kappa_numeric(profile, 1.0, 0.0), complex)
         value = kappa_numeric(profile, 1.3, 0.7)
-        assert abs(value - dense_kappa(profile, 1.3, 0.7)[0]) < 1e-14
+        assert abs(value - oracles.dense_kappa(profile, 1.3, 0.7)[0]) < 1e-14
 
-    def test_2d_time_keeps_its_shape(self):
-        # Rows not uniform, so each 1-D call takes the dense sum as the 2-D call does.
+    @pytest.mark.parametrize("t", [
+        np.array([[0.0, 0.5, 1.0], [1.5, 2.0, 2.5]]),
+        np.sort(np.random.default_rng(0).uniform(0, 4, 200)),
+        np.array([0.5]),
+        np.linspace(4, 0, 50),
+    ], ids=["2d", "sorted_random", "one_point", "decreasing"])
+    def test_time_not_a_uniform_grid_rejected(self, t, monkeypatch):
+        # Only a scalar or a grid as uniform as the readers accept has a kernel.
         profile = double_gaussian_profile(make_spec(), n_points=256)
-        t = np.array([[0.0, 0.5, 2.0], [1.0, 1.5, 4.0]])
-        kappa = kappa_numeric(profile, 1.3, t)
-        assert kappa.shape == kappa_double_gaussian_mag(make_spec(), t).shape == (2, 3)
-        for row, t_row in zip(kappa, t):
-            np.testing.assert_allclose(row, kappa_numeric(profile, 1.3, t_row), rtol=0, atol=1e-14)
+        monkeypatch.setattr(spectra, "_kappa_chirp", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match="time grid must be a scalar or 1-D, increasing and "
+                                             "uniform"):
+            kappa_numeric(profile, 1.3, t)
 
-    @pytest.mark.parametrize("t", [np.linspace(0, 1e300, 3), np.array([0.0, 1.0, 1e300])],
-                             ids=["chirp", "dense"])
-    def test_non_finite_phase_raises_before_either_kernel(self, t, monkeypatch):
+    @pytest.mark.parametrize("t", [np.linspace(0, 1e300, 3), np.array([0.0, 5e299 * (1 + 1e-10),
+                                                                      1e300])],
+                             ids=["uniform", "jittered"])
+    def test_non_finite_phase_raises_before_the_kernel(self, t, monkeypatch):
         profile = double_gaussian_profile(make_spec(), n_points=64)
-        for name in ("_kappa_chirp", "_kappa_dense"):
-            monkeypatch.setattr(spectra, name, mock.Mock(side_effect=AssertionError(name)))
+        monkeypatch.setattr(spectra, "_kappa_chirp", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ValueError, match=r"phase \|scale\|\*max\|t\|\*max\|omega\|"):
             kappa_numeric(profile, 1e300, t, two_pi=True)
 
@@ -183,12 +174,19 @@ class TestKappaNumeric:
             SpectralProfile(**columns)
 
 
-@pytest.fixture
-def no_chirp(monkeypatch):
-    def fail(*args):
-        raise AssertionError("chirp-z kernel used where the dense sum must run")
+def jittered(rng, x, frac, drift):
+    """x with every step after the first scaled by 1 + r_k * frac * 1e-9, |r_k| <= 1: uniform
+    within _uniform_steps' 1e-9 of the first step for frac < 1. r_k is random, or with drift
+    +1 for the first half of the steps and -1 after, so that the deviation from the uniform
+    fit grows to about frac * 1e-9 * n/4 steps."""
+    d = np.diff(x)
+    k = np.arange(1, d.size)
+    d[1:] *= 1 + frac * 1e-9 * (np.sign(d.size / 2 - k) if drift else rng.uniform(-1, 1, k.size))
+    return x[0] + np.concatenate([[0.0], np.cumsum(d)])
 
-    monkeypatch.setattr(spectra, "_kappa_chirp", fail)
+
+def uniform_to_rounding(*grids):
+    return all(spectra._uniform_fit(x)[2] is None for x in grids)
 
 
 class TestChirpKernel:
@@ -216,19 +214,48 @@ class TestChirpKernel:
         width = d_omega * (n_w - 1)
         omega = np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w)
         profile = random_profile(rng, omega)
-        assert spectra._chirp_grids(t, omega) is not None
+        assert uniform_to_rounding(t, omega)
         kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
-        assert np.max(np.abs(kappa - dense_kappa(profile, delta_n, t, two_pi))) < 1e-11
+        assert np.max(np.abs(kappa - oracles.dense_kappa(profile, delta_n, t, two_pi))) < 1e-11
         assert np.max(np.abs(kappa)) <= 1 + 1e-9
 
-    def test_nonuniform_time_takes_blocked_dense_path(self, monkeypatch, rng, no_chirp):
-        profile = random_profile(rng, np.linspace(-3, 5, 300))
-        t = np.sort(rng.uniform(0, 4, 200))
-        assert spectra._chirp_grids(t, profile.omega) is None
-        # Blocks of 7 rows: the last block is partial.
-        monkeypatch.setattr(spectra, "_DENSE_BLOCK_CELLS", 7 * profile.omega.size)
-        kappa = kappa_numeric(profile, 1.0, t)
-        assert np.max(np.abs(kappa - dense_kappa(profile, 1.0, t))) < 1e-14
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_t=st.integers(2, 2048),
+        n_w=st.integers(2, 2048),
+        log_phase=st.floats(-2, 3),
+        t_span=st.floats(0.1, 20),
+        t0_frac=st.floats(0, 0.5),
+        w0_frac=st.floats(0.25, 0.75),
+        delta_n=st.floats(0.1, 2) | st.floats(-2, -0.1),
+        two_pi=st.booleans(),
+        jitter=st.sampled_from(["omega", "t", "both"]),
+        frac=st.floats(0, 0.9),
+        drift=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_t=2048, n_w=2048, log_phase=3, t_span=20, t0_frac=0.5, w0_frac=0.75, delta_n=2,
+             two_pi=True, jitter="both", frac=0.9, drift=True, seed=0)
+    def test_jittered_grids_match_dense_oracle(self, n_t, n_w, log_phase, t_span, t0_frac,
+                                               w0_frac, delta_n, two_pi, jitter, frac, drift,
+                                               seed):
+        # Grids as uniform as the readers accept, not to rounding: the Taylor terms in the
+        # deviation correct the chirp-z kernel on the uniform fits. The largest phase
+        # |scale| max|t| max|omega|, at most about 1e3 rad, keeps the float64 oracle's rounding
+        # below the tolerance.
+        rng = np.random.default_rng(seed)
+        scale = 2 * np.pi * delta_n if two_pi else delta_n
+        t0 = t0_frac * t_span
+        t = np.linspace(t0, t0 + t_span, n_t)
+        width = 10**log_phase / (abs(scale) * t_span)
+        omega = np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w)
+        if jitter != "t":
+            omega = jittered(rng, omega, frac, drift)
+        if jitter != "omega":
+            t = jittered(rng, t, frac, drift)
+        profile = random_profile(rng, omega)
+        kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
+        assert np.max(np.abs(kappa - oracles.dense_kappa(profile, delta_n, t, two_pi))) < 1e-12
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
     @settings(max_examples=25, deadline=None)
@@ -258,7 +285,7 @@ class TestChirpKernel:
         d_omega = 2 * 10**log_phase / ((n_t + n_w) ** 2 * abs(scale) * (t_span / (n_t - 1)))
         width = d_omega * (n_w - 1)
         profile = random_profile(rng, np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w))
-        assert spectra._chirp_grids(t, profile.omega) is not None
+        assert uniform_to_rounding(t, profile.omega)
         kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
         phase = abs(scale * (t[1] - t[0]) * profile.step) * (n_t + n_w) ** 2 / 2
         tol = 1e-14 + phase * np.finfo(float).eps / 8
@@ -266,11 +293,24 @@ class TestChirpKernel:
 
     def test_uniform_fit_accepts_linspace_rejects_jitter(self):
         t = np.linspace(0.3, 17.0, 1001)
-        assert spectra._uniform_fit(t) is not None
-        jittered = t.copy()
-        jittered[500] += 1e-9
-        assert spectra._uniform_fit(jittered) is None
-        assert spectra._uniform_fit(np.array([1.0])) is None
+        assert spectra._uniform_fit(t) == (0.3, (17.0 - 0.3) / 1000, None)
+        moved = t.copy()
+        moved[500] += 1e-9
+        t0, dt, dev = spectra._uniform_fit(moved)
+        assert (t0, dt) == (0.3, (17.0 - 0.3) / 1000)
+        assert np.flatnonzero(np.abs(dev) > 1e-13).tolist() == [500]
+        assert dev[500] == pytest.approx(1e-9, rel=1e-4)
+
+    def test_deviation_phase_above_one_raises_before_the_kernel(self, monkeypatch):
+        # x_p = |scale dt| (n_t - 1) max|delta| past 1: the series cannot converge in float64.
+        omega = np.linspace(-6, 6, 400)
+        omega[200] += 1e-10 * (omega[1] - omega[0])
+        profile = random_profile(np.random.default_rng(0), omega)
+        delta = spectra._uniform_fit(omega)[2]
+        t_max = 2 / np.max(np.abs(delta))
+        monkeypatch.setattr(spectra, "_kappa_chirp", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match="cannot converge"):
+            kappa_numeric(profile, 1.0, np.linspace(0, t_max, 25))
 
 
 class TestDephasingChannel:
@@ -426,7 +466,7 @@ class TestTrajectoryValidation:
 
     @pytest.mark.parametrize("t0", [1e-14, -1e-14, 0.5e-9 * 0.25])
     def test_kappa_zero_checked_at_a_start_within_tolerance(self, t0):
-        # The rule of _synthesis_grid: a start within 1e-9 of the first step is a start at 0.
+        # synthesize_spectrum's rule: a start within 1e-9 of the first step is a start at 0.
         t = t0 + np.linspace(0, 2, 9)
         with pytest.raises(ValueError, match="kappa\\(0\\) must equal 1"):
             DecoherenceTrajectory(t, np.full(9, 0.5, dtype=complex))
@@ -966,11 +1006,9 @@ class TestKappaProperties:
         spectra.write_profile_csv(
             random_profile(rng, np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w)), path)
         profile = spectra.read_profile_csv(path)
-        assert spectra._chirp_grids(t, profile.omega) is not None
+        assert uniform_to_rounding(t, profile.omega)
         chirp = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
-        with mock.patch.object(spectra, "_chirp_grids", return_value=None), \
-                mock.patch.object(spectra, "_kappa_chirp", side_effect=AssertionError):
-            dense = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
+        dense = oracles.dense_kappa(profile, delta_n, t, two_pi=two_pi)
         assert np.max(np.abs(chirp - dense)) < 1e-11
         for kappa in (chirp, dense):
             assert np.max(np.abs(kappa)) <= 1 + spectra.KAPPA_MAG_TOL
@@ -991,22 +1029,22 @@ class TestKappaProperties:
     def test_magnitude_at_most_the_density_integral(self, n_t, n_w, log_phase, t_span, w0_frac,
                                                      delta_n, two_pi, uniform_t, zeros, seed):
         # |kappa(t)| <= trapz(density), the triangle inequality on the trapezoid sum, up to the
-        # kernels' rounding: the chirp-z kernel on uniform grids (at most 4e-12 below 1e6 rad
-        # of chirp phase, which bounds these grids), the dense sum on a non-uniform t.
+        # kernel's rounding (at most 4e-12 below 1e6 rad of chirp phase, which bounds these
+        # grids) and its Taylor terms in the deviation of grids jittered within 1e-9 of a step.
         rng = np.random.default_rng(seed)
         scale = 2 * np.pi * delta_n if two_pi else delta_n
-        t = np.linspace(0, t_span, n_t) if uniform_t else np.sort(rng.uniform(0, t_span, n_t + 1))
+        t = np.linspace(0, t_span, n_t)
         d_omega = 2 * 10**log_phase / ((t.size + n_w) ** 2 * abs(scale) * (t_span / (t.size - 1)))
         width = d_omega * (n_w - 1)
         omega = np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w)
+        if not uniform_t:
+            t, omega = (jittered(rng, x, 0.9, drift=bool(seed % 2)) for x in (t, omega))
         # Densities from flat to a few spikes among zeros.
         density = rng.uniform(0, 1, n_w) * (rng.random(n_w) >= zeros)
         density[rng.integers(n_w)] += 1
         density /= np.trapezoid(density, omega)
         profile = SpectralProfile(omega, density, rng.uniform(-np.pi, np.pi, n_w))
-        unused = "_kappa_dense" if uniform_t else "_kappa_chirp"
-        with mock.patch.object(spectra, unused, side_effect=AssertionError):
-            kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
+        kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
         assert np.max(np.abs(kappa)) <= np.trapezoid(profile.density, profile.omega) + 1e-11
 
 
