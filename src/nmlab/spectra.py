@@ -182,25 +182,26 @@ def _chirp(c: float, m2: np.ndarray) -> np.ndarray:
     return np.exp(1j * (c_hi * m2)) * np.exp(1j * ((c - c_hi) * m2))
 
 
-def _kappa_chirp(g, omega, scale, t_fit, w_fit, n_t):
-    """sum_k g_k exp(i scale t_j omega_k) on t_j = t0 + j dt (Bluestein).
+def _chirp_z(omega, scale, t_fit, w_fit, n_t):
+    """h -> sum_k h_k exp(i scale t_j omega_k) on t_j = t0 + j dt (Bluestein), one FFT pair.
 
-    With s = scale*dt and a = s*dw, the phase is scale*t0*omega_k
-    + s*w0*j + a*j*k, and j*k = (j^2 + k^2 - (k-j)^2)/2 turns the sum
-    over k into a convolution with the chirp exp(-i a m^2 / 2).
+    With s = scale*dt and a = s*dw, the phase is scale*t0*omega_k + s*w0*j + a*j*k, and
+    j*k = (j^2 + k^2 - (k-j)^2)/2 turns the sum over k into a convolution with the chirp
+    exp(-i a m^2 / 2), whose FFT is built here once, as are the phase factors.
     """
     (t0, dt), (w0, dw) = t_fit, w_fit
-    n_w = g.size
+    n_w = omega.size
     s = scale * dt
     size = 1 << (n_t + n_w - 2).bit_length()
     m = np.arange(max(n_t, n_w))
     chirp = _chirp(0.5 * s * dw, m * m)
-    u = g * np.exp(1j * scale * t0 * omega) * chirp[:n_w]
     w = np.zeros(size, dtype=complex)
     w[:n_t] = chirp[:n_t].conj()
     w[size - n_w + 1:] = chirp[n_w - 1:0:-1].conj()
-    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(w))[:n_t]
-    return conv * np.exp(1j * s * w0 * m[:n_t]) * chirp[:n_t]
+    kernel = np.fft.fft(w)
+    shift, turn = np.exp(1j * scale * t0 * omega), np.exp(1j * s * w0 * m[:n_t])
+    return lambda h: (np.fft.ifft(np.fft.fft(h * shift * chirp[:n_w], size) * kernel)[:n_t]
+                      * turn * chirp[:n_t])
 
 
 def _taylor(c, y, w):
@@ -237,12 +238,13 @@ def kappa_numeric(profile: SpectralProfile, delta_n: float, t, two_pi: bool = Fa
     With s the kernel scale and the grids' uniform fits (_uniform_fit)
     omega_k = w0 + k dw + delta_k and t_j = t0 + j dt + eps_j,
     kappa_j = sum_{p,q} (i s j dt)^p/p! (i s eps_j)^q/q! CZ[g delta^p omega^q]_j
-    (Anderson & Dahleh 1996), g the trapezoid weights and CZ the chirp-z
-    transform on the fits, one FFT convolution of length 2^ceil(log2(n_t +
-    n_w - 1)) (Bluestein 1970). Each order is the fewest whose dropped term
+    (Anderson & Dahleh 1996), g the integrand times np.trapezoid's node weights
+    and CZ the chirp-z transform on the fits (Bluestein 1970), whose chirp and
+    kernel FFT are built once: a term is one FFT pair of length
+    2^ceil(log2(n_t + n_w - 1)). Each order is the fewest whose dropped term
     x^(n+1)/(n+1)! is below 1e-16, x_p = |s dt| (n_t - 1) max|delta| and x_q =
     |s| max|eps| max|omega|: 0 for a deviation within 8 ulp, so grids uniform
-    to rounding take one CZ call. ValueError before CZ runs if x_p or x_q
+    to rounding take one term. ValueError before CZ is built if x_p or x_q
     exceeds 1, where the series cannot converge in float64 (phases above
     about 1e10 rad), or if |s| max|t| max|omega| is not finite.
 
@@ -259,21 +261,17 @@ def kappa_numeric(profile: SpectralProfile, delta_n: float, t, two_pi: bool = Fa
         raise ValueError("phase |scale|*max|t|*max|omega| is not finite")
     if t.ndim > 1 or t.ndim == 1 and (t.size < 2 or not _uniform_steps(np.diff(t))):
         raise ValueError("time grid must be a scalar or 1-D, increasing and uniform")
-    weights = np.full(omega.size, profile.step)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
+    weights = np.gradient(omega)  # np.trapezoid's node weights once the ends are halved
+    weights[[0, -1]] *= 0.5
     g = profile.density * np.exp(1j * profile.phase) * weights
     (t0, dt, eps), (w0, dw, delta) = _uniform_fit(t.reshape(-1)), _uniform_fit(omega)
     # exp(i s t_j omega_k) is CZ's exp(i s (t0 omega_k + j dt (w0 + k dw))) times
     # exp(i s j dt delta_k) exp(i s eps_j omega_k), each a Taylor series.
     n_p, z_p, u = _taylor(scale * dt, np.arange(t.size), delta)
     n_q, z_q, v = _taylor(scale, eps, omega)
-
-    def cz(p, q):
-        h = g * u**p * v**q if p or q else g
-        return _kappa_chirp(h, omega, scale, (t0, dt), (w0, dw), t.size)
-
-    out = _horner(z_p, lambda p: _horner(z_q, lambda q: cz(p, q), n_q), n_p)
+    cz = _chirp_z(omega, scale, (t0, dt), (w0, dw), t.size)
+    out = _horner(z_p, lambda p: _horner(z_q, lambda q: cz(g * u**p * v**q if p or q else g),
+                                         n_q), n_p)
     return complex(out[0]) if t.ndim == 0 else out
 
 
@@ -307,8 +305,9 @@ def synthesize_spectrum(
     """Recover a spectral density and phase realizing a target kappa(t).
 
     Inverse DFT of kappa onto the conjugate (Nyquist-matched) frequency
-    grid of the time grid. The recovered complex amplitude G(w) is split
-    into density = |G| (renormalized to unit integral) and phase = arg G.
+    grid of the time grid's uniform fit (_uniform_fit), not of t[1] - t[0].
+    The recovered complex amplitude G(w) is split into density = |G|
+    (renormalized to unit integral) and phase = arg G.
     The forward quadrature is re-run on the result; if the worst-case
     round-trip error exceeds 1e-6 (e.g. the time window is too short for
     kappa to decay, or kappa is not realizable by a positive density) the
@@ -324,7 +323,7 @@ def synthesize_spectrum(
     if t.size < 3:
         raise ValueError("need at least 3 time samples")
     scale = _kernel_scale(delta_n, two_pi)
-    omega = 2 * np.pi * np.fft.fftfreq(2 * t.size - 2, d=t[1] - t[0]) / scale
+    omega = 2 * np.pi * np.fft.fftfreq(2 * t.size - 2, d=_uniform_fit(t)[1]) / scale
     order = np.argsort(omega)
     omega = omega[order]
     # Hermitian extension to negative times: keeps the DFT reconstruction

@@ -289,9 +289,8 @@ def dense_kappa(profile, delta_n, t, two_pi=False):
     """The trapezoid sum of kappa_numeric over every (t, omega) cell, a few hundred rows of
     phases at a time, on any 1-D or scalar t (returned 1-D)."""
     scale = 2 * np.pi * delta_n if two_pi else delta_n
-    weights = np.full(profile.omega.size, profile.step)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
+    weights = np.gradient(profile.omega)  # np.trapezoid's node weights once the ends are halved
+    weights[[0, -1]] *= 0.5
     g = profile.density * np.exp(1j * profile.phase) * weights
     t = np.atleast_1d(np.asarray(t, dtype=float))
     return np.concatenate(

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import io
@@ -584,9 +585,16 @@ INPUT_BUDGETS = (
 
 @pytest.fixture
 def chirp_calls(monkeypatch):
-    """The argument tuples of every spectra._kappa_chirp call, which still runs."""
-    calls, chirp = [], spectra._kappa_chirp
-    monkeypatch.setattr(spectra, "_kappa_chirp", lambda *args: calls.append(args) or chirp(*args))
+    """Counts of the spectra._chirp_z plans built ("builds") and of their calls ("applies"),
+    which all still run."""
+    calls, chirp_z = collections.Counter(), spectra._chirp_z
+
+    def build(*args):
+        calls["builds"] += 1
+        plan = chirp_z(*args)
+        return lambda h: calls.update(["applies"]) or plan(h)
+
+    monkeypatch.setattr(spectra, "_chirp_z", build)
     return calls
 
 
@@ -599,21 +607,22 @@ class TestKernelBudget:
         assert cli.run("synth", params, tmp_path / "out") == 0
         manifest = json.loads((tmp_path / "out" / "synth_manifest.json").read_text())
         assert manifest["realizable"] and manifest["roundtrip_error"] <= 1e-11
-        assert len(chirp_calls) == 1  # grids uniform to rounding: no Taylor term
+        assert chirp_calls == {"builds": 1, "applies": 1}  # uniform to rounding: one term
 
     def test_fig6_over_cell_count_on_uniform_grids_takes_the_chirp_kernel(self, tmp_path,
                                                                          chirp_calls):
         # 9766 x 2048 = 2e7 n_t * n_omega cells, twice CELLS_MAX: the benchmark's largest fig6.
         params = patch_paths("fig6", dict(load_config("fig6"), n_t=9766), tmp_path)
         assert cli.run("fig6", params, tmp_path / "out") == 0
-        assert len(chirp_calls) == 1
+        assert chirp_calls == {"builds": 1, "applies": 1}
 
     def test_jittered_spectrum_needs_no_cell_budget(self, tmp_path, monkeypatch, chirp_calls):
         monkeypatch.setattr(cli, "CELLS_MAX", 1)
         spectrum = write_spectrum(tmp_path / "in.csv", 2048, jitter=1e-10)
         params = dict(load_config("fig6"), spectrum_csv=spectrum, n_t=501)
         assert cli.run("fig6", params, tmp_path / "out") == 0
-        assert len(chirp_calls) > 1  # Taylor terms in omega's deviation
+        # One plan, applied to each Taylor term in omega's deviation.
+        assert chirp_calls["builds"] == 1 and chirp_calls["applies"] > 1
         rows = np.loadtxt(tmp_path / "out" / "fig6.csv", delimiter=",", skiprows=1)
         t, kappa = rows[:, 0], rows[:, 1] + 1j * rows[:, 2]
         profile = spectra.read_profile_csv(spectrum)
@@ -630,15 +639,19 @@ class TestKernelBudget:
                                      path)
         assert cli.run("synth", dict(load_config("synth"), kappa_csv=str(path)), tmp_path) == 0
         manifest = json.loads((tmp_path / "synth_manifest.json").read_text())
-        assert manifest["realizable"] and manifest["roundtrip_error"] <= 1e-8
-        assert len(chirp_calls) > 1
+        # The conjugate grid's step comes from t's uniform fit, whose ends did not move, so
+        # omega is the unjittered grid's to the bit.
+        assert manifest["realizable"] and manifest["roundtrip_error"] <= 5e-11
+        omega = spectra.read_profile_csv(tmp_path / "synth_spectrum.csv").omega
+        assert np.array_equal(omega, np.sort(2 * np.pi * np.fft.fftfreq(1022, d=10 / 511)))
+        assert chirp_calls["builds"] == 1 and chirp_calls["applies"] > 1
 
     def test_jittered_spectrum_past_the_series_limit_exits_2(self, tmp_path, capsys,
                                                              monkeypatch):
         # The moved point deviates by about 1e-10 steps of 12/399 from the uniform fit, so at
         # t_max 1e12 the phase t_max * max|delta| is about 3 rad, above 1: no series converges.
         spectrum = write_spectrum(tmp_path / "in.csv", 400, jitter=1e-10)
-        monkeypatch.setattr(spectra, "_kappa_chirp", fail)
+        monkeypatch.setattr(spectra, "_chirp_z", fail)
         out = tmp_path / "out"
         params = dict(load_config("fig6"), spectrum_csv=spectrum, n_t=25, t_max=1e12)
         assert cli.run("fig6", params, out) == 2
@@ -664,7 +677,7 @@ class TestKernelBudget:
     def test_input_over_budget_exits_before_quadrature(self, scenario, write, budget, limit,
                                                         size, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, budget, limit - 1)
-        monkeypatch.setattr(spectra, "_kappa_chirp", fail)
+        monkeypatch.setattr(spectra, "_chirp_z", fail)
         out = tmp_path / "out"
         assert cli.run(scenario, input_params(scenario, write(tmp_path / "in.csv")), out) == 2
         err = capsys.readouterr().err.strip().splitlines()

@@ -42,7 +42,7 @@ def longdouble_kappa(profile, scale, t):
     weights, with phases, sines and sums in long double (80-bit on x86-64)."""
     ld = np.longdouble
     omega, phase = profile.omega.astype(ld), profile.phase.astype(ld)
-    weights = np.full(omega.size, ld(profile.step))
+    weights = np.gradient(omega)
     weights[[0, -1]] /= 2
     g_re, g_im = (profile.density * weights * f(phase) for f in (np.cos, np.sin))
     out = np.empty(t.size, dtype=np.clongdouble)
@@ -145,7 +145,7 @@ class TestKappaNumeric:
     def test_time_not_a_uniform_grid_rejected(self, t, monkeypatch):
         # Only a scalar or a grid as uniform as the readers accept has a kernel.
         profile = double_gaussian_profile(make_spec(), n_points=256)
-        monkeypatch.setattr(spectra, "_kappa_chirp", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(spectra, "_chirp_z", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ValueError, match="time grid must be a scalar or 1-D, increasing and "
                                              "uniform"):
             kappa_numeric(profile, 1.3, t)
@@ -155,7 +155,7 @@ class TestKappaNumeric:
                              ids=["uniform", "jittered"])
     def test_non_finite_phase_raises_before_the_kernel(self, t, monkeypatch):
         profile = double_gaussian_profile(make_spec(), n_points=64)
-        monkeypatch.setattr(spectra, "_kappa_chirp", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(spectra, "_chirp_z", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ValueError, match=r"phase \|scale\|\*max\|t\|\*max\|omega\|"):
             kappa_numeric(profile, 1e300, t, two_pi=True)
 
@@ -178,7 +178,7 @@ def jittered(rng, x, frac, drift):
     """x with every step after the first scaled by 1 + r_k * frac * 1e-9, |r_k| <= 1: uniform
     within _uniform_steps' 1e-9 of the first step for frac < 1. r_k is random, or with drift
     +1 for the first half of the steps and -1 after, so that the deviation from the uniform
-    fit grows to about frac * 1e-9 * n/4 steps."""
+    fit grows to about frac * 1e-9 * n/2 steps."""
     d = np.diff(x)
     k = np.arange(1, d.size)
     d[1:] *= 1 + frac * 1e-9 * (np.sign(d.size / 2 - k) if drift else rng.uniform(-1, 1, k.size))
@@ -291,6 +291,21 @@ class TestChirpKernel:
         tol = 1e-14 + phase * np.finfo(float).eps / 8
         assert np.max(np.abs(kappa - longdouble_kappa(profile, scale, t))) <= tol
 
+    def test_taylor_terms_share_one_chirp_and_kernel_fft(self, monkeypatch):
+        # omega drifts from its uniform fit by up to 5.4e-9: at t_max 100, x_p is 5.4e-7 and
+        # three Taylor terms apply one chirp-z plan, each with one FFT pair.
+        rng = np.random.default_rng(0)
+        profile = random_profile(rng, jittered(rng, np.linspace(-6, 6, 400), 0.9, drift=True))
+        t = np.linspace(0, 100, 300)
+        calls = {f.__name__: mock.Mock(wraps=f) for f in (spectra._chirp, np.fft.fft, np.fft.ifft)}
+        monkeypatch.setattr(spectra, "_chirp", calls["_chirp"])
+        monkeypatch.setattr(np.fft, "fft", calls["fft"])
+        monkeypatch.setattr(np.fft, "ifft", calls["ifft"])
+        kappa = kappa_numeric(profile, 1.0, t)
+        assert calls["_chirp"].call_count == 1
+        assert calls["ifft"].call_count == 3 and calls["fft"].call_count == 4
+        assert np.max(np.abs(kappa - oracles.dense_kappa(profile, 1.0, t))) < 1e-12
+
     def test_uniform_fit_accepts_linspace_rejects_jitter(self):
         t = np.linspace(0.3, 17.0, 1001)
         assert spectra._uniform_fit(t) == (0.3, (17.0 - 0.3) / 1000, None)
@@ -308,7 +323,7 @@ class TestChirpKernel:
         profile = random_profile(np.random.default_rng(0), omega)
         delta = spectra._uniform_fit(omega)[2]
         t_max = 2 / np.max(np.abs(delta))
-        monkeypatch.setattr(spectra, "_kappa_chirp", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(spectra, "_chirp_z", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ValueError, match="cannot converge"):
             kappa_numeric(profile, 1.0, np.linspace(0, t_max, 25))
 
@@ -1026,11 +1041,14 @@ class TestKappaProperties:
         zeros=st.floats(0, 0.99),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(n_t=1024, n_w=1024, log_phase=3, t_span=10, w0_frac=0.5, delta_n=1, two_pi=False,
+             uniform_t=False, zeros=0, seed=1)
     def test_magnitude_at_most_the_density_integral(self, n_t, n_w, log_phase, t_span, w0_frac,
                                                      delta_n, two_pi, uniform_t, zeros, seed):
         # |kappa(t)| <= trapz(density), the triangle inequality on the trapezoid sum, up to the
         # kernel's rounding (at most 4e-12 below 1e6 rad of chirp phase, which bounds these
         # grids) and its Taylor terms in the deviation of grids jittered within 1e-9 of a step.
+        # kappa(0) is the trapezoid integral on the nodes, the one SpectralProfile checks.
         rng = np.random.default_rng(seed)
         scale = 2 * np.pi * delta_n if two_pi else delta_n
         t = np.linspace(0, t_span, n_t)
@@ -1046,6 +1064,7 @@ class TestKappaProperties:
         profile = SpectralProfile(omega, density, rng.uniform(-np.pi, np.pi, n_w))
         kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
         assert np.max(np.abs(kappa)) <= np.trapezoid(profile.density, profile.omega) + 1e-11
+        assert abs(kappa[0] - np.trapezoid(density * np.exp(1j * profile.phase), omega)) < 1e-14
 
 
 ONE_TO_TWO = np.linspace(1.0, 2.0, 5)
