@@ -324,6 +324,7 @@ def synthesize_spectrum(
         raise ValueError("need at least 3 time samples")
     scale = _kernel_scale(delta_n, two_pi)
     omega = 2 * np.pi * np.fft.fftfreq(2 * t.size - 2, d=_uniform_fit(t)[1]) / scale
+    # Sorted, not fftshifted: for scale < 0 the conjugate grid runs backwards.
     order = np.argsort(omega)
     omega = omega[order]
     # Hermitian extension to negative times: keeps the DFT reconstruction
@@ -383,35 +384,25 @@ def _cells(arrays):
 
 
 def _packed(values):
-    """The cells of a 1-D array as _cells lays them out, a NUL-padded row each, formatted in
-    chunks of _WRITE_BLOCK_CELLS each routed by _cells (fig1's A_theta or fig3's phi, below
-    _KERNEL_MIN_CELLS, costs no kernel call); narrower chunks are padded with NUL columns."""
+    """The cells of a 1-D array as _cells lays them out, formatted in chunks of
+    _WRITE_BLOCK_CELLS each routed by _cells (fig1's A_theta or fig3's phi, below
+    _KERNEL_MIN_CELLS, costs no kernel call) and padded with NUL columns to the widest
+    chunk's width; each NUL-padded row is returned as one void cell."""
     starts = range(0, values.size, _WRITE_BLOCK_CELLS)
     chunks = [_cells([values[i:i + _WRITE_BLOCK_CELLS]])[0] for i in starts]
     packed = np.zeros((values.size, max(chars.shape[1] for chars in chunks)), dtype=np.uint8)
     for i, chars in zip(starts, chunks):
         packed[i:i + len(chars), :chars.shape[1]] = chars
-    return packed
-
-
-def _row_steps(shape, d_shape):
-    """(stride, extent, step) of each axis of a broadcast table of shape along which a
-    column of d_shape varies: a table row's index into the column's cells is the sum of
-    (row // stride % extent) * step, with no index array over the table."""
-    steps = np.broadcast_to(np.empty(d_shape, np.uint8), shape).strides  # 0 where broadcast
-    return [(math.prod(shape[axis + 1:]), n, step)
-            for axis, (n, step) in enumerate(zip(shape, steps)) if step]
+    return packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
 
 
 def _block_rows(sources, small, order, start, stop):
     """The bytes of rows start:stop of the broadcast table: the full-size columns' cells
-    formatted in one _cells call, the small columns' taken by index."""
+    formatted in one _cells call, the small columns' copied from their broadcast cells."""
     fresh = iter(_cells([src[start:stop] for src, is_small in zip(sources, small)
                          if not is_small]))
-    rows = np.arange(start, stop)
-    pieces = [src[0].take(sum((rows // stride % n * step for stride, n, step in src[1]),
-                              rows * 0), axis=0) if is_small else next(fresh)
-              for src, is_small in zip(sources, small)]
+    pieces = [src.flat[start:stop].view(np.uint8).reshape(stop - start, -1) if is_small
+              else next(fresh) for src, is_small in zip(sources, small)]
     seps = np.full((stop - start, len(order)), ord(","), dtype=np.uint8)
     seps[:, -1] = ord("\n")
     chars = [m for n, j in enumerate(order) for m in (pieces[j], seps[:, n:n + 1])]
@@ -420,14 +411,14 @@ def _block_rows(sources, small, order, start, stop):
 
 def _table_blocks(distinct, order, shape):
     """Rows of the broadcast table as bytes, in blocks of _WRITE_BLOCK_CELLS cells of its
-    full-size columns (at least one row). Column j of the table is distinct[order[j]]."""
+    full-size columns (at least one row). Column j of the table is distinct[order[j]]; a
+    column smaller than the table is a read-only broadcast view of its _packed cells."""
     size = math.prod(shape)
     small = [d.size < size for d in distinct]
     block = max(1, _WRITE_BLOCK_CELLS // small.count(False))
-    # A column smaller than the table is formatted once, in NUL-padded rows as every
-    # other piece; each block takes its rows by index, and its translate compacts them.
-    sources = [(_packed(d.ravel()), _row_steps(shape, d.shape)) if is_small else d.reshape(-1)
-               for d, is_small in zip(distinct, small)]
+    # A small column is formatted once; each block copies its rows, and one translate packs them.
+    sources = [np.broadcast_to(_packed(d.ravel()).reshape(d.shape), shape) if is_small
+               else d.reshape(-1) for d, is_small in zip(distinct, small)]
     for i in range(0, size, block):
         yield _block_rows(sources, small, order, i, min(i + block, size))
 
@@ -512,13 +503,15 @@ class TooManyRows(ValueError):
         self.rows = rows
 
 
-def _data_rows(data: bytes) -> int:
-    """The rows np.loadtxt would parse: the non-empty lines after the header, under
-    universal newlines."""
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    lines = data.count(b"\n") + (not data.endswith(b"\n"))
-    return lines - sum(len(run) - 1 for run in re.findall(rb"\n\n+", data)) - 1
+def _data_rows(fh) -> int:
+    """The rows np.loadtxt would parse from a seekable binary file: the non-empty lines after
+    the header, under universal newlines, read from its start one line at a time (latin-1
+    decodes any byte), so the count holds no more than a line of the file."""
+    fh.seek(0)
+    text = io.TextIOWrapper(fh, encoding="latin-1")
+    rows = sum(line != "\n" for line in itertools.islice(text, 1, None))
+    text.detach()
+    return rows
 
 
 def _read_columns(path, names, max_rows=None) -> np.ndarray:
@@ -530,7 +523,7 @@ def _read_columns(path, names, max_rows=None) -> np.ndarray:
     column raises KeyError, a short row or malformed cell ValueError. A
     header-only file gives empty columns, without numpy's no-data warning.
     A file of more than max_rows data rows raises TooManyRows before it is
-    hashed or parsed.
+    read whole, hashed or parsed.
 
     Parsed columns are cached per process under the file's content and the
     names, never its path, size or mtime: every call reads and hashes the
@@ -541,10 +534,13 @@ def _read_columns(path, names, max_rows=None) -> np.ndarray:
     returns a fresh copy, which the caller may mutate.
     """
     with open(path, "rb") as fh:
+        fh = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe is read once, and held
+        # Each data row holds a byte, so only a file of more than max_rows bytes is counted.
+        if max_rows is not None and fh.seek(0, io.SEEK_END) > max_rows \
+                and (rows := _data_rows(fh)) > max_rows:
+            raise TooManyRows(rows, max_rows)
+        fh.seek(0)
         data = fh.read()
-    # Each data row holds a byte, so only a file of more than max_rows bytes is counted.
-    if max_rows is not None and len(data) > max_rows and (rows := _data_rows(data)) > max_rows:
-        raise TooManyRows(rows, max_rows)
     key = (hashlib.sha256(data).digest(), tuple(names))
     seen = key in _column_cache
     columns = _column_cache.pop(key, None)  # put back below as the most recent key

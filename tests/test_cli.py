@@ -714,6 +714,22 @@ class TestKernelBudget:
         assert json.loads(err[0]) == {"error": "invalid input file", "violations": [violation]}
         assert not out.exists()
 
+    def test_refusal_does_not_hold_the_file(self, tmp_path, monkeypatch, capsys):
+        # 4.8 MB of 400 000 rows: the reader counts them a line at a time and refuses the file
+        # without reading it whole, which alone would peak at the file's 4.6 MiB.
+        monkeypatch.setattr(cli, "ROWS_MAX", 10)
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"omega,density,phase\n" + b"0.5,1.0,0.0\n" * 400_000)
+        tracemalloc.start()
+        try:
+            code = cli.run("fig6", dict(input_params("fig6", str(path)), n_t=5), tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**20
+        violation = "spectrum_csv: 400000 rows exceed the budget ROWS_MAX = 10"
+        assert json.loads(capsys.readouterr().err)["violations"] == [violation]
+
     @pytest.mark.parametrize("ending", [b"\r\n\r\n", b"\r\r", b"\n\n"],
                              ids=["crlf", "cr", "lf"])
     def test_blank_lines_do_not_count_against_the_row_budget(self, ending, tmp_path,

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -691,7 +692,7 @@ class TestCsvInterchange:
 
 
 class TestRowCount:
-    """_read_columns counts the rows of the bytes it holds, before any parse, as np.loadtxt does."""
+    """_read_columns counts the rows of the open file, before any parse, as np.loadtxt does."""
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -704,13 +705,26 @@ class TestRowCount:
         data = (text if trailing else text[:-len(ends[len(lines)])]).encode()
         path = tmp_path / "rows.csv"
         path.write_bytes(data)
-        rows = spectra._data_rows(data)
+        with open(path, "rb") as fh:
+            rows = spectra._data_rows(fh)
         assert rows == spectra._read_columns(path, ("a", "b", "c")).shape[1]
         assert spectra._read_columns(path, ("a", "b", "c"), max_rows=rows).shape[1] == rows
         if rows:
             with pytest.raises(spectra.TooManyRows) as info:
                 spectra._read_columns(path, ("a", "b", "c"), max_rows=rows - 1)
             assert info.value.rows == rows
+
+    def test_pipe_over_max_rows_is_refused(self, tmp_path):
+        # A pipe has no size until it is read: it is held whole and counted as a file is.
+        path = tmp_path / "rows.csv"
+        os.mkfifo(path)
+        data = b"omega,density,phase\n" + b"0.5,1.0,0.0\n" * 11
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        with pytest.raises(spectra.TooManyRows, match="11 data rows exceed max_rows = 10"):
+            spectra.read_profile_csv(path, max_rows=10)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_over_max_rows_is_not_parsed(self, tmp_path):
         path = tmp_path / "rows.csv"
