@@ -129,8 +129,9 @@ EPSILON = (_real, lambda x: 0 <= x <= 0.5, "epsilon must be <= 0.5 and >= 0")
 GRID_SIZE = (_integer, lambda n: n >= 2, "must be >= 2")
 PATH = (_string, None, None)
 FLAG = (_flag, None, None)
-# Largest rows one run writes (over all files) or reads, and dense grid cells fig3 evaluates
-# (kappa_numeric needs no cell budget: O((n_t + n_omega) log) per Taylor term on any grid).
+# Largest rows one run writes (over all files) or reads, and dense cells of fig3's configured
+# grids, n_t * (len(phi_values) + n_phi) (it evaluates n_t * (len(phi_values) + ceil(n_phi / 2)));
+# kappa_numeric needs no cell budget: O((n_t + n_omega) log) per Taylor term on any grid.
 ROWS_MAX = 1_000_000
 CELLS_MAX = 10_000_000
 NV_KEYS = {
@@ -142,8 +143,8 @@ NV_KEYS = {
 
 
 def _size(keys: str, rows: int, cells: int = 0):
-    """Violation if a run writes or reads more than ROWS_MAX rows or evaluates more
-    than CELLS_MAX dense cells (fig3 alone counts them), else None."""
+    """Violation if a run writes or reads more than ROWS_MAX rows or its grids span more
+    than CELLS_MAX dense cells (fig3 alone counts them, on its configured grids), else None."""
     if rows > ROWS_MAX:
         return f"{keys}: {rows} rows exceed the budget ROWS_MAX = {ROWS_MAX}"
     if cells > CELLS_MAX:
@@ -176,7 +177,9 @@ def _fig3(v):
     nv = nvmodel.NVParams(**{key: v[key] for key in NV_KEYS})
     t, grid = np.linspace(0, v["t_max"], v["n_t"]), np.linspace(0, np.pi, v["n_phi"])
     bloch = (t, np.c_[v["phi_values"]], nvmodel.bloch_magnitude(nv, v["phi_values"], t))
-    nm = (grid, nvmodel.nm_measure_phi(nv, grid, t))
+    # r depends on phi only through cos^2(phi): evaluate phi <= pi/2, mirror onto phi > pi/2.
+    half = nvmodel.nm_measure_phi(nv, grid[:(v["n_phi"] + 1) // 2], t)
+    nm = (grid, np.concatenate([half, half[:v["n_phi"] // 2][::-1]]))
     return [("fig3_bloch.csv", ["t", "phi", "r"], bloch), ("fig3_nm.csv", ["phi", "nm"], nm)], {}
 
 

@@ -100,6 +100,8 @@ def nm_measure_phi(params: NVParams, phi_grid, t_grid) -> np.ndarray:
 
     blp_from_magnitudes of the bloch_magnitude closed form, in blocks of phi
     rows of at most _PHI_BLOCK_CELLS cells (no n_phi x n_t array), all in one buffer.
+    r depends on phi only through cos^2(phi), so nm(phi) = nm(pi - phi) up to the rounding
+    of cos(pi - phi); every phi given is evaluated (fig3 folds its grid about pi/2).
     """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     if phi_grid.size == 0 or np.size(t_grid) < 2:

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmlab import cli, sdc, spectra
+from nmlab import cli, nvmodel, sdc, spectra
 
 import oracles
+from test_nvmodel import nv_params, oracle_nm
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -863,6 +865,30 @@ class TestOutputs:
         raw = (tmp_path / "fig2.csv").read_bytes()
         assert b"\r" not in raw
         assert raw.split(b"\n", 1)[0] == b"epsilon,C1,C2,C2_minus_C1,classification"
+
+
+class TestFig3Fold:
+    """r depends on phi only through cos^2(phi), so fig3 evaluates nm on its grid's phi <= pi/2
+    and mirrors it onto the rest."""
+
+    @pytest.mark.parametrize("n_phi", [2, 3, 24, 25])
+    @settings(max_examples=20, deadline=None)
+    @given(params=nv_params, t_max=st.floats(0.1, 20.0), n_t=st.integers(2, 300))
+    def test_nm_column_is_its_half_grid_mirrored(self, n_phi, params, t_max, n_t,
+                                                  tmp_path_factory):
+        out, calls, measure = tmp_path_factory.mktemp("fig3"), [], nvmodel.nm_measure_phi
+        config = dict(dataclasses.asdict(params), phi_values=[0.5], t_max=t_max, n_t=n_t,
+                      n_phi=n_phi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nvmodel, "nm_measure_phi", lambda *args: calls.append(args) or measure(*args))
+            assert cli.run("fig3", config, out) == 0
+        assert len(calls) == 1
+        nm = np.array([float(row["nm"]) for row in read_rows(out / "fig3_nm.csv")])
+        grid, t = np.linspace(0, np.pi, n_phi), np.linspace(0, t_max, n_t)
+        assert np.array_equal(nm, nm[::-1])
+        half = grid[:(n_phi + 1) // 2]
+        assert np.array_equal(nm[:half.size], measure(params, half, t))
+        np.testing.assert_allclose(nm, oracle_nm(params, grid, t), rtol=0, atol=1e-12)
 
 
 FIG4_PARAMS = {"sigma": st.floats(1e-3, 5.0),

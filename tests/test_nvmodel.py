@@ -198,6 +198,14 @@ class TestNmMeasure:
         assert max(results, key=results.get) == pytest.approx(np.pi / 2)
         assert results[phis[3]] < results[np.pi / 2]
 
+    @settings(max_examples=100, deadline=None)
+    @given(params=nv_params, phi=angles, n_t=st.integers(2, 400), t_max=st.floats(1e-3, 50.0))
+    def test_symmetric_about_the_equator(self, params, phi, n_t, t_max):
+        # r depends on phi only through cos^2(phi): fig3 mirrors nm about pi/2 on this identity.
+        t = np.linspace(0, t_max, n_t)
+        nm = nvmodel.nm_measure_phi(params, [phi, np.pi - phi], t)
+        np.testing.assert_allclose(nm[0], nm[1], rtol=0, atol=1e-12)
+
 
 class TestGates:
     def test_u1_is_minus_pi_x_rotation(self):
