@@ -50,17 +50,13 @@ def _edges(eps):
             (abs(eps - 0.5) <= SINGULAR_EPS_TOL, (2, -np.inf, np.inf)))
 
 
-def _lam_xz(eps):
-    """x/z eigenvalue of the intermediate map, squaring as products (x**2 is libm pow)."""
-    a = 1 - 2 * eps
-    return (a * a + 4 * (eps * eps)) / a
-
-
 def _intermediate(eps) -> PauliChannel:
     """The intermediate map: the two-collision map's Bloch eigenvalues
     ((1-2eps)^2 + 4eps^2, (1-4eps)^2, same) over the first collision's (1-2eps, 1-4eps, same),
-    so lam_x = lam_z = ((1-2eps)^2 + 4eps^2)/(1-2eps) and lam_y = (1-4eps)^2/(1-4eps)."""
-    lam_xz, b = _lam_xz(eps), 1 - 4 * eps
+    so lam_x = lam_z = ((1-2eps)^2 + 4eps^2)/(1-2eps) and lam_y = (1-4eps)^2/(1-4eps),
+    squared as products (x**2 is libm pow)."""
+    a, b = 1 - 2 * eps, 1 - 4 * eps
+    lam_xz = (a * a + 4 * (eps * eps)) / a
     return PauliChannel(lam_xz, b * b / b, lam_xz)
 
 
@@ -96,19 +92,6 @@ def classify(eps) -> DivisibilityVerdict:
     if eps.ndim == 0:
         return DivisibilityVerdict(Classification(label.item()), min_choi.item(), max_bloch.item())
     return DivisibilityVerdict(label, min_choi, max_bloch)
-
-
-def find_transition() -> float:
-    """Locate the weak -> strong transition to 1e-10 by bisection on where _lam_xz, the
-    intermediate map's x/z eigenvalue extended through the singular point, crosses 1."""
-    lo, hi = 0.05, 0.45  # _lam_xz is 0.91 and 8.2 there
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if _lam_xz(mid) > 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def entanglement_dynamics(eps):

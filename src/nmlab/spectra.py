@@ -86,10 +86,6 @@ class SpectralProfile:
         if abs(total - 1.0) > DENSITY_NORM_TOL:
             raise ValueError(f"density must integrate to 1 (got {total})")
 
-    @property
-    def step(self) -> float:
-        return float(self.omega[1] - self.omega[0])
-
 
 def _uniform_steps(d: np.ndarray) -> bool:
     """Whether a grid's steps d are uniform: d[0] > 0 and every step within 1e-9 d[0] of it."""
@@ -356,12 +352,13 @@ TRAJECTORY_COLUMNS = ("t", "re_kappa", "im_kappa")
 # blocks too, within tests/test_cli.py::TestWriterMemory; fig6 then makes 7 calls, not 10.
 _WRITE_BLOCK_CELLS = 6 << 10
 # A call's float cells go through the kernel if they are at least this many, else repr;
-# a table whose full-size columns hold fewer distinct float cells than this is joined
-# with one % operation, any other written in blocks. The kernel costs about 0.25 ms per
-# call plus 0.15 us per cell on 2 CPUs. In-process, alternating, 60-100 writes each, it
-# breaks even with % at about 600 float cells of fig6's tables, 700 of fig5's, 1100 of
-# fig4's and 1200 of fig2's, whose labels it formats with str() either way; 1200 keeps
-# fig2 and fig4 (the sweep benchmark) off the kernel where it is slower.
+# a table of full-size columns only whose rows times distinct float columns (at least 1)
+# are fewer than this is joined with one % operation, any other written in blocks (so a
+# table with a small column always is). The kernel costs about 0.25 ms per call plus
+# 0.15 us per cell on 2 CPUs. In-process, alternating, 60-100 writes each, it breaks even
+# with % at about 600 float cells of fig6's tables, 700 of fig5's, 1100 of fig4's and 1200
+# of fig2's, whose labels it formats with str() either way; 1200 keeps fig2 and fig4 (the
+# sweep benchmark) off the kernel where it is slower.
 _KERNEL_MIN_CELLS = 1200
 
 
@@ -411,11 +408,11 @@ def _block_rows(sources, small, order, start, stop):
 
 def _table_blocks(distinct, order, shape):
     """Rows of the broadcast table as bytes, in blocks of _WRITE_BLOCK_CELLS cells of its
-    full-size columns (at least one row). Column j of the table is distinct[order[j]]; a
+    full-size columns, or rows if none (at least one row). Column j is distinct[order[j]]; a
     column smaller than the table is a read-only broadcast view of its _packed cells."""
     size = math.prod(shape)
     small = [d.size < size for d in distinct]
-    block = max(1, _WRITE_BLOCK_CELLS // small.count(False))
+    block = max(1, _WRITE_BLOCK_CELLS // max(1, small.count(False)))
     # A small column is formatted once; each block copies its rows, and one translate packs them.
     sources = [np.broadcast_to(_packed(d.ravel()).reshape(d.shape), shape) if is_small
                else d.reshape(-1) for d, is_small in zip(distinct, small)]
@@ -423,19 +420,13 @@ def _table_blocks(distinct, order, shape):
         yield _block_rows(sources, small, order, i, min(i + block, size))
 
 
-def _joined(distinct, order, shape, size) -> bytes:
-    """Rows of the broadcast table from one % operation ('%s' of a float is its repr)."""
-    cells = []
-    for j, d in enumerate(distinct):
-        text = d.ravel().tolist()
-        if d.size < size:  # formatted on its own shape; the broadcast repeats the strings
-            text = np.array(list(map(str, text)), dtype=object).reshape(d.shape)
-            text = np.broadcast_to(text, shape).ravel().tolist()
-        elif order.count(j) > 1:
-            text = list(map(str, text))
-        cells.append(text)
+def _joined(distinct, order) -> bytes:
+    """Rows of a table of full-size columns from one % operation ('%s' of a float is its repr)."""
+    cells = [list(map(str, d.ravel().tolist())) if order.count(j) > 1 else d.ravel().tolist()
+             for j, d in enumerate(distinct)]
     row = "%s," * (len(order) - 1) + "%s\n"
-    return (row * size % tuple(itertools.chain.from_iterable(zip(*(cells[j] for j in order))))
+    return (row * distinct[0].size
+            % tuple(itertools.chain.from_iterable(zip(*(cells[j] for j in order))))
             ).encode("utf-8")
 
 
@@ -446,8 +437,9 @@ def write_csv(path, header, columns) -> str:
     the rows are the broadcast table in C order, so 0-d columns alone give
     one row. Every float cell, numpy scalars included, is written as
     repr(float(v)), so it reads back exactly; any other cell as str(v).
-    Columns that do not broadcast, and text (cells or header) with a comma,
-    '"', CR, LF or NUL raise ValueError before the file is opened.
+    Columns that do not broadcast, a header of another length than columns,
+    and text (cells or header) with a comma, '"', CR, LF or NUL raise
+    ValueError before the file is opened.
 
     Each distinct cell is formatted once: an array passed as two columns (as
     fig5's U1/U2 and U3/U4 are) once, and a column smaller than the table on
@@ -460,12 +452,16 @@ def write_csv(path, header, columns) -> str:
     padded with NUL bytes, whose NULs one bytes.translate drops to give the
     block's bytes. A call of fewer than _KERNEL_MIN_CELLS float cells (a
     short column such as fig1's A_theta, a table's last block) goes through
-    repr instead. A table whose full-size columns hold fewer than
-    _KERNEL_MIN_CELLS distinct float cells is joined with one % operation
-    instead of written in blocks. Blocks bound the memory to about 180 B per
-    cell formatted at once; the bytes are hashed as they are written.
+    repr instead. A table of full-size columns only, whose rows times its
+    distinct float columns (at least one) are fewer than _KERNEL_MIN_CELLS
+    (fig2, fig4 and classify at their shipped sizes), is joined with one %
+    operation instead of written in blocks. Blocks bound the memory to about
+    180 B per cell formatted at once; the bytes are hashed as they are
+    written.
     """
     columns = [np.asarray(column) for column in columns]
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
     shape = np.broadcast_shapes(*(column.shape for column in columns))
     size = math.prod(shape)
     distinct = list({id(column): column for column in columns}.values())  # ids of held arrays
@@ -481,9 +477,9 @@ def write_csv(path, header, columns) -> str:
             digest.update(data)
             fh.write(data)
         put((",".join(header) + "\n").encode("utf-8"))
-        full_floats = sum(d.dtype == np.float64 and d.size == size for d in distinct)
-        if size * full_floats < _KERNEL_MIN_CELLS:
-            put(_joined(distinct, order, shape, size))
+        floats = sum(d.dtype == np.float64 for d in distinct)
+        if all(d.size == size for d in distinct) and size * max(1, floats) < _KERNEL_MIN_CELLS:
+            put(_joined(distinct, order))
         else:
             for rows in _table_blocks(distinct, order, shape):
                 put(rows)
@@ -530,8 +526,8 @@ def _read_columns(path, names, max_rows=None) -> np.ndarray:
     bytes, so a file rewritten in place is never read stale. Content is
     parsed again and kept on its second read and reused from its third. The
     cache holds the _CACHE_KEYS most recently read keys, no array of a file
-    read once, and no error: a bad file raises on every read. Every call
-    returns a fresh copy, which the caller may mutate.
+    read once, and no error: a bad file raises on every read. A first read
+    returns its parse, any later one a copy; the caller may mutate either.
     """
     with open(path, "rb") as fh:
         fh = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe is read once, and held
@@ -555,7 +551,7 @@ def _read_columns(path, names, max_rows=None) -> np.ndarray:
     _column_cache[key] = columns if seen else None
     if len(_column_cache) > _CACHE_KEYS:
         del _column_cache[next(iter(_column_cache))]
-    return columns.copy()
+    return columns.copy() if seen else columns
 
 
 def write_profile_csv(profile: SpectralProfile, path) -> None:

@@ -24,7 +24,10 @@ def report(request, ok: bool):
 
 def test_criterion_01_collision_transition(request):
     start = time.perf_counter()
-    ok = abs(collision.find_transition() - 0.25) <= 1e-9
+    eps, tol = collision.SINGULAR_EPS, collision.SINGULAR_EPS_TOL
+    edge = [collision.classify(e).classification for e in (eps - 2 * tol, eps, eps + 2 * tol)]
+    ok = eps == 0.25 and edge == [Classification.WEAK_NM, Classification.SINGULAR,
+                                  Classification.STRONG_NM]
     for eps in np.arange(0.001, 0.25, 0.001):
         ok = ok and collision.classify(float(eps)).classification is Classification.WEAK_NM
     for eps in np.arange(0.251, 0.5001, 0.001):

@@ -108,8 +108,8 @@ def test_synth_of_fig6_round_trips(a_theta, sigma, delta_omega, delta_n, two_pi,
 @example(eps_min=0.05, eps_max=0.45, n=9)  # a grid point within rounding of 1/4: singular
 def test_fig2_labels_bracket_the_transition(eps_min, eps_max, n, tmp_path_factory):
     # eps_min > 0 is weak (its negative Choi weight, about -8 eps^2, is past the 1e-10
-    # tolerance) and eps_max strong. eps within 1e-9 of 1/4 is singular and find_transition()
-    # within 1e-10 of 1/4, so the last weak and the first strong eps bracket it.
+    # tolerance) and eps_max strong. eps within 1e-9 of SINGULAR_EPS = 1/4, the transition, is
+    # singular, so the last weak and the first strong eps bracket it.
     out = tmp_path_factory.mktemp("fig2")
     params = {"eps_min": eps_min, "eps_max": eps_max, "eps_step": (eps_max - eps_min) / (n - 1)}
     assert cli.run("fig2", params, out) == 0
@@ -118,7 +118,7 @@ def test_fig2_labels_bracket_the_transition(eps_min, eps_max, n, tmp_path_factor
     col = dict(zip(header, np.array(rows).T))
     labels = col["classification"]
     eps, c1, c2 = (col[name].astype(float) for name in ("epsilon", "C1", "C2"))
-    assert eps[labels == "weak"].max() < collision.find_transition() < eps[labels == "strong"].min()
+    assert eps[labels == "weak"].max() < collision.SINGULAR_EPS < eps[labels == "strong"].min()
     assert np.all((0 <= c1) & (c1 <= 1) & (0 <= c2) & (c2 <= 1))
 
 

@@ -1046,6 +1046,21 @@ class TestWriterMemory:
             tracemalloc.stop()
         assert peak <= bound_mib * 2**20
 
+    @pytest.mark.parametrize("header, columns, bound_mib", [
+        (["t", "A_theta"], (np.linspace(0, 5, 200_000), np.c_[[0.0, 0.25, 0.5, 0.75, 1.0]]), 12),
+        (["i", "j"], (np.arange(10**6), 7 * np.arange(10**6) - 3), 1)], ids=["t_x_a", "ints"])
+    def test_peak_without_full_size_floats(self, header, columns, bound_mib, tmp_path):
+        # 10**6 rows with no full-size float column go in blocks, not one % string: measured
+        # 9.0 and 0.3 MiB (Python 3.11, numpy 2.4), against 76 and 115 MiB joined.
+        spectra.write_csv(tmp_path / "warm.csv", header, [c[:10] for c in columns])
+        tracemalloc.start()
+        try:
+            spectra.write_csv(tmp_path / "t.csv", header, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
+
 
 # JSON values of every kind: strings, booleans, null, +-1e308 and other finite floats, ints that
 # are small or at least 10**12 in magnitude, and lists and objects nesting any of them.

@@ -179,7 +179,12 @@ class TestClassification:
 
 class TestTransition:
     def test_transition_location(self):
-        assert collision.find_transition() == pytest.approx(0.25, abs=1e-9)
+        # The weak -> strong transition is the singular point SINGULAR_EPS = 1/4: weak just
+        # below its tolerance band, singular inside it and strong just above it.
+        eps, tol = collision.SINGULAR_EPS, collision.SINGULAR_EPS_TOL
+        assert eps == 0.25
+        labels = collision.classify(eps + tol * np.array([-2, -0.5, 0.5, 2])).classification
+        assert labels.tolist() == ["weak", "singular", "singular", "strong"]
 
     def test_scan_confirms_threshold(self):
         for eps in np.arange(0.26, 0.5, 0.01):

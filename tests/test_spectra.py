@@ -5,6 +5,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -288,7 +289,8 @@ class TestChirpKernel:
         profile = random_profile(rng, np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w))
         assert uniform_to_rounding(t, profile.omega)
         kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
-        phase = abs(scale * (t[1] - t[0]) * profile.step) * (n_t + n_w) ** 2 / 2
+        dw = profile.omega[1] - profile.omega[0]
+        phase = abs(scale * (t[1] - t[0]) * dw) * (n_t + n_w) ** 2 / 2
         tol = 1e-14 + phase * np.finfo(float).eps / 8
         assert np.max(np.abs(kappa - longdouble_kappa(profile, scale, t))) <= tol
 
@@ -427,7 +429,7 @@ class TestSynthesis:
         peak = prof.omega[np.argmax(prof.density)]
         assert peak == pytest.approx(omega0, abs=1e-12)
         # essentially all weight in one bin
-        assert prof.density.max() * prof.step > 0.999
+        assert prof.density.max() * (prof.omega[1] - prof.omega[0]) > 0.999
 
     def test_two_phasor_kappa_recovers_two_equal_peaks(self):
         t = np.linspace(0, 16, 2048)
@@ -443,7 +445,8 @@ class TestSynthesis:
         assert w_pos == pytest.approx(0.5, abs=5e-3)
         assert w_neg == pytest.approx(0.5, abs=5e-3)
         assert w_pos == pytest.approx(w_neg, abs=1e-12)
-        assert prof.omega[pos][np.argmax(prof.density[pos])] == pytest.approx(half, abs=prof.step)
+        step = prof.omega[1] - prof.omega[0]
+        assert prof.omega[pos][np.argmax(prof.density[pos])] == pytest.approx(half, abs=step)
 
     def test_short_window_flagged_unrealizable(self):
         t = np.linspace(0, 1.0, 64)  # |kappa| still ~0.6 at the end
@@ -621,6 +624,14 @@ class TestCsvInterchange:
         lines = (tmp_path / "c.csv").read_text().splitlines()
         assert lines == ["a,b,c"] + [f"{float(j)},{4.0 + j},{8.0 + j}" for j in range(4)]
 
+    @pytest.mark.parametrize("header", [["a"], ["a", "b", "c"]], ids=["short", "long"])
+    def test_header_of_another_length_is_refused(self, header, tmp_path):
+        # One header name per column: a missing or extra name is not written as a shifted row.
+        x = np.linspace(0, 1, 5)
+        with pytest.raises(ValueError, match="header names for 2 columns"):
+            spectra.write_csv(tmp_path / "c.csv", header, (x, -x))
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("columns", [(np.zeros(3), np.zeros(4)),
                                          (np.zeros((2, 3)), np.c_[[1.0, 2.0, 3.0]])])
     def test_columns_that_do_not_broadcast_raise(self, columns, tmp_path):
@@ -763,6 +774,18 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def writer_routes(monkeypatch):
+    """The route of each write_csv call from now on: "_joined" or "_table_blocks"."""
+    routes = []
+    for name in ("_joined", "_table_blocks"):
+        monkeypatch.setattr(spectra, name, lambda *args, name=name, f=getattr(spectra, name):
+                            routes.append(name) or f(*args))
+    return routes
+
+
+SHORT = spectra._KERNEL_MIN_CELLS * 2 // 5  # a fig1-like (2, SHORT) table: each call below it
+
+
 def scenario_table(scenario, **overrides):
     """(header, columns) of the first CSV a scenario writes from its shipped config."""
     params = dict(json.loads((CONFIGS / f"{scenario}.json").read_text()), **overrides)
@@ -775,8 +798,9 @@ def scenario_table(scenario, **overrides):
 
 
 class TestWriterPaths:
-    """The % path for tables whose full-size columns hold fewer than _KERNEL_MIN_CELLS
-    distinct float cells, and the block path from there, block by block."""
+    """The % path for tables of full-size columns only whose rows times distinct float
+    columns (at least one) are fewer than _KERNEL_MIN_CELLS, and the block path for any
+    other table, block by block."""
 
     @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
     def test_switch_edges(self, offset, tmp_path, monkeypatch):
@@ -793,16 +817,35 @@ class TestWriterPaths:
         assert calls == [cells] * (offset >= 0)
 
     def test_table_of_short_calls_is_joined(self, tmp_path, monkeypatch):
+        # fig2-like: full-size columns whose rows times distinct float columns (c passed twice
+        # counts once) are below the threshold are joined; one float column more, and they
+        # are written in one block of one kernel call.
+        n = spectra._KERNEL_MIN_CELLS // 3 - 1
+        rng = np.random.default_rng(n)
+        eps, (c, d, f) = np.linspace(0, 0.5, n), rng.uniform(size=(3, n))
+        labels = np.array(["weak", "strong"])[rng.integers(0, 2, n)]
+        calls, routes = kernel_calls(monkeypatch), writer_routes(monkeypatch)
+        for header, columns in [(list("ecdxl"), [eps, c, d, c, labels]),
+                                (list("ecdxlf"), [eps, c, d, c, labels, f])]:
+            spectra.write_csv(tmp_path / "t.csv", header, columns)
+            assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(header, columns)
+        assert calls == [4 * n] and routes == ["_joined", "_table_blocks"]
+
+    @pytest.mark.parametrize("header, columns", [
         # fig1-like: t and the block of kappa_mag each below the threshold, together above it.
-        n = spectra._KERNEL_MIN_CELLS * 2 // 5
-        header, columns = ["t", "a", "mag"], [np.linspace(0, 1, n), np.c_[[0.5, 1.0]],
-                                              np.random.default_rng(n).uniform(size=(2, n))]
-        calls, joined = kernel_calls(monkeypatch), []
-        monkeypatch.setattr(spectra, "_joined", lambda *args, f=spectra._joined: joined.append(1)
-                            or f(*args))
+        (["t", "a", "mag"], [np.linspace(0, 1, SHORT), np.c_[[0.5, 1.0]],
+                             np.random.default_rng(SHORT).uniform(size=(2, SHORT))]),
+        (["t", "a"], [np.linspace(0, 1, 3), np.c_[[0.5, 1.0]]]),  # no full-size column
+        (["i", "l"], [np.arange(3), "weak"]),  # a small column and no float column
+        (["i", "j"], list(np.arange(-spectra._KERNEL_MIN_CELLS, spectra._KERNEL_MIN_CELLS)
+                          .reshape(2, -1)))],
+        ids=["fig1_short", "t_x_a", "ints_and_label", "ints"])
+    def test_small_or_no_float_columns_take_blocks(self, header, columns, tmp_path, monkeypatch):
+        # Without the kernel: each call has fewer than _KERNEL_MIN_CELLS float cells.
+        calls, routes = kernel_calls(monkeypatch), writer_routes(monkeypatch)
         spectra.write_csv(tmp_path / "t.csv", header, columns)
         assert (tmp_path / "t.csv").read_bytes() == csv_module_bytes(header, columns)
-        assert calls == [] and joined == [1]
+        assert calls == [] and routes == ["_table_blocks"]
 
     @pytest.mark.parametrize("rows", [spectra._WRITE_BLOCK_CELLS // 6 + d for d in (-1, 0, 1)]
                              + [2 * (spectra._WRITE_BLOCK_CELLS // 6) + 1])
@@ -869,20 +912,27 @@ class TestWriterPaths:
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(kinds=st.lists(st.sampled_from(["full", "t", "a", "0-d", "labels", "kinds", "again"]),
-                          min_size=1, max_size=6),
+    @given(kinds=st.lists(st.sampled_from(["full", "t", "a", "0-d", "labels", "ints", "kinds",
+                                           "again"]), min_size=1, max_size=6),
            k=st.integers(1, 3), edge=st.sampled_from(["switch", "block", "chunk"]),
            offset=st.integers(-2, 2), seed=st.integers(0, 2**32 - 1))
     @example(kinds=["t", "full", "again", "kinds"], k=2, edge="chunk", offset=1, seed=0)
+    @example(kinds=["t", "a", "kinds", "0-d"], k=3, edge="block", offset=1, seed=1)
+    @example(kinds=["t", "again", "a"], k=2, edge="switch", offset=0, seed=2)
+    @example(kinds=["ints", "labels", "again"], k=1, edge="switch", offset=0, seed=3)
+    @example(kinds=["ints", "a"], k=2, edge="block", offset=1, seed=4)
     def test_random_tables_match_csv_module(self, kinds, k, edge, offset, seed, tmp_path):
         # A (k, m) table of float columns, each of one magnitude range or of all, both signs;
-        # broadcast columns, string columns, and the previous column passed again. m puts the
-        # table's kernel calls at _KERNEL_MIN_CELLS, its rows at a block's edge, or a (m,)
-        # column at the edge of the chunks it is formatted in.
+        # broadcast columns, string and int columns, and the previous column passed again,
+        # with or without a full-size column. m puts the table's kernel calls or the % path's
+        # end at _KERNEL_MIN_CELLS, its rows at a block's edge, or a (m,) column at the edge
+        # of the chunks it is formatted in.
         rng = np.random.default_rng(seed)
         full_floats = sum(kind == "full" or kind == "t" and k == 1 for kind in kinds)
-        block = spectra._WRITE_BLOCK_CELLS // max(1, full_floats + kinds.count("labels"))
-        # The switch: a block's full-size float cells, or else a t column's, at the threshold.
+        full = full_floats + kinds.count("labels") + kinds.count("ints")
+        block = spectra._WRITE_BLOCK_CELLS // max(1, full)
+        # The switch: a block's full-size float cells, or else a t column's, or else the
+        # rows of a table of full-size columns, at the threshold.
         switch = (-(-spectra._KERNEL_MIN_CELLS // full_floats) if full_floats
                   else k * spectra._KERNEL_MIN_CELLS)
         rows = {"switch": switch, "block": block, "chunk": k * spectra._WRITE_BLOCK_CELLS}[edge]
@@ -896,6 +946,8 @@ class TestWriterPaths:
                 shape = (k, m) if kind == "labels" else (k, 1)
                 columns.append(np.array(["markovian", "weak", "strong", "singular"])[
                     rng.integers(0, 4, shape)])
+            elif kind == "ints":
+                columns.append(rng.integers(-(10**12), 10**12, (k, m)))
             else:
                 shape = shapes[kind]
                 lo, hi = [(-300, 300), (-1, 0), (-6, 18), (100, 101), (0, 1)][rng.integers(5)]
@@ -950,6 +1002,30 @@ class TestColumnCache:
             assert np.array_equal(got.phase, profile.phase)
             got.omega[:], got.density[:], got.phase[:] = 0.0, -1.0, 7.0
             spectra._read_columns(path, spectra.PROFILE_COLUMNS)[:] = np.nan
+
+    def test_first_read_returns_its_parse(self, tmp_path, column_cache):
+        # A first read holds the file's bytes (41 B a row here) and its parse (24 B), not a
+        # copy of the parse (24 B more): 66 B a row measured (Python 3.11, numpy 2.4), 89
+        # with the copy. Mutating it reaches neither the second read, which parses again
+        # and keeps that, nor the third, a copy of what the second kept.
+        n = 10**5
+        omega = np.linspace(-50, 50, n)
+        density = np.exp(-omega**2 / 2)
+        profile = SpectralProfile(omega, density / np.trapezoid(density, omega), np.zeros(n))
+        path = tmp_path / "spectrum.csv"
+        spectra.write_profile_csv(profile, path)
+        tracemalloc.start()
+        try:
+            first = spectra._read_columns(path, spectra.PROFILE_COLUMNS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * n
+        first[:] = np.nan
+        for _ in range(2):
+            got = spectra._read_columns(path, spectra.PROFILE_COLUMNS)
+            assert np.array_equal(got, [profile.omega, profile.density, profile.phase])
+            got[:] = np.nan
 
     @pytest.mark.parametrize(
         "corrupt, error, match",
