@@ -243,15 +243,13 @@ def format_repr(x: np.ndarray) -> np.ndarray:
     frac = used[_FRAC:_EXP]
     frac |= np.logical_or.accumulate(frac) & np.logical_or.accumulate(frac[::-1])[::-1]
     cols = np.flatnonzero(used)
-    index = np.zeros(len(keep_rows), dtype=np.intp)
-    index[present] = np.arange(present.size)
     chars = np.tile(_TEMPLATE[cols], (n, 1))
     for lo, hi, source in ((_INT, _DOT, digits), (_FRAC, _EXP, digits),
                            (_EXP + 3, WIDTH, exp_digits.take(mag, axis=0))):
         a, b = np.searchsorted(cols, (lo, hi))
         first = np.argmax(used[lo:hi])
         chars[:, a:b] = source[:, first:first + b - a]
-    chars *= layouts[:, cols].take(index.take(rows), axis=0)  # NUL in the bytes repr drops
+    chars *= keep_rows[:, cols].take(rows, axis=0)  # NUL in the bytes repr drops
     for i in special:
         chars[i] = np.frombuffer(repr(float(x[i])).encode().ljust(cols.size, b"\0"), np.uint8)
     return chars

@@ -32,6 +32,7 @@ output, 3 IO error, 4 domain singularity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -53,15 +54,13 @@ class InputFileError(Exception):
     """An input CSV that was read but whose content is malformed or invalid."""
 
 
-def _read_input(reader, v, key, max_rows, omega_rows=lambda rows: rows):
-    """reader(v[key]), with content errors (not IO errors) as InputFileError. A file of more
-    than max_rows data rows, the most whose omega grid of omega_rows(rows) rows is within
-    ROWS_MAX (the one bound on omega's rows), is refused unparsed, with that row violation."""
-    path = v[key]
+@contextlib.contextmanager
+def _input_file(path):
+    """The one boundary of an input file's content errors (not IO errors), raised while it is
+    read and used inside: KeyError as `<path>: missing column ...`, ValueError as
+    `<path>: <message>`, both as InputFileError."""
     try:
-        return reader(path, max_rows=max_rows)
-    except spectra.TooManyRows as exc:
-        raise InputFileError(_size(key, omega_rows(exc.rows))) from exc
+        yield
     except KeyError as exc:
         raise InputFileError(f"{path}: missing column {exc}") from exc
     except ValueError as exc:
@@ -143,8 +142,8 @@ NV_KEYS = {
 
 
 def _size(keys: str, rows: int, cells: int = 0):
-    """Violation if a run writes or reads more than ROWS_MAX rows or its grids span more
-    than CELLS_MAX dense cells (fig3 alone counts them, on its configured grids), else None."""
+    """Violation if a run writes more than ROWS_MAX rows or its grids span more than
+    CELLS_MAX dense cells (fig3 alone counts them, on its configured grids), else None."""
     if rows > ROWS_MAX:
         return f"{keys}: {rows} rows exceed the budget ROWS_MAX = {ROWS_MAX}"
     if cells > CELLS_MAX:
@@ -200,12 +199,13 @@ def _fig5(v):
 
 
 def _fig6(v):
-    profile = _read_input(spectra.read_profile_csv, v, "spectrum_csv", ROWS_MAX)
-    t = np.linspace(0, v["t_max"], v["n_t"])
-    try:
+    with _input_file(v["spectrum_csv"]):
+        profile = spectra.read_profile_csv(v["spectrum_csv"], max_rows=ROWS_MAX)
+        limit = spectra.alias_t_max(profile, v["delta_n"], v["two_pi"])
+        if v["t_max"] > limit * (1 + 1e-9):  # 1e-9: the readers' uniform-grid tolerance
+            raise ValueError(f"t_max = {v['t_max']} exceeds the alias half-period {limit}")
+        t = np.linspace(0, v["t_max"], v["n_t"])
         kappa = spectra.kappa_numeric(profile, v["delta_n"], t, two_pi=v["two_pi"])
-    except ValueError as exc:  # the largest phase is not finite, or the grid's series diverges
-        raise InputFileError(f"{v['spectrum_csv']}: {exc}") from exc
     # hypot matches abs() of each complex scalar bit for bit; np.abs does not.
     columns = (t, kappa.real, kappa.imag, np.hypot(kappa.real, kappa.imag))
     return [("fig6.csv", ["t", "re_kappa", "im_kappa", "kappa_mag"], columns)], {}
@@ -222,13 +222,10 @@ def _classify(v):
 
 
 def _synth(v):
-    # synthesize_spectrum's frequency grid has 2 * rows - 2 points.
-    traj = _read_input(spectra.read_trajectory_csv, v, "kappa_csv", (ROWS_MAX + 2) // 2,
-                       lambda rows: 2 * rows - 2)
-    try:
+    with _input_file(v["kappa_csv"]):
+        # synthesize_spectrum's frequency grid has 2 * rows - 2 points.
+        traj = spectra.read_trajectory_csv(v["kappa_csv"], max_rows=(ROWS_MAX + 2) // 2)
         result = spectra.synthesize_spectrum(traj, v["delta_n"], two_pi=v["two_pi"])
-    except ValueError as exc:  # the time grid is non-uniform, too short or not from 0
-        raise InputFileError(f"{v['kappa_csv']}: {exc}") from exc
     p = result.profile
     extra = {"roundtrip_error": result.roundtrip_error, "realizable": result.realizable}
     return [("synth_spectrum.csv", spectra.PROFILE_COLUMNS, (p.omega, p.density, p.phase))], extra

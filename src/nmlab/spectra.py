@@ -248,6 +248,10 @@ def kappa_numeric(profile: SpectralProfile, delta_n: float, t, two_pi: bool = Fa
     (its j^2 are exact for max(n_t, n_w) below 9.4e7; s*dt*dw is rounded):
     against an 80-bit long double dense sum on 700 random grids, at most
     4e-12 below 1e6 rad, 6e-11 below 1e7 and 6e-10 to 1.6e8.
+
+    On a uniform omega the trapezoid is periodic in t up to a unit phase: past alias_t_max,
+    half its period, a sample is a negative time's alias (Trefethen & Weideman, SIAM Rev.
+    56, 385 (2014)). This runs at any t; fig6 refuses a t_max past alias_t_max (1 + 1e-9).
     """
     t = np.asarray(t, dtype=float)
     scale = _kernel_scale(delta_n, two_pi)
@@ -269,6 +273,11 @@ def kappa_numeric(profile: SpectralProfile, delta_n: float, t, two_pi: bool = Fa
     out = _horner(z_p, lambda p: _horner(z_q, lambda q: cz(g * u**p * v**q if p or q else g),
                                          n_q), n_p)
     return complex(out[0]) if t.ndim == 0 else out
+
+
+def alias_t_max(profile: SpectralProfile, delta_n: float, two_pi: bool = False) -> float:
+    """pi / (|s| dw), half kappa_numeric's period in t: s the kernel scale, dw omega's step."""
+    return math.pi / abs(_kernel_scale(delta_n, two_pi)) / _uniform_fit(profile.omega)[1]
 
 
 def blp_from_magnitudes(mag):
@@ -466,10 +475,11 @@ def write_csv(path, header, columns) -> str:
     size = math.prod(shape)
     distinct = list({id(column): column for column in columns}.values())  # ids of held arrays
     order = [next(j for j, d in enumerate(distinct) if d is column) for column in columns]
-    # Each distinct text once: it is written verbatim, and a NUL would be compacted away.
-    texts = set(header).union(*(map(str, set(d.ravel().tolist())) for d in distinct
-                                if d.dtype.kind not in "biufc"))
-    if bad := sorted(filter(re.compile(r'[,"\r\n\x00]').search, texts)):
+    # Each distinct text of a _WRITE_BLOCK_CELLS slice once: written verbatim, a NUL would go.
+    slices = (set(d.flat[i:i + _WRITE_BLOCK_CELLS].tolist()) for d in distinct
+              if d.dtype.kind not in "biufc" for i in range(0, d.size, _WRITE_BLOCK_CELLS))
+    texts = itertools.chain(header, map(str, itertools.chain.from_iterable(slices)))
+    if bad := sorted(set(filter(re.compile(r'[,"\r\n\x00]').search, texts))):
         raise ValueError(f"cells must hold no comma, quote, CR, LF or NUL: {bad[:3]!r}")
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -491,14 +501,6 @@ _CACHE_KEYS = 64
 _column_cache: dict = {}  # (sha256 of a file's bytes, names) -> columns, or None until read twice
 
 
-class TooManyRows(ValueError):
-    """A file of more data rows than its reader's max_rows; .rows is the count."""
-
-    def __init__(self, rows: int, max_rows: int):
-        super().__init__(f"{rows} data rows exceed max_rows = {max_rows}")
-        self.rows = rows
-
-
 def _data_rows(fh) -> int:
     """The rows np.loadtxt would parse from a seekable binary file: the non-empty lines after
     the header, under universal newlines, read from its start one line at a time (latin-1
@@ -518,7 +520,7 @@ def _read_columns(path, names, max_rows=None) -> np.ndarray:
     quotes, comment rows or underscores; empty lines are skipped. A missing
     column raises KeyError, a short row or malformed cell ValueError. A
     header-only file gives empty columns, without numpy's no-data warning.
-    A file of more than max_rows data rows raises TooManyRows before it is
+    A file of more than max_rows data rows raises ValueError before it is
     read whole, hashed or parsed.
 
     Parsed columns are cached per process under the file's content and the
@@ -534,7 +536,7 @@ def _read_columns(path, names, max_rows=None) -> np.ndarray:
         # Each data row holds a byte, so only a file of more than max_rows bytes is counted.
         if max_rows is not None and fh.seek(0, io.SEEK_END) > max_rows \
                 and (rows := _data_rows(fh)) > max_rows:
-            raise TooManyRows(rows, max_rows)
+            raise ValueError(f"{rows} data rows exceed max_rows = {max_rows}")
         fh.seek(0)
         data = fh.read()
     key = (hashlib.sha256(data).digest(), tuple(names))

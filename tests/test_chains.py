@@ -4,12 +4,16 @@ sizes: what one scenario writes must agree with what another computes the same t
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmlab import cli, collision, spectra
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # double_gaussian_profile tabulates each peak to 6 sigma beyond it and renormalizes, so it
 # cuts a mass m <= erfc(6/sqrt(2)) = 2 Q(6) of the density. The cut part's kappa is at most
@@ -100,6 +104,25 @@ def test_synth_of_fig6_round_trips(a_theta, sigma, delta_omega, delta_n, two_pi,
     assert cli.run("synth", {"kappa_csv": str(out / "fig6.csv"), **grid}, out) == 0
     manifest = json.loads((out / "synth_manifest.json").read_text())
     assert manifest["realizable"] and manifest["roundtrip_error"] <= 1e-8
+
+
+@pytest.mark.parametrize("delta_n, two_pi", [(1.0, False), (-0.5, True)])
+def test_fig6_of_synth_over_its_window(delta_n, two_pi, tmp_path):
+    # synth's conjugate grid puts its own window at the alias half-period of the spectrum it
+    # writes, to rounding (on the shipped file both read 8.0), so fig6 runs there and gives
+    # back the kappa synth started from (within 2.3e-14 here); 1e-6 beyond it exits 2.
+    target = read_columns(CONFIGS / "synth_kappa.csv")
+    grid = {"delta_n": delta_n, "two_pi": two_pi}
+    assert cli.run("synth", {"kappa_csv": str(CONFIGS / "synth_kappa.csv"), **grid}, tmp_path) == 0
+    fig6 = {"spectrum_csv": str(tmp_path / "synth_spectrum.csv"), "t_max": target["t"][-1],
+            "n_t": target["t"].size, **grid}
+    assert cli.run("fig6", fig6, tmp_path) == 0
+    col = read_columns(tmp_path / "fig6.csv")
+    assert np.max(np.abs(col["t"] - target["t"])) <= 1e-14
+    kappa = col["re_kappa"] + 1j * col["im_kappa"]
+    assert np.max(np.abs(kappa - (target["re_kappa"] + 1j * target["im_kappa"]))) <= 1e-12
+    assert cli.run("fig6", dict(fig6, t_max=fig6["t_max"] * (1 + 1e-6)), tmp_path / "past") == 2
+    assert not (tmp_path / "past").exists()
 
 
 @settings(max_examples=100, deadline=None)

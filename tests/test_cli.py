@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmlab import cli, nvmodel, sdc, spectra
+from nmlab import cli, collision, nvmodel, sdc, spectra
 
 import oracles
 from test_nvmodel import nv_params, oracle_nm
@@ -344,7 +344,7 @@ class TestRun:
         assert not recwarn.list
         report = json.loads(err[0])
         assert report["error"] == "invalid input file"
-        assert str(path) in report["violations"][0]
+        assert report["violations"][0].startswith(f"{path}: ")
         assert not (tmp_path / "out").exists()
 
     def test_fig2_grid_over_budget(self, tmp_path, capsys):
@@ -570,17 +570,18 @@ def input_params(scenario, path):
 
 
 INPUT_BUDGETS = (
-    "scenario, write, budget, limit, size",
+    "scenario, write, budget, limit, refusal",
     [
-        # synth writes and round-trips its spectrum on 2 * 51 - 2 = 100 rows.
+        # synth writes and round-trips its spectrum on 2 * 51 - 2 = 100 rows: at ROWS_MAX 99
+        # it reads at most (99 + 2) // 2 = 50.
         pytest.param("synth", lambda path: write_kappa(path, 51), "ROWS_MAX", 100,
-                     "kappa_csv: 100 rows", id="synth_rows"),
+                     "51 data rows exceed max_rows = 50", id="synth_rows"),
         pytest.param("fig6", lambda path: write_spectrum(path, 100), "ROWS_MAX", 100,
-                     "spectrum_csv: 100 rows", id="fig6_rows"),
+                     "100 data rows exceed max_rows = 99", id="fig6_rows"),
         # Uniform within SpectralProfile's 1e-9 but not to rounding: the kernel adds Taylor
         # terms in the deviation, and the rows are the one bound.
         pytest.param("fig6", lambda path: write_spectrum(path, 400, jitter=1e-10), "ROWS_MAX",
-                     400, "spectrum_csv: 400 rows", id="fig6_jittered_rows"),
+                     400, "400 data rows exceed max_rows = 399", id="fig6_jittered_rows"),
     ],
 )
 
@@ -652,7 +653,11 @@ class TestKernelBudget:
                                                              monkeypatch):
         # The moved point deviates by about 1e-10 steps of 12/399 from the uniform fit, so at
         # t_max 1e12 the phase t_max * max|delta| is about 3 rad, above 1: no series converges.
+        # Within the alias half-period pi / d_omega that phase is at most pi * max|delta| /
+        # d_omega, below 1e-2 on any grid the readers accept, so the window refuses it first;
+        # kappa_numeric's own "cannot converge" is tested in test_spectra.py.
         spectrum = write_spectrum(tmp_path / "in.csv", 400, jitter=1e-10)
+        limit = spectra.alias_t_max(spectra.read_profile_csv(spectrum), 1.0)
         monkeypatch.setattr(spectra, "_chirp_z", fail)
         out = tmp_path / "out"
         params = dict(load_config("fig6"), spectrum_csv=spectrum, n_t=25, t_max=1e12)
@@ -662,7 +667,7 @@ class TestKernelBudget:
         report = json.loads(err[0])
         assert report["error"] == "invalid input file"
         (violation,) = report["violations"]
-        assert violation.startswith(f"{spectrum}: ") and "cannot converge" in violation
+        assert violation == f"{spectrum}: t_max = {1e12} exceeds the alias half-period {limit}"
         assert not out.exists()
 
     def test_nonuniform_time_grid_is_reported_before_its_size(self, tmp_path, monkeypatch,
@@ -677,33 +682,33 @@ class TestKernelBudget:
 
     @pytest.mark.parametrize(*INPUT_BUDGETS)
     def test_input_over_budget_exits_before_quadrature(self, scenario, write, budget, limit,
-                                                        size, tmp_path, monkeypatch, capsys):
+                                                        refusal, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, budget, limit - 1)
         monkeypatch.setattr(spectra, "_chirp_z", fail)
-        out = tmp_path / "out"
-        assert cli.run(scenario, input_params(scenario, write(tmp_path / "in.csv")), out) == 2
+        out, path = tmp_path / "out", write(tmp_path / "in.csv")
+        assert cli.run(scenario, input_params(scenario, path), out) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        violation = f"{size} exceed the budget {budget} = {limit - 1}"
+        violation = f"{path}: {refusal}"
         assert json.loads(err[0]) == {"error": "invalid input file", "violations": [violation]}
         assert not out.exists()
 
     @pytest.mark.parametrize(*INPUT_BUDGETS)
-    def test_input_at_budget_runs(self, scenario, write, budget, limit, size, tmp_path,
+    def test_input_at_budget_runs(self, scenario, write, budget, limit, refusal, tmp_path,
                                   monkeypatch):
         monkeypatch.setattr(cli, budget, limit)
         params = input_params(scenario, write(tmp_path / "in.csv"))
         assert cli.run(scenario, params, tmp_path / "out") == 0
 
 
-    @pytest.mark.parametrize("scenario, write, rows, overrides, size", [
-        ("fig6", write_spectrum, 11, {"n_t": 5}, "spectrum_csv: 11 rows"),
+    @pytest.mark.parametrize("scenario, write, rows, overrides, refusal", [
+        ("fig6", write_spectrum, 11, {"n_t": 5}, "11 data rows exceed max_rows = 10"),
         # synth would write and round-trip its spectrum on 2 * 11 - 2 rows.
-        ("synth", write_kappa, 11, {}, "kappa_csv: 20 rows"),
+        ("synth", write_kappa, 11, {}, "11 data rows exceed max_rows = 6"),
         # Fewer rows than ROWS_MAX, but 2 * 7 - 2 of them above it.
-        ("synth", write_kappa, 7, {}, "kappa_csv: 12 rows"),
+        ("synth", write_kappa, 7, {}, "7 data rows exceed max_rows = 6"),
     ], ids=["fig6", "synth", "synth_below_rows_max"])
-    def test_input_over_row_budget_is_not_parsed(self, scenario, write, rows, overrides, size,
+    def test_input_over_row_budget_is_not_parsed(self, scenario, write, rows, overrides, refusal,
                                                  tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "ROWS_MAX", 10)
         path = write(tmp_path / "in.csv", rows)
@@ -712,7 +717,7 @@ class TestKernelBudget:
         assert cli.run(scenario, dict(input_params(scenario, path), **overrides), out) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        violation = f"{size} exceed the budget ROWS_MAX = 10"
+        violation = f"{path}: {refusal}"
         assert json.loads(err[0]) == {"error": "invalid input file", "violations": [violation]}
         assert not out.exists()
 
@@ -729,19 +734,58 @@ class TestKernelBudget:
         finally:
             tracemalloc.stop()
         assert code == 2 and peak < 2**20
-        violation = "spectrum_csv: 400000 rows exceed the budget ROWS_MAX = 10"
+        violation = f"{path}: 400000 data rows exceed max_rows = 10"
         assert json.loads(capsys.readouterr().err)["violations"] == [violation]
 
     @pytest.mark.parametrize("ending", [b"\r\n\r\n", b"\r\r", b"\n\n"],
                              ids=["crlf", "cr", "lf"])
     def test_blank_lines_do_not_count_against_the_row_budget(self, ending, tmp_path,
                                                              monkeypatch):
-        # 10 rows in 22 lines, with an empty line after each: at the budget, so it runs.
+        # 10 rows in 22 lines, with an empty line after each: at the budget, so it runs, over
+        # t_max 2, within the 10-point spectrum's alias half-period 3 pi / 4.
         monkeypatch.setattr(cli, "ROWS_MAX", 10)
         path = tmp_path / "in.csv"
         write_spectrum(path, 10)
         path.write_bytes(path.read_bytes().replace(b"\n", ending))
-        assert cli.run("fig6", dict(input_params("fig6", str(path)), n_t=5), tmp_path / "out") == 0
+        params = dict(input_params("fig6", str(path)), n_t=5, t_max=2.0)
+        assert cli.run("fig6", params, tmp_path / "out") == 0
+
+
+class TestAliasWindow:
+    """fig6 refuses a t_max past its spectrum's alias half-period pi / (|scale| d_omega), by more
+    than the readers' 1e-9, before the quadrature, and runs up to it."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-10], ids=["uniform", "jittered"])
+    @pytest.mark.parametrize("two_pi", [False, True])
+    @pytest.mark.parametrize("delta_n", [0.5, -0.5])
+    def test_refused_just_past_the_limit(self, delta_n, two_pi, jitter, tmp_path, monkeypatch,
+                                         capsys):
+        spectrum = write_spectrum(tmp_path / "in.csv", 400, jitter=jitter)
+        scale = abs(spectra._kernel_scale(delta_n, two_pi))
+        limit = spectra.alias_t_max(spectra.read_profile_csv(spectrum), delta_n, two_pi)
+        assert limit == pytest.approx(np.pi / (scale * 12 / 399), rel=1e-14)
+        params = dict(load_config("fig6"), spectrum_csv=spectrum, delta_n=delta_n,
+                      two_pi=two_pi, n_t=25)
+        for t_max in (limit, limit * (1 + 5e-10)):
+            assert cli.run("fig6", dict(params, t_max=t_max), tmp_path / "at") == 0
+        monkeypatch.setattr(spectra, "_chirp_z", fail)
+        t_max, out = limit * (1 + 2e-9), tmp_path / "out"
+        assert cli.run("fig6", dict(params, t_max=t_max), out) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        violation = f"{spectrum}: t_max = {t_max} exceeds the alias half-period {limit}"
+        assert json.loads(err[0]) == {"error": "invalid input file", "violations": [violation]}
+        assert not out.exists()
+
+    def test_shipped_spectrum_at_t_max_2000_exits_2(self, tmp_path, capsys):
+        # |kappa| is below 3e-10 on [20, 400], but the unrefused run wrote the trapezoid's
+        # alias, 0.995 at t = 803.9, near its period 2 pi / d_omega = 803.86, with exit 0.
+        params = patch_paths("fig6", dict(load_config("fig6"), t_max=2000.0, n_t=20001), tmp_path)
+        assert cli.run("fig6", params, tmp_path / "out") == 2
+        (violation,) = json.loads(capsys.readouterr().err)["violations"]
+        assert violation == (f"{params['spectrum_csv']}: t_max = 2000.0 exceeds the alias "
+                             f"half-period {np.pi / (16 / 2047)}")
+        assert not (tmp_path / "out").exists()
 
 
 class TestWarmReads:
@@ -1060,6 +1104,21 @@ class TestWriterMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2**20
+
+    def test_peak_with_a_text_column(self, tmp_path):
+        # The text check holds one _WRITE_BLOCK_CELLS slice of Python strings at a time: fig2's
+        # labels beside their epsilon at 2 * 10**5 rows peaked at 1.06 MiB, the blocks' own
+        # (Python 3.11, numpy 2.4), against 11.8 MiB with a set of every cell at once.
+        eps = np.linspace(0, 0.5, 2 * 10**5)
+        columns = (eps, collision.classify(eps).classification)
+        spectra.write_csv(tmp_path / "warm.csv", ["epsilon", "c"], [c[:10] for c in columns])
+        tracemalloc.start()
+        try:
+            spectra.write_csv(tmp_path / "t.csv", ["epsilon", "c"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
 
 
 # JSON values of every kind: strings, booleans, null, +-1e308 and other finite floats, ints that
