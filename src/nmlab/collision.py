@@ -2,9 +2,9 @@
 
 Each collision applies I, sigma_x, or sigma_z probabilistically. The joint
 probabilities of the two collisions are correlated so that the intermediate
-map between collisions is never CP for eps > 0; beyond eps = 1/4 it also
-breaks plain positivity (the weak -> strong non-Markovianity transition),
-which coincides with the revival of entanglement with an ancilla qubit.
+map between collisions is never CP for eps > 0 (its Choi weight -2eps^2/(1-2eps)
+is negative); beyond eps = 1/4 it also breaks plain positivity (the weak -> strong
+transition), which coincides with the revival of entanglement with an ancilla qubit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore
 from .qcore import PauliChannel, SingularChannelError
 
 SINGULAR_EPS = 0.25
@@ -71,21 +70,20 @@ def intermediate_channel(eps: float) -> PauliChannel:
 def classify(eps) -> DivisibilityVerdict:
     """Weak/strong non-Markovianity verdict for the intermediate map; broadcasts over eps.
 
-    The map (_intermediate) has Choi weights (1 +- lam_x +- lam_y +- lam_z)/4. It is
-    strong (not P-divisible) if max|lam| > 1 + tol, else weak (P- but not CP-divisible)
-    if a weight is < -tol, else Markovian (eps = 0 too, with (min Choi, max|lam|) =
-    (0.0, 1.0)); tol is qcore.PSD_TOL = 1e-10. The edge table (_edges) overrides
-    |eps - 1/4| <= 1e-9 as singular with (nan, nan) and |eps - 1/2| <= 1e-9 as strong
-    with (-inf, inf): the first collision is noninvertible there and the second undoes it.
-    Scalar eps gives the enum and floats, an eps array arrays of enum values.
+    The map (_intermediate) has Choi weights (1 +- lam_x +- lam_y +- lam_z)/4, the least
+    q_y = -2eps^2/(1-2eps), and lam_x = lam_z >= |lam_y|, above 1 exactly for eps > 1/4.
+    So eps's region is the verdict, reported with (q_y, lam_x): Markovian at eps = 0 with
+    (+0.0, 1.0), weak (P- but not CP-divisible) below 1/4 and strong (not P-divisible) above.
+    The edge table (_edges) overrides |eps - 1/4| <= 1e-9 as singular with (nan, nan) and
+    |eps - 1/2| <= 1e-9 as strong with (-inf, inf): the first collision is noninvertible
+    there and the second undoes it. Scalar eps gives the enum and floats, an eps array arrays.
     """
-    eps, tol = _check_eps(eps), qcore.PSD_TOL
+    eps = _check_eps(eps)
     x = np.atleast_1d(eps)  # the edges below are set in place
     with np.errstate(all="ignore"):
-        mid = _intermediate(x)
-        min_choi = np.minimum.reduce(qcore.kraus_weights(mid))
-        max_bloch = np.maximum(np.abs(mid.lam_x), np.abs(mid.lam_y))
-    code = np.where(max_bloch > 1 + tol, 2, min_choi < -tol)  # index into Classification
+        min_choi = np.where(x > 0, -(2 * x * x) / (1 - 2 * x), 0.0)  # q_y; +0.0 at eps = 0
+        max_bloch = _intermediate(x).lam_x
+    code = np.where(x > SINGULAR_EPS, 2, x > 0)  # index into Classification
     for at, edge in _edges(x):
         code[at], min_choi[at], max_bloch[at] = edge
     label = np.array([c.value for c in Classification])[code]

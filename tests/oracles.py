@@ -1,7 +1,7 @@
 """Reference implementations that only the tests call.
 
 Each one is a slower or more general route to a result that nmlab computes in
-closed form: density matrices and channel algebra for qcore and collision,
+closed form: density matrices, Choi weights and channel algebra for collision,
 explicit unitaries for the echo protocol, the full Bell-measurement protocol
 for superdense coding, the dephasing channel on a density matrix and the plain
 trapezoid sum for kappa. The tests check the library's closed forms and its
@@ -11,12 +11,13 @@ chirp-z kernel against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from nmlab.collision import _check_eps
 from nmlab.nvmodel import Gate
-from nmlab.qcore import PSD_TOL, KrausWeights, PauliChannel, SingularChannelError, kraus_weights
+from nmlab.qcore import PauliChannel, SingularChannelError
 from nmlab.sdc import CorrelatedSpectrum, _float_if_scalar, _xlog2x, joint_kappa
 from nmlab.spectra import KAPPA_MAG_TOL
 
@@ -30,6 +31,7 @@ PAULIS = (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
+PSD_TOL = 1e-10  # weights above -PSD_TOL count as >= 0, and |lam| up to 1 + PSD_TOL as <= 1
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -105,6 +107,22 @@ def concurrence(rho: np.ndarray) -> float:
     sqrt_rho = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
     mu = np.linalg.svd(sqrt_rho.T @ yy @ sqrt_rho, compute_uv=False)
     return max(0.0, float(mu[0] - mu[1] - mu[2] - mu[3]))
+
+
+class KrausWeights(NamedTuple):
+    """Choi eigenvalue quadruple (q_I, q_x, q_y, q_z) of a Pauli-diagonal map."""
+
+    q_i: float
+    q_x: float
+    q_y: float
+    q_z: float
+
+
+def kraus_weights(ch: PauliChannel) -> KrausWeights:
+    """Choi eigenvalues of a Pauli channel; negative entries witness CP violation."""
+    lx, ly, lz = ch.as_tuple()
+    return KrausWeights((1 + lx + ly + lz) / 4, (1 + lx - ly - lz) / 4,
+                        (1 - lx + ly - lz) / 4, (1 - lx - ly + lz) / 4)
 
 
 def channel_from_weights(w: KrausWeights) -> PauliChannel:

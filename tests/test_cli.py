@@ -235,14 +235,28 @@ class TestRun:
         (0.5 - 2e-9, "0.499999998,249999998.13158897,-0.999999992,249999998.13158897,"
                      "-124999999.06579448,249999998.13158897,strong"),
         (0.25 + 2e-9, "0.250000002,1.000000008,-7.999999995789153e-09,1.000000008,"
-                      "-0.250000006,1.000000008,strong"),
+                      "-0.25000000600000005,1.000000008,strong"),
+        (0.0, "0.0,1.0,1.0,1.0,0.0,1.0,markovian"),
+        (1.893063552937946e-06, "1.893063552937946e-06,0.9999962138872289,0.9999924277457882,"
+                                "0.9999962138872289,-7.167406367635605e-12,0.9999962138872289,"
+                                "weak"),
     ])
     def test_just_outside_the_edge_windows(self, eps, row, tmp_path):
-        # Locked bytes: the closed form and the channel path's quotient agree here bit for bit.
+        # Locked bytes: the lambdas are the channel path's quotient bit for bit, and min Choi is
+        # -2 eps^2/(1 - 2 eps), within 2 ulp of exact (here correctly rounded). At the region
+        # edge eps = 0 it reads 0.0, not -0.0, and a positive eps is weak however small (a 1e-10
+        # tolerance on a cancelling sum of Choi weights called 1.89e-6 markovian).
         assert cli.run("classify", {"epsilon": eps}, tmp_path) == 0
         header = ("epsilon,lambda_x,lambda_y,lambda_z,min_choi_eigenvalue,"
                   "max_abs_bloch_eigenvalue,classification")
         assert (tmp_path / "classify.csv").read_bytes() == f"{header}\n{row}\n".encode()
+
+    def test_fig2_labels_a_tiny_eps_weak(self, tmp_path):
+        params = {"eps_min": 1.893063552937946e-06, "eps_max": 0.5, "eps_step": 0.005}
+        assert cli.run("fig2", params, tmp_path) == 0
+        with open(tmp_path / "fig2.csv", newline="") as f:
+            first = next(csv.DictReader(f))
+        assert (first["epsilon"], first["classification"]) == ("1.893063552937946e-06", "weak")
 
     def test_io_failure_exit_code(self, tmp_path, capsys):
         params = load_config("synth")
@@ -1104,6 +1118,22 @@ class TestWriterMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2**20
+
+    def test_fig2_runner_peak_per_row(self):
+        # fig2's runner at 999 999 eps holds its five columns (68 B per row, the labels <U9)
+        # and classify's closed-form temporaries: measured 85 B per row (Python 3.11, numpy
+        # 2.4), against 112 B with a 4 x n stack of Kraus weights. The bound leaves 11 B (13 %).
+        params = {"eps_min": 0.0, "eps_max": 0.5, "eps_step": 0.5 / 999_998}
+        values, violations = cli._validated("fig2", params)
+        assert not violations
+        tracemalloc.start()
+        try:
+            (_, _, columns), = cli._fig2(values)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(columns[0]) == 999_999
+        assert peak < 96 * len(columns[0])
 
     def test_peak_with_a_text_column(self, tmp_path):
         # The text check holds one _WRITE_BLOCK_CELLS slice of Python strings at a time: fig2's

@@ -1,13 +1,15 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmlab import collision, qcore
+from nmlab import collision
 from nmlab.collision import Classification
-from nmlab.qcore import SingularChannelError
+from nmlab.qcore import PauliChannel, SingularChannelError
 
 import oracles
 from conftest import random_density
@@ -88,7 +90,7 @@ class TestChannels:
 
     def test_no_sigma_y_component(self):
         for eps in np.linspace(0, 0.5, 26):
-            w = qcore.kraus_weights(oracles.two_collision_channel(eps))
+            w = oracles.kraus_weights(oracles.two_collision_channel(eps))
             assert w.q_y == pytest.approx(0.0, abs=1e-14)
 
     def test_intermediate_examples(self):
@@ -137,7 +139,10 @@ class TestChannels:
 
 class TestClassification:
     def test_markovian_at_zero(self):
-        assert collision.classify(0.0).classification is Classification.MARKOVIAN
+        verdict = collision.classify(0.0)
+        assert verdict.classification is Classification.MARKOVIAN
+        assert (verdict.min_choi_eigenvalue, verdict.max_abs_bloch_eigenvalue) == (0.0, 1.0)
+        assert math.copysign(1.0, verdict.min_choi_eigenvalue) == 1.0  # +0.0, not -0.0
 
     def test_weak_at_eps_01(self):
         verdict = collision.classify(0.1)
@@ -152,6 +157,15 @@ class TestClassification:
 
     def test_singular_at_quarter(self):
         assert collision.classify(0.25).classification is Classification.SINGULAR
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-300, 1e-160, 1.893063552937946e-06, 7.0e-06,
+                                     7.2e-06, 0.25 - 2e-9])
+    def test_weak_for_every_eps_below_the_quarter(self, eps):
+        # q_y = -2 eps^2/(1 - 2 eps) < 0 for every eps > 0; -0.0 where 2 eps^2 underflows.
+        verdict = collision.classify(eps)
+        assert verdict.classification is Classification.WEAK_NM
+        assert math.copysign(1.0, verdict.min_choi_eigenvalue) == -1.0
+        assert verdict.max_abs_bloch_eigenvalue <= 1
 
     def test_around_transition(self):
         assert collision.classify(0.25 - 1e-3).classification is Classification.WEAK_NM
@@ -260,23 +274,42 @@ class TestEntanglementArray:
 
 
 def classify_oracle(eps):
-    """Per-eps (label, min Choi, max |lam|) from the channel path and the edge rules."""
-    if eps == 0:
-        return "markovian", 0.0, 1.0
+    """Per-eps (label, min Choi, max |lam|) with the edge rules.
+
+    Off the edges the label and min Choi come from the intermediate map in exact rational
+    arithmetic, with no tolerance: min Choi is a Fraction. max |lam| is the float channel
+    path's quotient.
+    """
     if abs(eps - 0.25) <= 1e-9:
         return "singular", float("nan"), float("nan")
     if abs(eps - 0.5) <= 1e-9:
         return "strong", float("-inf"), float("inf")
+    e = Fraction(eps)
+    first = (1 - 2 * e, 1 - 4 * e, 1 - 2 * e)
+    two = ((1 - 2 * e) ** 2 + 4 * e**2, (1 - 4 * e) ** 2, (1 - 2 * e) ** 2 + 4 * e**2)
+    exact = PauliChannel(*(t / f for t, f in zip(two, first)))
+    min_choi = min(oracles.kraus_weights(exact))
+    label = ("strong" if max(map(abs, exact.as_tuple())) > 1 else
+             "weak" if min_choi < 0 else "markovian")
     mid = oracles.divide_channels(oracles.two_collision_channel(eps),
                                   oracles.first_collision_channel(eps))
-    label = ("strong" if not oracles.is_positive(mid) else
-             "weak" if not oracles.is_cp(mid) else "markovian")
-    return label, min(qcore.kraus_weights(mid)), max(abs(l) for l in mid.as_tuple())
+    return label, min_choi, max(abs(l) for l in mid.as_tuple())
+
+
+def assert_min_choi(got, want):
+    """Each got within 2 ulp of its exact Fraction want, with want's sign (+0.0 for an exact
+    0); a float want (an edge's nan or -inf) is matched exactly."""
+    for g, w in zip(np.asarray(got, dtype=float).tolist(), want):
+        if isinstance(w, float):
+            assert np.array_equal(g, w, equal_nan=True), (g, w)
+            continue
+        assert abs(Fraction(g) - w) <= 2 * Fraction(np.spacing(abs(float(w)))), (g, w)
+        assert math.copysign(1.0, g) == (-1.0 if w < 0 else 1.0), (g, w)
 
 
 eps_lists = st.lists(
-    st.one_of(st.floats(0.0, 0.5), st.floats(0.25 - 2e-9, 0.25 + 2e-9), st.floats(0.5 - 4e-4, 0.5),
-              st.sampled_from([0.0, 0.25, 0.5])),
+    st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 1e-5), st.floats(0.25 - 2e-9, 0.25 + 2e-9),
+              st.floats(0.5 - 4e-4, 0.5), st.sampled_from([0.0, 0.25, 0.5])),
     min_size=1, max_size=40)
 
 
@@ -289,11 +322,14 @@ class TestClassifyArray:
     # Python's x**2 (libm pow) and x*x differ in the last bit of lam_x or lam_y here.
     @example([0.4442961860162883, 0.0018158134732790265, 0.008816523639126883,
               0.018471998855158156, 0.1291507930195051, 0.14298371622734507])
+    # The cancelling sum against a 1e-10 tolerance called 0 < eps < 7.1e-6 markovian.
+    @example([1.893063552937946e-06])
+    @example([7.0e-06])
     def test_matches_channel_oracle(self, eps):
         verdict = collision.classify(np.array(eps))
         labels, min_choi, max_bloch = zip(*(classify_oracle(e) for e in eps))
         assert verdict.classification.tolist() == list(labels)
-        assert np.array_equal(verdict.min_choi_eigenvalue, min_choi, equal_nan=True)
+        assert_min_choi(verdict.min_choi_eigenvalue, min_choi)
         assert np.array_equal(verdict.max_abs_bloch_eigenvalue, max_bloch, equal_nan=True)
         for e, label in zip(eps, labels):
             assert collision.classify(e).classification is Classification(label)
@@ -304,7 +340,7 @@ class TestClassifyArray:
         verdict = collision.classify(eps)
         labels, min_choi, max_bloch = zip(*(classify_oracle(e) for e in eps.tolist()))
         assert verdict.classification.tolist() == list(labels)
-        assert np.array_equal(verdict.min_choi_eigenvalue, min_choi)
+        assert_min_choi(verdict.min_choi_eigenvalue, min_choi)
         assert np.array_equal(verdict.max_abs_bloch_eigenvalue, max_bloch)
 
     def test_shape_and_scalar_types(self):

