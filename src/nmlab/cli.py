@@ -163,8 +163,9 @@ def _fig1(v):
 def _fig2(v):
     eps = np.minimum(np.arange(v["eps_min"], v["eps_max"] + v["eps_step"] / 2, v["eps_step"]), 0.5)
     (c1, c2), labels = collision.entanglement_dynamics(eps), collision.classify(eps).classification
+    diff = np.where(c1 > 0, 0 - 4 * eps * c1, c2)  # C2 - C1 = b^2 - b = -4 eps b; 0 - gives +0.0
     header = ["epsilon", "C1", "C2", "C2_minus_C1", "classification"]
-    return [("fig2.csv", header, (eps, c1, c2, c2 - c1, labels))], {}
+    return [("fig2.csv", header, (eps, c1, c2, diff, labels))], {}
 
 
 def _fig2_check(v):

@@ -37,11 +37,12 @@ def _float_if_scalar(x):
 
 
 def joint_kappa(spec: CorrelatedSpectrum, t_a, t_b):
-    """Magnitude of the joint two-photon characteristic function."""
+    """Joint two-photon coherence exp(-(dn sigma)^2 q/2), q = (t_a - t_b)^2 + 2(1 + K) t_a t_b:
+    no term cancels (1 + K is exact for K <= -1/2), so it is <= 1; q = 0 at K = -1, t_a = t_b."""
     t_a, t_b = np.asarray(t_a, dtype=float), np.asarray(t_b, dtype=float)
     if np.any(t_a < 0) or np.any(t_b < 0):
         raise ValueError("times must be >= 0")
-    quad = np.square(t_a) + np.square(t_b) + 2 * spec.correlation * t_a * t_b
+    quad = np.square(t_a - t_b) + 2 * (1 + spec.correlation) * t_a * t_b
     return _float_if_scalar(np.exp(-0.5 * np.square(spec.delta_n) * np.square(spec.sigma) * quad))
 
 
@@ -56,8 +57,8 @@ def _xlog2x(p):
 
 
 def _bell_entropy(f):
-    """H((1 + min(1, f))/2) in bits, unvalidated (a nan f gives nan); f can exceed 1 by an ulp."""
-    p = (1 + np.minimum(1.0, f)) / 2
+    """H((1 + f)/2) in bits for a Bell coherence f <= 1, unvalidated (a nan f gives nan)."""
+    p = (1 + f) / 2
     return -(_xlog2x(p) + _xlog2x(1 - p))
 
 

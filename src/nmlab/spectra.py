@@ -124,15 +124,15 @@ class DecoherenceTrajectory:
 def kappa_double_gaussian_mag(spec: DoubleGaussianSpec, t):
     """|kappa(t)| for the double-Gaussian frequency density (closed form).
 
-    exp(-sigma^2 (dn t)^2 / 2) / (1+A) * sqrt(1 + A^2 + 2 A cos(dw dn t)).
-    Accepts scalar or array t >= 0.
+    exp(-sigma^2 (dn t)^2 / 2) / (1+A) * sqrt((1 - A)^2 + 4 A cos^2(dw dn t / 2)), whose
+    terms cannot cancel, also at A = 1 and dw dn t = pi. Accepts scalar or array t >= 0.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    a = spec.a_theta
+    a, half = spec.a_theta, np.cos(0.5 * spec.delta_omega * spec.delta_n * t)  # 0.5 x is exact
     envelope = np.exp(-0.5 * np.square(spec.sigma) * np.square(spec.delta_n * t))
-    osc = np.sqrt(1 + a * a + 2 * a * np.cos(spec.delta_omega * spec.delta_n * t))
+    osc = np.sqrt(np.square(1 - a) + 4 * a * np.square(half))
     out = envelope * osc / (1 + a)
     return float(out) if out.ndim == 0 else out
 
@@ -311,8 +311,8 @@ def synthesize_spectrum(
 
     Inverse DFT of kappa onto the conjugate (Nyquist-matched) frequency
     grid of the time grid's uniform fit (_uniform_fit), not of t[1] - t[0].
-    The recovered complex amplitude G(w) is split into density = |G|
-    (renormalized to unit integral) and phase = arg G.
+    The DFT coefficients c are split into density = |c| over its trapezoidal integral
+    (which divides out any constant scale of c) and phase = arg c.
     The forward quadrature is re-run on the result; if the worst-case
     round-trip error exceeds 1e-6 (e.g. the time window is too short for
     kappa to decay, or kappa is not realizable by a positive density) the
@@ -339,12 +339,8 @@ def synthesize_spectrum(
     # DFT coefficients: kappa_m = sum_k c_k exp(i w_k * scale * t_m) exactly
     # on the grid, with w_k the fftfreq conjugate grid.
     c = (np.fft.fft(extended) / extended.size)[order]
-    d_omega = omega[1] - omega[0]
-    g = c / d_omega
-    density = np.abs(g)
-    phase = np.angle(g)
-    norm = np.trapezoid(density, omega)
-    profile = SpectralProfile(omega=omega, density=density / norm, phase=phase)
+    density = np.abs(c)
+    profile = SpectralProfile(omega, density / np.trapezoid(density, omega), np.angle(c))
     kappa_back = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
     err = float(np.max(np.abs(kappa_back - traj.kappa)))
     return SynthesisResult(profile=profile, roundtrip_error=err, realizable=err <= 1e-6)

@@ -3,14 +3,18 @@
 Each one is a slower or more general route to a result that nmlab computes in
 closed form: density matrices, Choi weights and channel algebra for collision,
 explicit unitaries for the echo protocol, the full Bell-measurement protocol
-for superdense coding, the dephasing channel on a density matrix and the plain
-trapezoid sum for kappa. The tests check the library's closed forms and its
-chirp-z kernel against them.
+for superdense coding, the dephasing channel on a density matrix, the plain
+trapezoid sum for kappa, and exact decimal values of the closed forms that the
+library rearranges to avoid cancellation. The tests check the library's closed
+forms and its chirp-z kernel against them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -273,8 +277,7 @@ def bell_probabilities(spec: CorrelatedSpectrum, t_a, t_b, encoding: str) -> np.
     Bell outcome (I->phi+, Z->phi-, X->psi+, Y->psi-) has probability
     (1 + f)/2 and its phase partner (1 - f)/2.
     """
-    # f can exceed 1 by an ulp where t_a ~ t_b and K ~ -1.
-    f = np.minimum(1.0, joint_kappa(spec, t_a, t_b))
+    f = joint_kappa(spec, t_a, t_b)
     hit, partner = _BELL_OUTCOMES[encoding]
     probs = np.zeros(np.shape(f) + (4,))
     probs[..., hit] = (1 + f) / 2
@@ -344,3 +347,80 @@ class DephasingChannel:
             raise ValueError("only real kappa maps to a Pauli-diagonal channel")
         k = float(np.real(self.kappa))
         return PauliChannel(k, k, 1.0)
+
+
+# --- exact values of the rearranged closed forms ---------------------------
+# Each takes the float inputs as the exact binary numbers they are, forms the textbook
+# expression (the one that cancels in floating point) in Fraction or in Decimal at DIGITS
+# significant digits, and returns a Decimal. No dependency beyond the standard library.
+
+DIGITS = 80
+
+
+def _decimal(q: Fraction) -> Decimal:
+    """q rounded to the current decimal context."""
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def _arctan_inverse(n: int) -> Decimal:
+    """arctan(1/n) by its alternating series, to the current context."""
+    x2, term, total, last, k = Decimal(1) / (n * n), Decimal(1) / n, Decimal(0), None, 1
+    while total != last:
+        last, total = total, total + (term / k if k % 4 == 1 else -term / k)
+        term, k = term * x2, k + 2
+    return total
+
+
+def _pi() -> Decimal:
+    """Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    return 16 * _arctan_inverse(5) - 4 * _arctan_inverse(239)
+
+
+def _cos(x: Decimal) -> Decimal:
+    """cos x by its Taylor series after reduction to [-pi, pi]."""
+    two_pi = 2 * _pi()
+    x -= two_pi * (x / two_pi).to_integral_value()
+    x2, term, total, last, k = x * x, Decimal(1), Decimal(0), None, 0
+    while total != last:
+        last, total = total, total + term
+        term, k = -term * x2 / ((k + 1) * (k + 2)), k + 2
+    return total
+
+
+def exact_joint_kappa(spec: CorrelatedSpectrum, t_a: float, t_b: float) -> Decimal:
+    """sdc.joint_kappa as exp(-(dn sigma)^2 (t_a^2 + t_b^2 + 2 K t_a t_b) / 2), the exponent
+    exact in Fraction and exp at DIGITS digits."""
+    t_a, t_b = Fraction(t_a), Fraction(t_b)
+    quad = t_a * t_a + t_b * t_b + 2 * Fraction(spec.correlation) * t_a * t_b
+    u = (Fraction(spec.delta_n) * Fraction(spec.sigma)) ** 2 * quad / 2
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return (-_decimal(u)).exp()
+
+
+def exact_double_gaussian_mag(spec, t: float) -> Decimal:
+    """spectra.kappa_double_gaussian_mag as exp(-sigma^2 (dn t)^2 / 2) / (1 + A)
+    * sqrt(1 + A^2 + 2 A cos(dw dn t)), every product of inputs exact and the rest at DIGITS
+    digits (the radicand's cancellation near A = 1 and dw dn t = pi costs fewer than 40)."""
+    a, t = Fraction(spec.a_theta), Fraction(t)
+    u = (Fraction(spec.sigma) * Fraction(spec.delta_n) * t) ** 2 / 2
+    x = Fraction(spec.delta_omega) * Fraction(spec.delta_n) * t
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        radicand = _decimal(1 + a * a) + 2 * _decimal(a) * _cos(_decimal(x))
+        return (-_decimal(u)).exp() * radicand.sqrt() / _decimal(1 + a)
+
+
+def exact_c2_minus_c1(eps: float) -> Decimal:
+    """fig2's C2 - C1 = (1 - 4 eps)^2 - max(0, 1 - 4 eps), in Fraction."""
+    b = 1 - 4 * Fraction(eps)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return _decimal(b * b - max(Fraction(0), b))
+
+
+def ulps(x: float, exact: Decimal) -> float:
+    """|x - exact| in units of the last place of exact rounded to a float."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return float(abs(Decimal(x) - exact) / Decimal(math.ulp(float(exact))))

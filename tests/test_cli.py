@@ -397,20 +397,30 @@ class TestRun:
                              [("fig1", {"sigma": 1e200}, ["kappa_mag"]),
                               ("fig4", {"delta_n": 1e200}, FIG4_VALUES),
                               ("fig4", {"sigma": 1e150, "delta_n": 1e150}, FIG4_VALUES),
-                              ("fig4", {"sigma": 1e-300, "t_max": 1e300}, FIG4_VALUES),
+                              ("fig4", {"sigma": 1e-300, "t_max": 1e300},
+                               ["c_a", "mi_4state_alice_only"]),
                               ("fig4", {"K": 1.0, "t_max": 1.7e308},
                                ["c_a", "mi_4state_alice_only"]),
-                              ("fig4", {"K": -1.0, "t_max": 1.7e308}, FIG4_VALUES)],
+                              ("fig4", {"K": -1.0, "t_max": 1.7e308}, [])],
                              ids=["fig1_sigma", "fig4_delta_n", "fig4_rate", "fig4_zero_rate",
                                   "fig4_cross_term", "fig4_anticorrelated"])
     def test_square_overflow_is_a_config_error(self, scenario, overrides, columns, tmp_path,
                                                capsys, recwarn):
-        # A square that overflows to inf meets a 0 (t = 0, a rate that underflows, or K*t_a*t_b
-        # at t_b = 0): the nan cells are refused by the one check of every output column.
+        # A square that overflows to inf meets a 0 (t = 0, a rate that underflows, or
+        # 2(1 + K) t_a at t_b = 0): the nan cells are refused by the one check of every output
+        # column. At the shipped K = -1 the joint exponent (t - t)^2 + 0 t t is 0 at every t, so
+        # only the marginal c_a = exp(-(dn sigma t)^2 / 2) meets one: at a rate that underflows.
+        # With a rate that does not, nothing is nan and the joint columns are two bits exactly.
         out = tmp_path / "out"
-        assert cli.run(scenario, dict(load_config(scenario), **overrides), out) == 2
+        code = cli.run(scenario, dict(load_config(scenario), **overrides), out)
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and not recwarn.list
+        assert not recwarn.list
+        if not columns:
+            assert code == 0 and not err
+            rows = read_rows(out / "fig4.csv")
+            assert {r["mi_4state"] for r in rows} == {r["capacity"] for r in rows} == {"2.0"}
+            return
+        assert code == 2 and len(err) == 1
         report = json.loads(err[0])
         assert report["error"] == "non-finite output"
         assert report["violations"] == [f"{scenario}.csv: column {c} is not finite"
@@ -418,16 +428,16 @@ class TestRun:
         assert not out.exists()
 
     def test_fig4_overflowed_joint_kappa_refused(self, tmp_path, capsys, recwarn):
-        # t^2 overflows, so the K = -1 joint coherence is inf - inf at t_max: exit 2, not a crash.
+        # t^2 overflows at t_max, where t^2 + t^2 - 2 t t is inf - inf (a refusal, exit 2). The
+        # joint exponent (t - t)^2 + 0 t t squares nothing that overflows, so perfectly
+        # anti-correlated noise recoheres to two bits at every t; c_a is 0 and Alice alone 1 bit.
         out = tmp_path / "out"
-        assert cli.run("fig4", dict(load_config("fig4"), K=-1.0, t_max=1e200), out) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and not recwarn.list
-        report = json.loads(err[0])
-        assert report["error"] == "non-finite output"
-        assert report["violations"] == [f"fig4.csv: column {c} is not finite"
-                                         for c in ("mi_4state", "mi_3state", "capacity")]
-        assert not out.exists()
+        assert cli.run("fig4", dict(load_config("fig4"), K=-1.0, t_max=1e200), out) == 0
+        assert not capsys.readouterr().err and not recwarn.list
+        rows = read_rows(out / "fig4.csv")
+        assert {r["mi_4state"] for r in rows} == {r["capacity"] for r in rows} == {"2.0"}
+        assert (rows[-1]["t_a"], rows[-1]["c_a"], rows[-1]["mi_4state_alice_only"]) == (
+            "1e+200", "0.0", "1.0")
 
     def test_square_check_edge(self, tmp_path, capsys, recwarn):
         # sigma**2 overflows from 2**512 on, and not below it: kappa_mag at t = 0 is inf * 0.
@@ -947,6 +957,56 @@ class TestFig3Fold:
         half = grid[:(n_phi + 1) // 2]
         assert np.array_equal(nm[:half.size], measure(params, half, t))
         np.testing.assert_allclose(nm, oracle_nm(params, grid, t), rtol=0, atol=1e-12)
+
+
+class TestExactCells:
+    """Cells where a closed form's textbook expression cancels, each locked to its correctly
+    rounded value; each comment gives what the textbook expression writes there. fig4 at
+    K = -1, t_max 1e200 is TestRun::test_fig4_overflowed_joint_kappa_refused."""
+
+    def test_fig4_near_anticorrelation(self, tmp_path):
+        # t^2 + t^2 + 2K t^2 loses 1e-6 of this exponent of 1, and the cells read
+        # 1.0999544084764648 and 0.9849321063721326.
+        params = {"sigma": 1.0, "K": -0.9999999999, "delta_n": 1.0, "t_max": 1e5, "n_t": 2}
+        assert cli.run("fig4", params, tmp_path) == 0
+        row = read_rows(tmp_path / "fig4.csv")[-1]
+        assert row["t_a"] == "100000.0"
+        assert row["mi_4state"] == row["capacity"] == "1.0999543915272632"
+        assert row["mi_3state"] == "0.9849320950726649"
+
+    def test_fig1_equal_peaks_at_pi(self, tmp_path):
+        # 1 + 1 + 2 cos(pi) rounds to 0.0, and so does |kappa|.
+        params = {"a_theta_values": [1.0], "sigma": 1.0, "delta_omega": 1.0, "delta_n": 1.0,
+                  "t_max": math.pi, "n_t": 2}
+        assert cli.run("fig1", params, tmp_path) == 0
+        row = read_rows(tmp_path / "fig1.csv")[-1]
+        assert (row["t"], row["kappa_mag"]) == ("3.141592653589793", "4.403758465776943e-19")
+
+    def test_fig2_tiny_eps(self, tmp_path):
+        # b^2 - b at b = 1 - 4e-12 keeps 5 digits: -4.0000225354219765e-12.
+        assert cli.run("fig2", {"eps_min": 1e-12, "eps_max": 1e-12, "eps_step": 1}, tmp_path) == 0
+        (row,) = read_rows(tmp_path / "fig2.csv")
+        assert row["C2_minus_C1"] == "-3.999999999984e-12"
+
+    def test_fig2_shipped_first_row(self, tmp_path):
+        # -4 eps C1 alone is -0.0 at eps = 0; the column must read 0.0.
+        assert cli.run("fig2", load_config("fig2"), tmp_path) == 0
+        lines = (tmp_path / "fig2.csv").read_bytes().split(b"\n")
+        assert lines[1] == b"0.0,1.0,1.0,0.0,markovian"
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.floats(0.0, 1e-6))
+    @example(eps=1e-12)
+    def test_fig2_gap_within_ulps_of_exact(self, eps):
+        # -4 eps C1 rounds twice (C1 = 1 - 4 eps, then the product; 4 eps is exact): at most
+        # 2 ulp. b^2 - b cancels to within ulp(1) and misses by up to 8e15 ulp here.
+        values, violations = cli._validated("fig2", {"eps_min": eps, "eps_max": eps,
+                                                     "eps_step": 1.0})
+        assert not violations
+        (_, _, columns), = cli._fig2(values)[0]
+        gap = float(columns[3][0])
+        assert oracles.ulps(gap, oracles.exact_c2_minus_c1(eps)) <= 2
+        assert math.copysign(1.0, gap) == (1.0 if eps == 0 else -1.0)
 
 
 FIG4_PARAMS = {"sigma": st.floats(1e-3, 5.0),

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -225,11 +226,11 @@ class TestProtocol:
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_anticorrelated_rounding_keeps_probabilities_nonnegative(self):
-        # Rounding makes t_a^2 + t_b^2 - 2 t_a t_b slightly negative here, so
-        # joint_kappa exceeds 1 by an ulp.
+        # t_a^2 + t_b^2 - 2 t_a t_b rounds to a negative number here (an f of 1 + 2^-52);
+        # (t_a - t_b)^2 + 0 t_a t_b cannot be negative, so f <= 1 with no clamp.
         spec = make_spec(-1.0)
         t_a, t_b = 1.6487810630191784, 1.648781063019178
-        assert sdc.joint_kappa(spec, t_a, t_b) > 1.0
+        assert sdc.joint_kappa(spec, t_a, t_b) <= 1.0
         for encoding in oracles.PAULI_4:
             assert np.all(oracles.bell_probabilities(spec, t_a, t_b, encoding) >= 0)
 
@@ -302,6 +303,30 @@ spectrum_strategy = st.builds(
 time_pairs = st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)), min_size=1, max_size=6)
 
 
+class TestJointKappaExact:
+    """joint_kappa against oracles.exact_joint_kappa, where its textbook form cancels."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(correlation=st.floats(-1.0, -1 + 1e-6), t=st.floats(0.0, 1e5))
+    @example(correlation=-0.9999999999, t=1e5)  # TestExactCells::test_fig4_near_anticorrelation
+    def test_within_ulps_of_exact_near_anticorrelation(self, correlation, t):
+        # sigma = dn = 1 and t_a = t_b = t: the exponent u = (1 + K) t^2 takes two roundings
+        # (1 + K is exact), which exp scales by u, and exp rounds once more: at most 2 + 3u ulp.
+        # t^2 + t^2 + 2K t^2 misses by up to 1e10 ulp here.
+        u = float((1 + Fraction(correlation)) * Fraction(t) ** 2)
+        spec = make_spec(correlation)
+        got = sdc.joint_kappa(spec, t, t)
+        assert oracles.ulps(got, oracles.exact_joint_kappa(spec, t, t)) <= 2 + 3 * u
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=spectrum_strategy, t_a=st.floats(0.0, 1e100), t_b=st.floats(0.0, 1e100))
+    @example(spec=make_spec(-1.0), t_a=1.6487810630191784, t_b=1.648781063019178)
+    def test_never_above_one(self, spec, t_a, t_b):
+        # Every term of (t_a - t_b)^2 + 2(1 + K) t_a t_b is >= 0 (t below 1e100 keeps 2(1 + K) t_a
+        # finite, so no inf meets a 0); the example is where t_a^2 + t_b^2 - 2 t_a t_b rounds < 0.
+        assert 0 <= sdc.joint_kappa(spec, t_a, t_b) <= 1
+
+
 class TestArrayPath:
     """The broadcast path against per-element oracles that share none of its code."""
 
@@ -354,10 +379,17 @@ class TestArrayPath:
         assert type(capacity_at(make_spec(correlation), 0.7)) is float
 
     def test_capacity_at_is_nan_where_joint_kappa_is(self):
-        # t^2 overflows, so t^2 + t^2 - 2 t t is inf - inf: nan, like simulate_protocol.
-        with np.errstate(all="ignore"):
-            assert math.isnan(capacity_at(make_spec(-1.0), 1e200))
-            assert math.isnan(oracles.simulate_protocol(make_spec(-1.0), 1e200, 1e200, 4))
+        # At K = -1 the exponent is (t - t)^2 + 0 t t = 0 for any finite t, t^2 overflowing or
+        # not: two bits exactly. It is nan only where (dn sigma)^2 overflows and meets that 0.
+        spec = make_spec(-1.0)
+        assert sdc.joint_kappa(spec, 1e200, 1e200) == 1.0
+        assert oracles.simulate_protocol(spec, 1e200, 1e200, 4) == 2.0
+        with np.errstate(all="ignore"):  # the marginal c_a's t^2 overflows
+            assert capacity_at(spec, 1e200) == 2.0
+            spec = make_spec(-1.0, delta_n=1e200)
+            assert math.isnan(sdc.joint_kappa(spec, 1.0, 1.0))
+            assert math.isnan(capacity_at(spec, 1.0))
+            assert math.isnan(oracles.simulate_protocol(spec, 1.0, 1.0, 4))
 
     def test_capacity_array_matches_independent_entropy(self):
         c_a = np.linspace(0, 1, 11)

@@ -78,6 +78,22 @@ class TestClosedForm:
         t_zero = np.pi / (spec.delta_omega * spec.delta_n)
         assert kappa_double_gaussian_mag(spec, t_zero) == pytest.approx(0.0, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(a_theta=st.floats(1 - 1e-6, 1 + 1e-6), k=st.integers(0, 50), d=st.floats(-1e-6, 1e-6),
+           delta_omega=st.sampled_from([0.25, 1.0, 4.0]), delta_n=st.sampled_from([-0.5, 1.0, 2.0]),
+           sigma=st.floats(1e-4, 1.0))
+    @example(a_theta=1.0, k=0, d=0.0, delta_omega=1.0, delta_n=1.0, sigma=1.0)  # fig1's 0.0
+    def test_within_ulps_of_exact_near_equal_peaks_at_odd_pi(self, a_theta, k, d, delta_omega,
+                                                              delta_n, sigma):
+        # dw dn t within 1e-6 of (2k + 1) pi, with t = x / |dw dn| exact (powers of two). The
+        # form's dozen roundings, and the envelope exponent's four scaled by its value u, stay
+        # within 8 (1 + u) ulp; sqrt(1 + A^2 + 2 A cos x) misses by up to 9e15 ulp here.
+        x = (2 * k + 1) * math.pi + d
+        spec, t = make_spec(a_theta, sigma, delta_omega, delta_n), x / abs(delta_omega * delta_n)
+        u = (sigma * delta_n * t) ** 2 / 2
+        exact = oracles.exact_double_gaussian_mag(spec, t)
+        assert oracles.ulps(kappa_double_gaussian_mag(spec, t), exact) <= 8 * (1 + u)
+
     def test_range_and_negative_time(self):
         spec = make_spec(a_theta=0.7)
         t = np.linspace(0, 10, 200)
