@@ -199,14 +199,19 @@ def _fig5(v):
     return [("fig5.csv", ["tau", "p0_u1", "p0_u2", "p0_u3", "p0_u4", "contrast"], columns)], {}
 
 
+def _kernel_scale(v) -> float:
+    """fig6's and synth's s in exp(i s omega t): 2 pi delta_n for an ordinary omega (two_pi)."""
+    return 2 * np.pi * v["delta_n"] if v["two_pi"] else v["delta_n"]
+
+
 def _fig6(v):
     with _input_file(v["spectrum_csv"]):
         profile = spectra.read_profile_csv(v["spectrum_csv"], max_rows=ROWS_MAX)
-        limit = spectra.alias_t_max(profile, v["delta_n"], v["two_pi"])
+        limit = spectra.alias_t_max(profile, _kernel_scale(v))
         if v["t_max"] > limit * (1 + 1e-9):  # 1e-9: the readers' uniform-grid tolerance
             raise ValueError(f"t_max = {v['t_max']} exceeds the alias half-period {limit}")
         t = np.linspace(0, v["t_max"], v["n_t"])
-        kappa = spectra.kappa_numeric(profile, v["delta_n"], t, two_pi=v["two_pi"])
+        kappa = spectra.kappa_numeric(profile, _kernel_scale(v), t)
     # hypot matches abs() of each complex scalar bit for bit; np.abs does not.
     columns = (t, kappa.real, kappa.imag, np.hypot(kappa.real, kappa.imag))
     return [("fig6.csv", ["t", "re_kappa", "im_kappa", "kappa_mag"], columns)], {}
@@ -226,7 +231,7 @@ def _synth(v):
     with _input_file(v["kappa_csv"]):
         # synthesize_spectrum's frequency grid has 2 * rows - 2 points.
         traj = spectra.read_trajectory_csv(v["kappa_csv"], max_rows=(ROWS_MAX + 2) // 2)
-        result = spectra.synthesize_spectrum(traj, v["delta_n"], two_pi=v["two_pi"])
+        result = spectra.synthesize_spectrum(traj, _kernel_scale(v))
     p = result.profile
     extra = {"roundtrip_error": result.roundtrip_error, "realizable": result.realizable}
     return [("synth_spectrum.csv", spectra.PROFILE_COLUMNS, (p.omega, p.density, p.phase))], extra

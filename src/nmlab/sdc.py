@@ -37,13 +37,14 @@ def _float_if_scalar(x):
 
 
 def joint_kappa(spec: CorrelatedSpectrum, t_a, t_b):
-    """Joint two-photon coherence exp(-(dn sigma)^2 q/2), q = (t_a - t_b)^2 + 2(1 + K) t_a t_b:
-    no term cancels (1 + K is exact for K <= -1/2), so it is <= 1; q = 0 at K = -1, t_a = t_b."""
+    """Joint two-photon coherence exp(-d^2/2 - (dn sigma)^2 ((2(1 + K) t_a) t_b)/2) <= 1, with
+    d = dn (sigma (t_a - t_b)): no term cancels, and K = -1 gives 0 t_b, never 0 inf."""
     t_a, t_b = np.asarray(t_a, dtype=float), np.asarray(t_b, dtype=float)
     if np.any(t_a < 0) or np.any(t_b < 0):
         raise ValueError("times must be >= 0")
-    quad = np.square(t_a - t_b) + 2 * (1 + spec.correlation) * t_a * t_b
-    return _float_if_scalar(np.exp(-0.5 * np.square(spec.delta_n) * np.square(spec.sigma) * quad))
+    r = -0.5 * np.square(spec.delta_n) * np.square(spec.sigma)
+    d = spec.delta_n * (spec.sigma * (t_a - t_b))  # finite where sigma^2 or t^2 is not
+    return _float_if_scalar(np.exp(r * (2 * (1 + spec.correlation) * t_a * t_b) - 0.5 * d * d))
 
 
 def marginal_kappa(spec: CorrelatedSpectrum, t):

@@ -7,9 +7,8 @@ closed-form double-Gaussian magnitude, numerical quadrature of arbitrary
 engineered spectra, the trace-distance (information backflow) functional,
 and inverse synthesis of a spectrum realizing a prescribed kappa(t).
 
-Frequency conventions: the kernel is exp(i * omega * delta_n * t) by
-default; pass two_pi=True to use exp(i * 2*pi * delta_n * omega * t)
-instead. Both appear in the photonic-dephasing literature.
+Frequency convention: the kernel is exp(i s omega t), its scale s = delta_n for an angular
+omega or 2*pi*delta_n for an ordinary one (both in the photonic-dephasing literature).
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ from . import _floatfmt
 
 DENSITY_NORM_TOL = 1e-8
 KAPPA_MAG_TOL = 1e-9
-
-
-def _kernel_scale(delta_n: float, two_pi: bool) -> float:
-    return 2 * np.pi * delta_n if two_pi else delta_n
 
 
 @dataclass(frozen=True)
@@ -223,15 +218,14 @@ def _horner(z, term, order):
     return out
 
 
-def kappa_numeric(profile: SpectralProfile, delta_n: float, t, two_pi: bool = False):
+def kappa_numeric(profile: SpectralProfile, scale: float, t):
     """Decoherence function by trapezoidal quadrature of the spectral integral.
 
-    kappa(t) = int density(w) exp(i phase(w)) exp(i w * dn * t) dw
-    (with dn replaced by 2*pi*dn when two_pi is set), at a scalar t (a complex
-    result) or on a 1-D t, increasing and uniform as omega is (_uniform_steps);
-    any other t raises ValueError.
+    kappa(t) = int density(w) exp(i phase(w)) exp(i s w t) dw with s = scale,
+    at a scalar t (a complex result) or on a 1-D t, increasing and uniform as
+    omega is (_uniform_steps); any other t raises ValueError.
 
-    With s the kernel scale and the grids' uniform fits (_uniform_fit)
+    With the grids' uniform fits (_uniform_fit)
     omega_k = w0 + k dw + delta_k and t_j = t0 + j dt + eps_j,
     kappa_j = sum_{p,q} (i s j dt)^p/p! (i s eps_j)^q/q! CZ[g delta^p omega^q]_j
     (Anderson & Dahleh 1996), g the integrand times np.trapezoid's node weights
@@ -254,7 +248,6 @@ def kappa_numeric(profile: SpectralProfile, delta_n: float, t, two_pi: bool = Fa
     56, 385 (2014)). This runs at any t; fig6 refuses a t_max past alias_t_max (1 + 1e-9).
     """
     t = np.asarray(t, dtype=float)
-    scale = _kernel_scale(delta_n, two_pi)
     omega = profile.omega
     if not math.isfinite(abs(scale) * float(np.max(np.abs(t), initial=0.0))
                          * float(np.max(np.abs(omega)))):
@@ -275,9 +268,9 @@ def kappa_numeric(profile: SpectralProfile, delta_n: float, t, two_pi: bool = Fa
     return complex(out[0]) if t.ndim == 0 else out
 
 
-def alias_t_max(profile: SpectralProfile, delta_n: float, two_pi: bool = False) -> float:
-    """pi / (|s| dw), half kappa_numeric's period in t: s the kernel scale, dw omega's step."""
-    return math.pi / abs(_kernel_scale(delta_n, two_pi)) / _uniform_fit(profile.omega)[1]
+def alias_t_max(profile: SpectralProfile, scale: float) -> float:
+    """pi / (|s| dw), half kappa_numeric's period in t: s = scale, dw omega's step."""
+    return math.pi / abs(scale) / _uniform_fit(profile.omega)[1]
 
 
 def blp_from_magnitudes(mag):
@@ -304,10 +297,8 @@ class SynthesisResult:
     realizable: bool
 
 
-def synthesize_spectrum(
-    traj: DecoherenceTrajectory, delta_n: float, two_pi: bool = False
-) -> SynthesisResult:
-    """Recover a spectral density and phase realizing a target kappa(t).
+def synthesize_spectrum(traj: DecoherenceTrajectory, scale: float) -> SynthesisResult:
+    """Recover a spectral density and phase realizing a target kappa(t) under kernel scale s.
 
     Inverse DFT of kappa onto the conjugate (Nyquist-matched) frequency
     grid of the time grid's uniform fit (_uniform_fit), not of t[1] - t[0].
@@ -327,7 +318,6 @@ def synthesize_spectrum(
         raise ValueError("time grid must start at 0")
     if t.size < 3:
         raise ValueError("need at least 3 time samples")
-    scale = _kernel_scale(delta_n, two_pi)
     omega = 2 * np.pi * np.fft.fftfreq(2 * t.size - 2, d=_uniform_fit(t)[1]) / scale
     # Sorted, not fftshifted: for scale < 0 the conjugate grid runs backwards.
     order = np.argsort(omega)
@@ -341,7 +331,7 @@ def synthesize_spectrum(
     c = (np.fft.fft(extended) / extended.size)[order]
     density = np.abs(c)
     profile = SpectralProfile(omega, density / np.trapezoid(density, omega), np.angle(c))
-    kappa_back = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
+    kappa_back = kappa_numeric(profile, scale, t)
     err = float(np.max(np.abs(kappa_back - traj.kappa)))
     return SynthesisResult(profile=profile, roundtrip_error=err, realizable=err <= 1e-6)
 

@@ -306,10 +306,9 @@ def simulate_protocol(spec: CorrelatedSpectrum, t_a, t_b, n_states: int = 4):
 
 # --- kappa by the plain trapezoid sum -------------------------------------
 
-def dense_kappa(profile, delta_n, t, two_pi=False):
-    """The trapezoid sum of kappa_numeric over every (t, omega) cell, a few hundred rows of
-    phases at a time, on any 1-D or scalar t (returned 1-D)."""
-    scale = 2 * np.pi * delta_n if two_pi else delta_n
+def dense_kappa(profile, scale, t):
+    """The trapezoid sum of kappa_numeric at kernel scale s = scale over every (t, omega) cell,
+    a few hundred rows of phases at a time, on any 1-D or scalar t (returned 1-D)."""
     weights = np.gradient(profile.omega)  # np.trapezoid's node weights once the ends are halved
     weights[[0, -1]] *= 0.5
     g = profile.density * np.exp(1j * profile.phase) * weights
@@ -378,8 +377,8 @@ def _pi() -> Decimal:
 
 def _cos(x: Decimal) -> Decimal:
     """cos x by its Taylor series after reduction to [-pi, pi]."""
-    two_pi = 2 * _pi()
-    x -= two_pi * (x / two_pi).to_integral_value()
+    period = 2 * _pi()
+    x -= period * (x / period).to_integral_value()
     x2, term, total, last, k = x * x, Decimal(1), Decimal(0), None, 0
     while total != last:
         last, total = total, total + term

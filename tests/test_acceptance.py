@@ -83,9 +83,7 @@ def test_criterion_04_blp_regimes(request):
 def test_criterion_05_synthesis_round_trip(request):
     t = np.linspace(0, 8, 512)
     kappa = np.exp(-0.5 * t**2) * np.exp(1j * 2.0 * t)
-    result = spectra.synthesize_spectrum(
-        spectra.DecoherenceTrajectory(t, kappa), delta_n=1.0
-    )
+    result = spectra.synthesize_spectrum(spectra.DecoherenceTrajectory(t, kappa), 1.0)
     report(request, result.roundtrip_error < 1e-6)
 
 

@@ -97,8 +97,8 @@ def test_synth_of_fig6_round_trips(a_theta, sigma, delta_omega, delta_n, two_pi,
     spec = spectra.DoubleGaussianSpec(a_theta, sigma, delta_omega, delta_n)
     profile = spectra.double_gaussian_profile(spec, n_points=n_points)
     spectra.write_profile_csv(profile, out / "spectrum.csv")
-    t_max = decay / (sigma * abs(spectra._kernel_scale(delta_n, two_pi)))
     grid = {"delta_n": delta_n, "two_pi": two_pi}
+    t_max = decay / (sigma * abs(cli._kernel_scale(grid)))
     fig6 = {"spectrum_csv": str(out / "spectrum.csv"), "t_max": t_max, "n_t": n_t, **grid}
     assert cli.run("fig6", fig6, out) == 0
     assert cli.run("synth", {"kappa_csv": str(out / "fig6.csv"), **grid}, out) == 0

@@ -393,38 +393,42 @@ class TestRun:
         assert report["violations"] == [f"{column} is not finite" for column in columns]
         assert not out.exists()
 
-    @pytest.mark.parametrize("scenario, overrides, columns",
+    @pytest.mark.parametrize("scenario, overrides, expect",
                              [("fig1", {"sigma": 1e200}, ["kappa_mag"]),
                               ("fig4", {"delta_n": 1e200}, FIG4_VALUES),
                               ("fig4", {"sigma": 1e150, "delta_n": 1e150}, FIG4_VALUES),
-                              ("fig4", {"sigma": 1e-300, "t_max": 1e300},
-                               ["c_a", "mi_4state_alice_only"]),
+                              ("fig4", {"sigma": 1e-300, "t_max": 1e300, "n_t": 2},
+                               {"c_a": "0.6065306597126334",
+                                "mi_4state_alice_only": "1.2846508332892783"}),
                               ("fig4", {"K": 1.0, "t_max": 1.7e308},
                                ["c_a", "mi_4state_alice_only"]),
-                              ("fig4", {"K": -1.0, "t_max": 1.7e308}, [])],
+                              ("fig4", {"K": -1.0, "t_max": 1.7e308}, {})],
                              ids=["fig1_sigma", "fig4_delta_n", "fig4_rate", "fig4_zero_rate",
                                   "fig4_cross_term", "fig4_anticorrelated"])
-    def test_square_overflow_is_a_config_error(self, scenario, overrides, columns, tmp_path,
+    def test_square_overflow_is_a_config_error(self, scenario, overrides, expect, tmp_path,
                                                capsys, recwarn):
-        # A square that overflows to inf meets a 0 (t = 0, a rate that underflows, or
-        # 2(1 + K) t_a at t_b = 0): the nan cells are refused by the one check of every output
-        # column. At the shipped K = -1 the joint exponent (t - t)^2 + 0 t t is 0 at every t, so
-        # only the marginal c_a = exp(-(dn sigma t)^2 / 2) meets one: at a rate that underflows.
-        # With a rate that does not, nothing is nan and the joint columns are two bits exactly.
+        # A square that overflows to inf meets a 0 (t = 0, or 2(1 + K) t_a at t_b = 0): the nan
+        # cells, listed in `expect`, are refused by the one check of every output column. At
+        # the shipped K = -1 the joint exponent's cross term is 0 t_b and its difference term 0,
+        # so only the marginal c_a = exp(-(dn (sigma t))^2 / 2) could meet one, and squaring
+        # the one product dn sigma t keeps it finite where sigma^2 underflows and t^2 overflows
+        # (sigma t = 1: c_a is e^(-1/2), both cells correctly rounded). Such a run exits 0, the
+        # joint columns are two bits exactly and `expect` holds its last row's cells.
         out = tmp_path / "out"
         code = cli.run(scenario, dict(load_config(scenario), **overrides), out)
         err = capsys.readouterr().err.strip().splitlines()
         assert not recwarn.list
-        if not columns:
+        if isinstance(expect, dict):
             assert code == 0 and not err
             rows = read_rows(out / "fig4.csv")
             assert {r["mi_4state"] for r in rows} == {r["capacity"] for r in rows} == {"2.0"}
+            assert {key: rows[-1][key] for key in expect} == expect
             return
         assert code == 2 and len(err) == 1
         report = json.loads(err[0])
         assert report["error"] == "non-finite output"
         assert report["violations"] == [f"{scenario}.csv: column {c} is not finite"
-                                         for c in columns]
+                                         for c in expect]
         assert not out.exists()
 
     def test_fig4_overflowed_joint_kappa_refused(self, tmp_path, capsys, recwarn):
@@ -653,7 +657,7 @@ class TestKernelBudget:
         rows = np.loadtxt(tmp_path / "out" / "fig6.csv", delimiter=",", skiprows=1)
         t, kappa = rows[:, 0], rows[:, 1] + 1j * rows[:, 2]
         profile = spectra.read_profile_csv(spectrum)
-        dense = oracles.dense_kappa(profile, params["delta_n"], t, params["two_pi"])
+        dense = oracles.dense_kappa(profile, cli._kernel_scale(params), t)
         assert np.max(np.abs(kappa - dense)) < 1e-12
 
     def test_jittered_kappa_file_round_trips(self, tmp_path, chirp_calls):
@@ -785,11 +789,11 @@ class TestAliasWindow:
     def test_refused_just_past_the_limit(self, delta_n, two_pi, jitter, tmp_path, monkeypatch,
                                          capsys):
         spectrum = write_spectrum(tmp_path / "in.csv", 400, jitter=jitter)
-        scale = abs(spectra._kernel_scale(delta_n, two_pi))
-        limit = spectra.alias_t_max(spectra.read_profile_csv(spectrum), delta_n, two_pi)
-        assert limit == pytest.approx(np.pi / (scale * 12 / 399), rel=1e-14)
         params = dict(load_config("fig6"), spectrum_csv=spectrum, delta_n=delta_n,
                       two_pi=two_pi, n_t=25)
+        scale = cli._kernel_scale(params)
+        limit = spectra.alias_t_max(spectra.read_profile_csv(spectrum), scale)
+        assert limit == pytest.approx(np.pi / (abs(scale) * 12 / 399), rel=1e-14)
         for t_max in (limit, limit * (1 + 5e-10)):
             assert cli.run("fig6", dict(params, t_max=t_max), tmp_path / "at") == 0
         monkeypatch.setattr(spectra, "_chirp_z", fail)
@@ -810,6 +814,23 @@ class TestAliasWindow:
         assert violation == (f"{params['spectrum_csv']}: t_max = 2000.0 exceeds the alias "
                              f"half-period {np.pi / (16 / 2047)}")
         assert not (tmp_path / "out").exists()
+
+
+class TestKernelScale:
+    """two_pi says that the input tabulates omega as an ordinary frequency; the CLI alone turns
+    it into the kernel scale s = 2 pi delta_n, so the run writes the same bytes as an angular
+    omega at delta_n = 2 pi delta_n."""
+
+    @pytest.mark.parametrize("delta_n", [0.5, -0.7])
+    @pytest.mark.parametrize("scenario, output", [("fig6", "fig6.csv"),
+                                                  ("synth", "synth_spectrum.csv")])
+    def test_two_pi_is_delta_n_times_two_pi(self, scenario, output, delta_n, tmp_path):
+        params = patch_paths(scenario, load_config(scenario), tmp_path)
+        ordinary, angular = tmp_path / "ordinary", tmp_path / "angular"
+        assert cli.run(scenario, dict(params, two_pi=True, delta_n=delta_n), ordinary) == 0
+        assert cli.run(scenario, dict(params, two_pi=False, delta_n=2 * np.pi * delta_n),
+                       angular) == 0
+        assert (ordinary / output).read_bytes() == (angular / output).read_bytes()
 
 
 class TestWarmReads:

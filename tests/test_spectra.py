@@ -34,6 +34,9 @@ PLUS = oracles.pure_state(np.array([1, 1]) / np.sqrt(2))
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED_INPUTS = [pytest.param("fig6_spectrum.csv", spectra.PROFILE_COLUMNS, id="fig6_spectrum"),
                   pytest.param("synth_kappa.csv", spectra.TRAJECTORY_COLUMNS, id="synth_kappa")]
+# Kernel scales s of either sign: delta_n in [0.1, 2] for an angular omega, 2 pi delta_n for
+# an ordinary one.
+SCALES = st.floats(0.1, 4 * np.pi) | st.floats(-4 * np.pi, -0.1)
 
 
 def make_spec(a_theta=1.0, sigma=1.0, delta_omega=4.0, delta_n=1.0):
@@ -118,7 +121,7 @@ class TestKappaNumeric:
         density /= np.trapezoid(density, omega)
         profile = SpectralProfile(omega, density, np.zeros_like(omega))
         t = np.linspace(0, 1.5, 64)
-        kappa = kappa_numeric(profile, delta_n, t, two_pi=True)
+        kappa = kappa_numeric(profile, 2 * np.pi * delta_n, t)
         expected = np.exp(-0.5 * (2 * np.pi * delta_n * sigma * t) ** 2)
         assert np.max(np.abs(np.abs(kappa) - expected)) < 1e-6
 
@@ -176,7 +179,7 @@ class TestKappaNumeric:
         profile = double_gaussian_profile(make_spec(), n_points=64)
         monkeypatch.setattr(spectra, "_chirp_z", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ValueError, match=r"phase \|scale\|\*max\|t\|\*max\|omega\|"):
-            kappa_numeric(profile, 1e300, t, two_pi=True)
+            kappa_numeric(profile, 2 * np.pi * 1e300, t)
 
     def test_nonuniform_grid_rejected(self):
         omega = np.array([0.0, 1.0, 3.0])
@@ -217,15 +220,13 @@ class TestChirpKernel:
         t_span=st.floats(0.1, 20),
         t0_frac=st.floats(0, 0.5),
         w0_frac=st.floats(0.25, 0.75),
-        delta_n=st.floats(0.1, 2) | st.floats(-2, -0.1),
-        two_pi=st.booleans(),
+        scale=SCALES,
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_dense_oracle(self, n_t, n_w, log_phase, t_span, t0_frac, w0_frac,
-                                  delta_n, two_pi, seed):
+                                  scale, seed):
         # Grids are built from the largest chirp phase |a| (n_t + n_w)^2 / 2.
         rng = np.random.default_rng(seed)
-        scale = 2 * np.pi * delta_n if two_pi else delta_n
         t0 = t0_frac * t_span
         t = np.linspace(t0, t0 + t_span, n_t)
         dt = t_span / (n_t - 1)
@@ -234,8 +235,8 @@ class TestChirpKernel:
         omega = np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w)
         profile = random_profile(rng, omega)
         assert uniform_to_rounding(t, omega)
-        kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
-        assert np.max(np.abs(kappa - oracles.dense_kappa(profile, delta_n, t, two_pi))) < 1e-11
+        kappa = kappa_numeric(profile, scale, t)
+        assert np.max(np.abs(kappa - oracles.dense_kappa(profile, scale, t))) < 1e-11
         assert np.max(np.abs(kappa)) <= 1 + 1e-9
 
     @settings(max_examples=25, deadline=None)
@@ -246,24 +247,21 @@ class TestChirpKernel:
         t_span=st.floats(0.1, 20),
         t0_frac=st.floats(0, 0.5),
         w0_frac=st.floats(0.25, 0.75),
-        delta_n=st.floats(0.1, 2) | st.floats(-2, -0.1),
-        two_pi=st.booleans(),
+        scale=SCALES,
         jitter=st.sampled_from(["omega", "t", "both"]),
         frac=st.floats(0, 0.9),
         drift=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n_t=2048, n_w=2048, log_phase=3, t_span=20, t0_frac=0.5, w0_frac=0.75, delta_n=2,
-             two_pi=True, jitter="both", frac=0.9, drift=True, seed=0)
+    @example(n_t=2048, n_w=2048, log_phase=3, t_span=20, t0_frac=0.5, w0_frac=0.75,
+             scale=4 * np.pi, jitter="both", frac=0.9, drift=True, seed=0)
     def test_jittered_grids_match_dense_oracle(self, n_t, n_w, log_phase, t_span, t0_frac,
-                                               w0_frac, delta_n, two_pi, jitter, frac, drift,
-                                               seed):
+                                               w0_frac, scale, jitter, frac, drift, seed):
         # Grids as uniform as the readers accept, not to rounding: the Taylor terms in the
         # deviation correct the chirp-z kernel on the uniform fits. The largest phase
         # |scale| max|t| max|omega|, at most about 1e3 rad, keeps the float64 oracle's rounding
         # below the tolerance.
         rng = np.random.default_rng(seed)
-        scale = 2 * np.pi * delta_n if two_pi else delta_n
         t0 = t0_frac * t_span
         t = np.linspace(t0, t0 + t_span, n_t)
         width = 10**log_phase / (abs(scale) * t_span)
@@ -273,8 +271,8 @@ class TestChirpKernel:
         if jitter != "omega":
             t = jittered(rng, t, frac, drift)
         profile = random_profile(rng, omega)
-        kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
-        assert np.max(np.abs(kappa - oracles.dense_kappa(profile, delta_n, t, two_pi))) < 1e-12
+        kappa = kappa_numeric(profile, scale, t)
+        assert np.max(np.abs(kappa - oracles.dense_kappa(profile, scale, t))) < 1e-12
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
     @settings(max_examples=25, deadline=None)
@@ -285,27 +283,25 @@ class TestChirpKernel:
         t_span=st.floats(0.1, 20),
         t0_frac=st.floats(0, 0.5),
         w0_frac=st.floats(0.25, 0.75),
-        delta_n=st.floats(0.1, 2) | st.floats(-2, -0.1),
-        two_pi=st.booleans(),
+        scale=SCALES,
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n_t=2048, n_w=128, log_phase=8, t_span=10, t0_frac=0.25, w0_frac=0.5, delta_n=1,
-             two_pi=False, seed=0)
+    @example(n_t=2048, n_w=128, log_phase=8, t_span=10, t0_frac=0.25, w0_frac=0.5, scale=1.0,
+             seed=0)
     def test_matches_longdouble_oracle(self, n_t, n_w, log_phase, t_span, t0_frac, w0_frac,
-                                       delta_n, two_pi, seed):
+                                       scale, seed):
         # Every uniform grid takes the chirp-z kernel, here up to 1e8 rad of chirp phase. Its
         # phases carry the rounding of a = scale*dt*dw, a few ulp of the largest phase, which
         # the sum over omega averages down; 700 random draws erred by at most a third of tol.
         n_w = min(n_w, max(2, (1 << 18) // n_t))  # the oracle's cost is n_t * n_w
         rng = np.random.default_rng(seed)
-        scale = 2 * np.pi * delta_n if two_pi else delta_n
         t0 = t0_frac * t_span
         t = np.linspace(t0, t0 + t_span, n_t)
         d_omega = 2 * 10**log_phase / ((n_t + n_w) ** 2 * abs(scale) * (t_span / (n_t - 1)))
         width = d_omega * (n_w - 1)
         profile = random_profile(rng, np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w))
         assert uniform_to_rounding(t, profile.omega)
-        kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
+        kappa = kappa_numeric(profile, scale, t)
         dw = profile.omega[1] - profile.omega[0]
         phase = abs(scale * (t[1] - t[0]) * dw) * (n_t + n_w) ** 2 / 2
         tol = 1e-14 + phase * np.finfo(float).eps / 8
@@ -353,7 +349,7 @@ class TestChirpKernel:
         profile = random_profile(np.random.default_rng(0), np.linspace(-6, 6, 40))
         monkeypatch.setattr(spectra, "_chirp_z", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ValueError, match="is not finite"):
-            kappa_numeric(profile, 1e300, np.linspace(0, 1e300, 3), two_pi=True)
+            kappa_numeric(profile, 2 * np.pi * 1e300, np.linspace(0, 1e300, 3))
 
     @pytest.mark.parametrize("delta_n", [0.7, -0.7])
     @pytest.mark.parametrize("two_pi", [False, True])
@@ -361,11 +357,11 @@ class TestChirpKernel:
         # On omega_k = w0 + k dw the sum repeats in t with period P = 2 alias_t_max, up to the
         # unit phase exp(i s P w0): a sample past alias_t_max is a negative time's alias.
         profile = random_profile(np.random.default_rng(1), np.linspace(-6, 6, 400))
-        period = 2 * spectra.alias_t_max(profile, delta_n, two_pi)
-        scale = spectra._kernel_scale(delta_n, two_pi)
+        scale = 2 * np.pi * delta_n if two_pi else delta_n  # omega ordinary or angular
+        period = 2 * spectra.alias_t_max(profile, scale)
         assert period == pytest.approx(2 * np.pi / (abs(scale) * 12 / 399), rel=1e-14)
         t = np.linspace(0, 3, 31)
-        here, there = (kappa_numeric(profile, delta_n, t + shift, two_pi=two_pi)
+        here, there = (kappa_numeric(profile, scale, t + shift)
                        for shift in (0.0, period))
         assert np.max(np.abs(there - np.exp(-6j * scale * period) * here)) < 1e-10
 
@@ -451,7 +447,7 @@ class TestSynthesis:
     def test_gaussian_decay_round_trip(self):
         t = np.linspace(0, 8, 512)
         kappa = np.exp(-0.5 * t**2).astype(complex)
-        result = synthesize_spectrum(DecoherenceTrajectory(t, kappa), delta_n=1.0)
+        result = synthesize_spectrum(DecoherenceTrajectory(t, kappa), 1.0)
         assert result.roundtrip_error < 1e-6
         assert result.realizable
         # Recovered phase is flat where the density lives.
@@ -462,7 +458,7 @@ class TestSynthesis:
         t = np.linspace(0, 8, 512)
         omega0 = np.pi  # on the conjugate grid for this window
         kappa = np.exp(1j * omega0 * t)
-        result = synthesize_spectrum(DecoherenceTrajectory(t, kappa), delta_n=1.0)
+        result = synthesize_spectrum(DecoherenceTrajectory(t, kappa), 1.0)
         assert result.roundtrip_error < 1e-6
         prof = result.profile
         peak = prof.omega[np.argmax(prof.density)]
@@ -474,7 +470,7 @@ class TestSynthesis:
         t = np.linspace(0, 16, 2048)
         half = 2.0  # peak separation 4, spectral width 0.5 so overlap is tiny
         kappa = np.exp(-t**2 / 8) * 0.5 * (np.exp(-1j * half * t) + np.exp(1j * half * t))
-        result = synthesize_spectrum(DecoherenceTrajectory(t, kappa), delta_n=1.0)
+        result = synthesize_spectrum(DecoherenceTrajectory(t, kappa), 1.0)
         assert result.roundtrip_error < 1e-6
         prof = result.profile
         pos = prof.omega > 0.5
@@ -490,13 +486,13 @@ class TestSynthesis:
     def test_short_window_flagged_unrealizable(self):
         t = np.linspace(0, 1.0, 64)  # |kappa| still ~0.6 at the end
         kappa = np.exp(-0.5 * t**2).astype(complex)
-        result = synthesize_spectrum(DecoherenceTrajectory(t, kappa), delta_n=1.0)
+        result = synthesize_spectrum(DecoherenceTrajectory(t, kappa), 1.0)
         assert not result.realizable
 
     def test_two_pi_convention_round_trip(self):
         t = np.linspace(0, 8, 512)
         kappa = np.exp(-0.5 * t**2).astype(complex)
-        result = synthesize_spectrum(DecoherenceTrajectory(t, kappa), delta_n=0.7, two_pi=True)
+        result = synthesize_spectrum(DecoherenceTrajectory(t, kappa), 2 * np.pi * 0.7)
         assert result.roundtrip_error < 1e-6
 
 
@@ -506,13 +502,13 @@ class TestSynthesis:
         t = np.linspace(0, 8, 512) + t0
         kappa = np.exp(-0.5 * (t - t0) ** 2).astype(complex)
         with pytest.raises(ValueError, match="time grid must start at 0"):
-            synthesize_spectrum(DecoherenceTrajectory(t, kappa), delta_n=1.0)
+            synthesize_spectrum(DecoherenceTrajectory(t, kappa), 1.0)
 
     def test_start_within_its_tolerance_is_zero(self):
         t = np.linspace(0, 8, 512)
         kappa = np.exp(-0.5 * t**2).astype(complex)
-        exact = synthesize_spectrum(DecoherenceTrajectory(t, kappa), delta_n=1.0)
-        nudged = synthesize_spectrum(DecoherenceTrajectory(t + 0.5e-9 * t[1], kappa), delta_n=1.0)
+        exact = synthesize_spectrum(DecoherenceTrajectory(t, kappa), 1.0)
+        nudged = synthesize_spectrum(DecoherenceTrajectory(t + 0.5e-9 * t[1], kappa), 1.0)
         assert nudged.realizable
         assert np.allclose(nudged.profile.density, exact.profile.density, rtol=1e-9, atol=0)
 
@@ -1145,15 +1141,12 @@ class TestKappaProperties:
         log_phase=st.floats(-2, np.log10(0.99e5)),
         t_span=st.floats(0.1, 20),
         w0_frac=st.floats(0.25, 0.75),
-        delta_n=st.floats(0.1, 2) | st.floats(-2, -0.1),
-        two_pi=st.booleans(),
+        scale=SCALES,
         seed=st.integers(0, 2**32 - 1),
     )
     def test_chirp_matches_dense_and_magnitude_bounded(self, n_t, n_w, log_phase, t_span,
-                                                       w0_frac, delta_n, two_pi, seed,
-                                                       tmp_path):
+                                                       w0_frac, scale, seed, tmp_path):
         rng = np.random.default_rng(seed)
-        scale = 2 * np.pi * delta_n if two_pi else delta_n
         t = np.linspace(0, t_span, n_t)
         d_omega = 2 * 10**log_phase / ((n_t + n_w) ** 2 * abs(scale) * (t_span / (n_t - 1)))
         width = d_omega * (n_w - 1)
@@ -1162,8 +1155,8 @@ class TestKappaProperties:
             random_profile(rng, np.linspace(-w0_frac * width, (1 - w0_frac) * width, n_w)), path)
         profile = spectra.read_profile_csv(path)
         assert uniform_to_rounding(t, profile.omega)
-        chirp = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
-        dense = oracles.dense_kappa(profile, delta_n, t, two_pi=two_pi)
+        chirp = kappa_numeric(profile, scale, t)
+        dense = oracles.dense_kappa(profile, scale, t)
         assert np.max(np.abs(chirp - dense)) < 1e-11
         for kappa in (chirp, dense):
             assert np.max(np.abs(kappa)) <= 1 + spectra.KAPPA_MAG_TOL
@@ -1175,22 +1168,20 @@ class TestKappaProperties:
         log_phase=st.floats(-2, 5.99),
         t_span=st.floats(0.1, 20),
         w0_frac=st.floats(0, 1),
-        delta_n=st.floats(0.1, 2) | st.floats(-2, -0.1),
-        two_pi=st.booleans(),
+        scale=SCALES,
         uniform_t=st.booleans(),
         zeros=st.floats(0, 0.99),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n_t=1024, n_w=1024, log_phase=3, t_span=10, w0_frac=0.5, delta_n=1, two_pi=False,
+    @example(n_t=1024, n_w=1024, log_phase=3, t_span=10, w0_frac=0.5, scale=1.0,
              uniform_t=False, zeros=0, seed=1)
     def test_magnitude_at_most_the_density_integral(self, n_t, n_w, log_phase, t_span, w0_frac,
-                                                     delta_n, two_pi, uniform_t, zeros, seed):
+                                                     scale, uniform_t, zeros, seed):
         # |kappa(t)| <= trapz(density), the triangle inequality on the trapezoid sum, up to the
         # kernel's rounding (at most 4e-12 below 1e6 rad of chirp phase, which bounds these
         # grids) and its Taylor terms in the deviation of grids jittered within 1e-9 of a step.
         # kappa(0) is the trapezoid integral on the nodes, the one SpectralProfile checks.
         rng = np.random.default_rng(seed)
-        scale = 2 * np.pi * delta_n if two_pi else delta_n
         t = np.linspace(0, t_span, n_t)
         d_omega = 2 * 10**log_phase / ((t.size + n_w) ** 2 * abs(scale) * (t_span / (t.size - 1)))
         width = d_omega * (n_w - 1)
@@ -1202,7 +1193,7 @@ class TestKappaProperties:
         density[rng.integers(n_w)] += 1
         density /= np.trapezoid(density, omega)
         profile = SpectralProfile(omega, density, rng.uniform(-np.pi, np.pi, n_w))
-        kappa = kappa_numeric(profile, delta_n, t, two_pi=two_pi)
+        kappa = kappa_numeric(profile, scale, t)
         assert np.max(np.abs(kappa)) <= np.trapezoid(profile.density, profile.omega) + 1e-11
         assert abs(kappa[0] - np.trapezoid(density * np.exp(1j * profile.phase), omega)) < 1e-14
 
