@@ -173,26 +173,49 @@ def _chirp(c: float, m2: np.ndarray) -> np.ndarray:
     return np.exp(1j * (c_hi * m2)) * np.exp(1j * ((c - c_hi) * m2))
 
 
+def _fast_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n >= 1: a length whose FFT pocketfft runs at full speed."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _chirp_z(omega, scale, t_fit, w_fit, n_t):
     """h -> sum_k h_k exp(i scale t_j omega_k) on t_j = t0 + j dt (Bluestein), one FFT pair.
 
     With s = scale*dt and a = s*dw, the phase is scale*t0*omega_k + s*w0*j + a*j*k, and
     j*k = (j^2 + k^2 - (k-j)^2)/2 turns the sum over k into a convolution with the chirp
-    exp(-i a m^2 / 2), whose FFT is built here once, as are the phase factors.
+    exp(-i a m^2 / 2). The convolution is circular, of the _fast_length of n_t + n_w - 1;
+    its kernel FFT and both phase factors, each with its chirp, are built here once, and
+    every call transforms in place in one work buffer.
     """
     (t0, dt), (w0, dw) = t_fit, w_fit
     n_w = omega.size
     s = scale * dt
-    size = 1 << (n_t + n_w - 2).bit_length()
+    size = _fast_length(n_t + n_w - 1)
     m = np.arange(max(n_t, n_w))
     chirp = _chirp(0.5 * s * dw, m * m)
-    w = np.zeros(size, dtype=complex)
-    w[:n_t] = chirp[:n_t].conj()
-    w[size - n_w + 1:] = chirp[n_w - 1:0:-1].conj()
-    kernel = np.fft.fft(w)
-    shift, turn = np.exp(1j * scale * t0 * omega), np.exp(1j * s * w0 * m[:n_t])
-    return lambda h: (np.fft.ifft(np.fft.fft(h * shift * chirp[:n_w], size) * kernel)[:n_t]
-                      * turn * chirp[:n_t])
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n_t] = chirp[:n_t].conj()
+    kernel[size - n_w + 1:] = chirp[n_w - 1:0:-1].conj()
+    np.fft.fft(kernel, out=kernel)
+    shift = np.exp(1j * scale * t0 * omega) * chirp[:n_w]
+    turn = np.exp(1j * s * w0 * m[:n_t]) * chirp[:n_t]
+    del m, chirp
+    work = np.empty(size, dtype=complex)
+
+    def transform(h):
+        np.multiply(h, shift, out=work[:n_w])
+        work[n_w:] = 0
+        np.fft.fft(work, out=work)
+        np.fft.ifft(np.multiply(work, kernel, out=work), out=work)
+        return work[:n_t] * turn
+    return transform
 
 
 def _taylor(c, y, w):
@@ -230,8 +253,8 @@ def kappa_numeric(profile: SpectralProfile, scale: float, t):
     kappa_j = sum_{p,q} (i s j dt)^p/p! (i s eps_j)^q/q! CZ[g delta^p omega^q]_j
     (Anderson & Dahleh 1996), g the integrand times np.trapezoid's node weights
     and CZ the chirp-z transform on the fits (Bluestein 1970), whose chirp and
-    kernel FFT are built once: a term is one FFT pair of length
-    2^ceil(log2(n_t + n_w - 1)). Each order is the fewest whose dropped term
+    kernel FFT are built once: a term is one in-place FFT pair of length the
+    least 2^a 3^b 5^c >= n_t + n_w - 1. Each order is the fewest whose dropped term
     x^(n+1)/(n+1)! is below 1e-16, x_p = |s dt| (n_t - 1) max|delta| and x_q =
     |s| max|eps| max|omega|: 0 for a deviation within 8 ulp, so grids uniform
     to rounding take one term. ValueError before CZ is built if x_p or x_q
@@ -328,9 +351,13 @@ def synthesize_spectrum(traj: DecoherenceTrajectory, scale: float) -> SynthesisR
     extended = np.concatenate([traj.kappa, np.conj(traj.kappa[-2:0:-1])])
     # DFT coefficients: kappa_m = sum_k c_k exp(i w_k * scale * t_m) exactly
     # on the grid, with w_k the fftfreq conjugate grid.
-    c = (np.fft.fft(extended) / extended.size)[order]
-    density = np.abs(c)
-    profile = SpectralProfile(omega, density / np.trapezoid(density, omega), np.angle(c))
+    c = np.fft.fft(extended, out=extended)[order]
+    del extended
+    c /= c.size
+    density, phase = np.abs(c), np.angle(c)
+    del c  # before the quadrature, which holds its own transform buffers
+    density /= np.trapezoid(density, omega)
+    profile = SpectralProfile(omega, density, phase)
     kappa_back = kappa_numeric(profile, scale, t)
     err = float(np.max(np.abs(kappa_back - traj.kappa)))
     return SynthesisResult(profile=profile, roundtrip_error=err, realizable=err <= 1e-6)

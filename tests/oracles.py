@@ -397,6 +397,15 @@ def exact_joint_kappa(spec: CorrelatedSpectrum, t_a: float, t_b: float) -> Decim
         return (-_decimal(u)).exp()
 
 
+def exact_capacity(spec: CorrelatedSpectrum, t: float) -> Decimal:
+    """sdc's capacity at t_a = t_b = t, 2 - H((1 + f)/2) in bits with f = exact_joint_kappa(t, t),
+    the entropy's logarithms at DIGITS digits (f < 1: t > 0 and K > -1)."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        p = (1 + exact_joint_kappa(spec, t, t)) / 2
+        return 2 + (p * p.ln() + (1 - p) * (1 - p).ln()) / Decimal(2).ln()
+
+
 def exact_double_gaussian_mag(spec, t: float) -> Decimal:
     """spectra.kappa_double_gaussian_mag as exp(-sigma^2 (dn t)^2 / 2) / (1 + A)
     * sqrt(1 + A^2 + 2 A cos(dw dn t)), every product of inputs exact and the rest at DIGITS

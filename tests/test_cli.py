@@ -395,25 +395,29 @@ class TestRun:
 
     @pytest.mark.parametrize("scenario, overrides, expect",
                              [("fig1", {"sigma": 1e200}, ["kappa_mag"]),
-                              ("fig4", {"delta_n": 1e200}, FIG4_VALUES),
-                              ("fig4", {"sigma": 1e150, "delta_n": 1e150}, FIG4_VALUES),
+                              ("fig4", {"delta_n": 1e200}, {"c_a": "0.0",
+                                                            "mi_4state_alice_only": "1.0"}),
+                              ("fig4", {"sigma": 1e150, "delta_n": 1e150},
+                               {"c_a": "0.0", "mi_4state_alice_only": "1.0"}),
+                              ("fig4", {"delta_n": 1e200, "t_max": 1e200}, FIG4_VALUES),
                               ("fig4", {"sigma": 1e-300, "t_max": 1e300, "n_t": 2},
                                {"c_a": "0.6065306597126334",
                                 "mi_4state_alice_only": "1.2846508332892783"}),
                               ("fig4", {"K": 1.0, "t_max": 1.7e308},
                                ["c_a", "mi_4state_alice_only"]),
                               ("fig4", {"K": -1.0, "t_max": 1.7e308}, {})],
-                             ids=["fig1_sigma", "fig4_delta_n", "fig4_rate", "fig4_zero_rate",
-                                  "fig4_cross_term", "fig4_anticorrelated"])
+                             ids=["fig1_sigma", "fig4_delta_n", "fig4_rate", "fig4_product",
+                                  "fig4_zero_rate", "fig4_cross_term", "fig4_anticorrelated"])
     def test_square_overflow_is_a_config_error(self, scenario, overrides, expect, tmp_path,
                                                capsys, recwarn):
-        # A square that overflows to inf meets a 0 (t = 0, or 2(1 + K) t_a at t_b = 0): the nan
-        # cells, listed in `expect`, are refused by the one check of every output column. At
-        # the shipped K = -1 the joint exponent's cross term is 0 t_b and its difference term 0,
-        # so only the marginal c_a = exp(-(dn (sigma t))^2 / 2) could meet one, and squaring
-        # the one product dn sigma t keeps it finite where sigma^2 underflows and t^2 overflows
-        # (sigma t = 1: c_a is e^(-1/2), both cells correctly rounded). Such a run exits 0, the
-        # joint columns are two bits exactly and `expect` holds its last row's cells.
+        # An overflow to inf meets a 0: the nan cells, listed in `expect`, are refused by the
+        # one check of every output column. fig1 squares sigma, which meets t = 0. fig4 squares
+        # no input: its exponent is ((1 + K) x_a) x_b + d^2 / 2 with x = dn (sigma t) and
+        # d = dn (sigma (t_a - t_b)), so a 0 meets an inf only where x overflows at K = -1
+        # (0 x_a), or (1 + K) x_a does at t_b = 0 (the marginal c_a). Where only a square of
+        # dn sigma or of t would overflow, or sigma^2 would underflow (sigma t = 1: c_a is
+        # e^(-1/2), both cells correctly rounded), the run exits 0, the joint columns at the
+        # shipped K = -1 are two bits exactly and `expect` holds its last row's cells.
         out = tmp_path / "out"
         code = cli.run(scenario, dict(load_config(scenario), **overrides), out)
         err = capsys.readouterr().err.strip().splitlines()
@@ -994,6 +998,19 @@ class TestExactCells:
         assert row["t_a"] == "100000.0"
         assert row["mi_4state"] == row["capacity"] == "1.0999543915272632"
         assert row["mi_3state"] == "0.9849320950726649"
+
+    @pytest.mark.parametrize("correlation", [-0.5, 0.0, 0.5])
+    def test_fig4_cross_term_where_sigma_squared_underflows(self, correlation, tmp_path):
+        # sigma^2 underflows to 0 and t^2 overflows to inf, so (dn sigma)^2 (2(1 + K) t t) was
+        # 0 inf = nan (exit 2); ((1 + K) x) x with x = dn (sigma t) = 1 is the exponent 1 + K.
+        # c_a is e^(-1/2) correctly rounded; mi_4state is within an ulp of the exact capacity
+        # at the float inputs (x rounds 1 + 7.8e-17 to 1.0, and the entropy rounds too).
+        params = {"sigma": 1e-300, "K": correlation, "delta_n": 1.0, "t_max": 1e300, "n_t": 2}
+        assert cli.run("fig4", params, tmp_path) == 0
+        row = read_rows(tmp_path / "fig4.csv")[-1]
+        assert (row["t_a"], row["c_a"]) == ("1e+300", "0.6065306597126334")
+        spec = sdc.CorrelatedSpectrum(1e-300, correlation, 1.0)
+        assert oracles.ulps(float(row["mi_4state"]), oracles.exact_capacity(spec, 1e300)) < 1
 
     def test_fig1_equal_peaks_at_pi(self, tmp_path):
         # 1 + 1 + 2 cos(pi) rounds to 0.0, and so does |kappa|.
