@@ -39,19 +39,28 @@ def _float_if_scalar(x):
 def joint_kappa(spec: CorrelatedSpectrum, t_a, t_b):
     """Joint two-photon coherence exp(-d^2/2 - ((1 + K) x_a) x_b) <= 1, with x = dn (sigma t)
     and d = dn (sigma (t_a - t_b)): no term cancels, no square of sigma or t is formed (each
-    product is finite where sigma^2 underflows and t^2 overflows), and K = -1 gives 0 x_b."""
+    product is finite where sigma^2 underflows and t^2 overflows), and at K = -1 the cross
+    term is left out, so it is 0 even where x overflows."""
     t_a, t_b = np.asarray(t_a, dtype=float), np.asarray(t_b, dtype=float)
     if np.any(t_a < 0) or np.any(t_b < 0):
         raise ValueError("times must be >= 0")
     dn, sigma = spec.delta_n, spec.sigma
-    cross = ((1 + spec.correlation) * (dn * (sigma * t_a))) * (dn * (sigma * t_b))
     d = dn * (sigma * (t_a - t_b))
-    return _float_if_scalar(np.exp(-cross - 0.5 * d * d))
+    exponent = -0.5 * d * d
+    if spec.correlation != -1:
+        x_a, x_b = dn * (sigma * t_a), dn * (sigma * t_b)
+        exponent = exponent - ((1 + spec.correlation) * x_a) * x_b
+    return _float_if_scalar(np.exp(exponent))
 
 
 def marginal_kappa(spec: CorrelatedSpectrum, t):
-    """Single-photon decoherence magnitude exp(-dn^2 sigma^2 t^2 / 2)."""
-    return joint_kappa(spec, t, 0.0)
+    """Single-photon decoherence magnitude exp(-x^2 / 2), x = dn (sigma t): joint_kappa at
+    t_b = 0, whose cross term is 0 there (and is not formed, so an overflowed x gives 0)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("times must be >= 0")
+    x = spec.delta_n * (spec.sigma * t)
+    return _float_if_scalar(np.exp(-0.5 * x * x))
 
 
 def _xlog2x(p):

@@ -25,7 +25,6 @@ from test_nvmodel import nv_params, oracle_nm
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-FIG4_VALUES = ["c_a", "mi_4state", "mi_3state", "mi_4state_alice_only", "capacity"]
 
 
 def load_config(name):
@@ -399,25 +398,35 @@ class TestRun:
                                                             "mi_4state_alice_only": "1.0"}),
                               ("fig4", {"sigma": 1e150, "delta_n": 1e150},
                                {"c_a": "0.0", "mi_4state_alice_only": "1.0"}),
-                              ("fig4", {"delta_n": 1e200, "t_max": 1e200}, FIG4_VALUES),
+                              ("fig4", {"delta_n": 1e200, "t_max": 1e200},
+                               {"c_a": "0.0", "mi_4state_alice_only": "1.0"}),
+                              ("fig4", {"delta_n": 2.0, "t_max": 1.7e308, "n_t": 3},
+                               {"c_a": "0.0", "mi_4state_alice_only": "1.0"}),
                               ("fig4", {"sigma": 1e-300, "t_max": 1e300, "n_t": 2},
                                {"c_a": "0.6065306597126334",
                                 "mi_4state_alice_only": "1.2846508332892783"}),
                               ("fig4", {"K": 1.0, "t_max": 1.7e308},
-                               ["c_a", "mi_4state_alice_only"]),
+                               {"c_a": "0.0", "mi_4state": "1.0", "capacity": "1.0",
+                                "mi_4state_alice_only": "1.0"}),
+                              ("fig4", {"K": 0.0, "delta_n": 1e10, "t_max": 1e300},
+                               {"c_a": "0.0", "mi_4state": "1.0",
+                                "mi_3state": "0.9182958340544894", "capacity": "1.0",
+                                "mi_4state_alice_only": "1.0"}),
                               ("fig4", {"K": -1.0, "t_max": 1.7e308}, {})],
                              ids=["fig1_sigma", "fig4_delta_n", "fig4_rate", "fig4_product",
-                                  "fig4_zero_rate", "fig4_cross_term", "fig4_anticorrelated"])
+                                  "fig4_doubled_product", "fig4_zero_rate", "fig4_cross_term",
+                                  "fig4_uncorrelated_product", "fig4_anticorrelated"])
     def test_square_overflow_is_a_config_error(self, scenario, overrides, expect, tmp_path,
                                                capsys, recwarn):
         # An overflow to inf meets a 0: the nan cells, listed in `expect`, are refused by the
-        # one check of every output column. fig1 squares sigma, which meets t = 0. fig4 squares
-        # no input: its exponent is ((1 + K) x_a) x_b + d^2 / 2 with x = dn (sigma t) and
-        # d = dn (sigma (t_a - t_b)), so a 0 meets an inf only where x overflows at K = -1
-        # (0 x_a), or (1 + K) x_a does at t_b = 0 (the marginal c_a). Where only a square of
-        # dn sigma or of t would overflow, or sigma^2 would underflow (sigma t = 1: c_a is
-        # e^(-1/2), both cells correctly rounded), the run exits 0, the joint columns at the
-        # shipped K = -1 are two bits exactly and `expect` holds its last row's cells.
+        # one check of every output column. fig1 squares sigma, which meets t = 0. fig4 meets
+        # none: c_a is exp(-x^2 / 2) with x = dn (sigma t), and the joint exponent is
+        # d^2 / 2 + ((1 + K) x_a) x_b with d = dn (sigma (t_a - t_b)), its cross term left out
+        # at K = -1, so no square of sigma, t or dn sigma is formed and no 0 meets an
+        # overflowed x or (1 + K) x. Where such a square or x itself would overflow, or
+        # sigma^2 would underflow (sigma t = 1: c_a is e^(-1/2), both cells correctly rounded),
+        # the run exits 0, the joint columns at K = -1 are two bits exactly and `expect` holds
+        # its last row's cells.
         out = tmp_path / "out"
         code = cli.run(scenario, dict(load_config(scenario), **overrides), out)
         err = capsys.readouterr().err.strip().splitlines()
@@ -425,7 +434,8 @@ class TestRun:
         if isinstance(expect, dict):
             assert code == 0 and not err
             rows = read_rows(out / "fig4.csv")
-            assert {r["mi_4state"] for r in rows} == {r["capacity"] for r in rows} == {"2.0"}
+            if dict(load_config(scenario), **overrides)["K"] == -1:
+                assert {r["mi_4state"] for r in rows} == {r["capacity"] for r in rows} == {"2.0"}
             assert {key: rows[-1][key] for key in expect} == expect
             return
         assert code == 2 and len(err) == 1

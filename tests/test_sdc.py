@@ -379,19 +379,18 @@ class TestArrayPath:
         assert type(capacity_at(make_spec(correlation), 0.7)) is float
 
     def test_capacity_at_is_nan_where_joint_kappa_is(self):
-        # At K = -1 the exponent is (x - x)^2 / 2 + (0 x) x = 0, x = dn (sigma t), for any finite
-        # x, its square overflowing or not: two bits exactly, also where (dn sigma)^2 overflows.
-        # It is nan only where x itself overflows and meets that 0.
-        spec = make_spec(-1.0)
-        assert sdc.joint_kappa(spec, 1e200, 1e200) == 1.0
-        assert oracles.simulate_protocol(spec, 1e200, 1e200, 4) == 2.0
-        with np.errstate(all="ignore"):  # the marginal c_a's x^2 overflows
-            assert capacity_at(spec, 1e200) == 2.0
-            spec = make_spec(-1.0, delta_n=1e200)
-            assert sdc.joint_kappa(spec, 1.0, 1.0) == 1.0 and capacity_at(spec, 1.0) == 2.0
-            assert math.isnan(sdc.joint_kappa(spec, 1e200, 1e200))
-            assert math.isnan(capacity_at(spec, 1e200))
-            assert math.isnan(oracles.simulate_protocol(spec, 1e200, 1e200, 4))
+        # At K = -1 the cross term is left out and the difference term is (x - x)^2 / 2 = 0,
+        # x = dn (sigma t): two bits exactly for any finite t, also where x^2 or x overflows.
+        for spec in (make_spec(-1.0), make_spec(-1.0, delta_n=1e200)):
+            assert sdc.joint_kappa(spec, 1e200, 1e200) == 1.0
+            assert oracles.simulate_protocol(spec, 1e200, 1e200, 4) == 2.0
+            with np.errstate(all="ignore"):  # the marginal c_a's x^2 or x overflows
+                assert capacity_at(spec, 1e200) == 2.0
+        # A nan coherence gives a nan capacity, which the CLI's output check refuses.
+        spec = make_spec(0.5)
+        assert math.isnan(sdc.joint_kappa(spec, math.nan, math.nan))
+        assert math.isnan(capacity_at(spec, math.nan))
+        assert math.isnan(oracles.simulate_protocol(spec, math.nan, math.nan, 4))
 
     def test_capacity_array_matches_independent_entropy(self):
         c_a = np.linspace(0, 1, 11)

@@ -401,7 +401,9 @@ class TestKappaMemory:
     def test_peak_at_a_65536_point_spectrum(self):
         # 20 000 times on a 65 536-point spectrum: measured 6.32 MiB (Python 3.11, numpy 2.4),
         # against 9.81 MiB with a transform padded to 131 072 points and fresh arrays per term.
-        # The kernel and the work buffer take 86 400 points each; the bound leaves 0.68 MiB (11 %).
+        # The kernel and the work buffer take 86 400 points (1.32 MiB) each. numpy 2.4 transforms
+        # them in place with no copy; the bound of 8 MiB also holds one transient copy of either,
+        # should an older numpy copy an overlapping out=, and stays 1.81 MiB below the old 9.81.
         profile = random_profile(np.random.default_rng(0), np.linspace(-6, 6, 65_536))
         t = np.linspace(0, 0.99 * spectra.alias_t_max(profile, 1.0), 20_000)
         kappa_numeric(profile, 1.0, t[:100])
@@ -411,7 +413,7 @@ class TestKappaMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 2**20
+        assert peak <= 8 * 2**20
 
 
 class TestDephasingChannel:
